@@ -1,0 +1,153 @@
+"""Command-line front end.
+
+Verbs:
+    run <config.json>     integrate one scenario, optionally emit CSV/JSON
+    sweep <config.json>   rerun the scenario over a list of step sizes
+    gap <x>               print the closed-form-vs-exact rotation gap h(x)
+    registry              list the frozen scenario profile names
+
+Exit codes: 0 success, 1 config/validation error, 2 runtime error.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+
+from .diagnostics import euler_formula_gap
+from .errors import ConfigError, QuatkinError
+from .scenario import (
+    DEFAULT_SWEEP_TAUS,
+    REGISTRY_DESCRIPTIONS,
+    ScenarioConfig,
+    emit_series,
+    emit_summary,
+    parse_config,
+    registry_names,
+    run_scenario,
+    run_sweep,
+)
+
+
+class _Parser(argparse.ArgumentParser):
+    # Usage mistakes are validation errors: exit 1, not argparse's 2.
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        print(f"error: {message}", file=sys.stderr)
+        raise SystemExit(1)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="quatkin",
+        description="Structure-preserving quaternion attitude propagation",
+    )
+    sub = parser.add_subparsers(dest="verb", required=True, parser_class=_Parser)
+
+    run_p = sub.add_parser("run", help="run one scenario config")
+    run_p.add_argument("config", help="path to a JSON scenario config")
+    _add_overrides(run_p)
+    run_p.add_argument("--out", help="write the trajectory series CSV here")
+    run_p.add_argument("--summary", help="write the JSON summary here")
+
+    sweep_p = sub.add_parser("sweep", help="run a scenario across step sizes")
+    sweep_p.add_argument("config", help="path to a JSON scenario config")
+    sweep_p.add_argument(
+        "--taus",
+        nargs="+",
+        type=float,
+        default=list(DEFAULT_SWEEP_TAUS),
+        help="step sizes to sweep (default: %(default)s)",
+    )
+    _add_overrides(sweep_p)
+    sweep_p.add_argument("--summary", help="write the JSON summary here")
+
+    gap_p = sub.add_parser("gap", help="print the rotation-gap function h(x)")
+    gap_p.add_argument("x", type=float)
+
+    sub.add_parser("registry", help="list frozen scenario profiles")
+    return parser
+
+
+def _add_overrides(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--tau", type=float, help="override the config step size")
+    p.add_argument("--t0", type=float, help="override the start time")
+    p.add_argument("--tf", type=float, help="override the end time")
+    p.add_argument("--method", help="override the integration method")
+    p.add_argument(
+        "--sampling", choices=["exact", "interp"], help="override midpoint sampling"
+    )
+
+
+def _load_config(args) -> ScenarioConfig:
+    with open(args.config, "rb") as fh:
+        text = fh.read().decode("utf-8")
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(
+            f"config is not valid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from None
+    if not isinstance(raw, dict):
+        raise ConfigError("config root must be a JSON object")
+    for key in ("tau", "t0", "tf", "method", "sampling"):
+        value = getattr(args, key, None)
+        if value is not None:
+            raw[key] = value
+    return parse_config(json.dumps(raw))
+
+
+def _print_run(a) -> None:
+    cfg, timing = a.config, a.timing
+    line = (
+        f"{cfg.name}: method={cfg.method} tau={cfg.tau:g} steps={timing.steps} "
+        f"wall={timing.wall_clock_s:.4f}s "
+        f"max|norm-1|={max(abs(n - 1.0) for n in a.trajectory.norms()):.3e}"
+    )
+    if a.error_report is not None:
+        line += f" max_err={a.error_report.max_error:.3e}"
+    print(line)
+
+
+def main(argv=None) -> int:
+    args = _build_parser().parse_args(argv)
+    try:
+        if args.verb == "gap":
+            print(format(euler_formula_gap(args.x), ".17g"))
+            return 0
+        if args.verb == "registry":
+            for name in registry_names():
+                print(f"{name}: {REGISTRY_DESCRIPTIONS[name]}")
+            return 0
+        if args.verb == "run":
+            cfg = _load_config(args)
+            artifacts = run_scenario(cfg)
+            _print_run(artifacts)
+            if args.out:
+                emit_series(artifacts, args.out)
+            if args.summary:
+                emit_summary(artifacts, args.summary)
+            return 0
+        if args.verb == "sweep":
+            cfg = _load_config(args)
+            runs = run_sweep(cfg, args.taus)
+            for a in runs:
+                _print_run(a)
+            if args.summary:
+                emit_summary(runs, args.summary)
+            return 0
+        raise AssertionError(f"unhandled verb {args.verb}")
+    except (ConfigError, FileNotFoundError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (QuatkinError, OSError, ValueError) as exc:
+        print(f"runtime error: {exc}", file=sys.stderr)
+        return 2
+
+
+def entry_point() -> None:
+    raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry_point()

@@ -1,0 +1,543 @@
+"""Declarative scenario configs, the frozen profile registry, run/sweep
+drivers with wall-clock benchmarking, and CSV/JSON emission.
+
+A scenario is one experiment: a named angular-velocity profile, an initial
+quaternion, a horizon, a step size, an integration method, and the set of
+artifacts to produce.  Configs are JSON documents; see parse_config.
+"""
+from __future__ import annotations
+
+import dataclasses
+import json
+import math
+import re
+import time
+from dataclasses import dataclass
+from typing import Callable, Sequence
+
+import numpy as np
+
+from .baselines import BaselineMethod, integrate_baseline, _STEP_FUNCTIONS
+from .diagnostics import (
+    DefectSeries,
+    ErrorReport,
+    component_errors,
+    convergence_order,
+    symplecticity_defect,
+)
+from .errors import ConfigError, DegenerateDataError
+from .model import (
+    AngularVelocityProfile,
+    ConingProfile,
+    ConstantProfile,
+    FormulaProfile,
+    MidpointSamplingMode,
+    TabulatedProfile,
+    coning_oracle,
+    constant_oracle,
+    midpoint_omega,
+)
+from .symplectic import (
+    autonomous_transition,
+    integrate_autonomous,
+    integrate_nonautonomous,
+    nonautonomous_transition,
+)
+from .trajectory import Trajectory
+
+__all__ = [
+    "PROFILE_REGISTRY",
+    "registry_names",
+    "profile_from_name",
+    "ScenarioConfig",
+    "TimingRecord",
+    "RunArtifacts",
+    "parse_number",
+    "parse_config",
+    "run_scenario",
+    "run_sweep",
+    "one_step_matrix",
+    "defect_ladder",
+    "emit_series",
+    "emit_summary",
+    "DEFAULT_SWEEP_TAUS",
+]
+
+METHODS = ("SGA-A", "SGA-NA", "RK4", "EUB", "GL2")
+OUTPUT_KINDS = ("series", "error-report", "defect-ladder", "benchmark")
+
+# Reproduction default when a sweep gets no explicit tau grid.
+DEFAULT_SWEEP_TAUS = (0.1, 0.05, 0.025, 0.0125, 0.00625)
+
+# Benchmark protocol: repeat until >= 200 ms of cumulative time, at least
+# 3 runs, and report the minimum.
+_BENCH_MIN_SECONDS = 0.2
+_BENCH_MIN_REPEATS = 3
+
+
+def _fig1b(t):
+    return np.stack(
+        [2.0 * (1.0 + np.sin(t) * np.exp(-t / 4.0)), np.zeros_like(t), np.zeros_like(t)],
+        axis=-1,
+    )
+
+
+def _fig1c(t):
+    return np.stack(
+        [
+            2.0 * (1.0 + np.sin(t) * np.exp(-t / 4.0)),
+            (-3.0 + t * t) * np.exp(-t / 3.0),
+            (1.0 + t) * np.exp(-t),
+        ],
+        axis=-1,
+    )
+
+
+def _fig1d(t):
+    return np.stack(
+        [np.sin(10.0 * t) - 2.0, 2.0 * t + 1.4, 4.0 - 0.2 * np.cos(3.0 * t)],
+        axis=-1,
+    )
+
+
+def _fig2(t):
+    return np.stack(
+        [np.sin(10.0 * t) - 2.0, 2.0 * np.sin(t) + 1.4, 4.0 - 0.2 * np.cos(3.0 * t)],
+        axis=-1,
+    )
+
+
+PROFILE_REGISTRY: dict[str, Callable[[], AngularVelocityProfile]] = {
+    "fig1a": lambda: ConstantProfile((2.0, 10.0, 3.0)),
+    "fig1b": lambda: FormulaProfile("fig1b", _fig1b),
+    "fig1c": lambda: FormulaProfile("fig1c", _fig1c),
+    "fig1d": lambda: FormulaProfile("fig1d", _fig1d),
+    "fig2": lambda: FormulaProfile("fig2", _fig2),
+    "coning": lambda: ConingProfile(2.0 * math.pi, math.pi / 80.0),
+}
+
+REGISTRY_DESCRIPTIONS = {
+    "fig1a": "constant rate [2, 10, 3] rad/s",
+    "fig1b": "[2(1 + sin t e^{-t/4}), 0, 0]",
+    "fig1c": "[2(1 + sin t e^{-t/4}), (-3 + t^2) e^{-t/3}, (1 + t) e^{-t}]",
+    "fig1d": "[sin 10t - 2, 2t + 1.4, 4 - 0.2 cos 3t]",
+    "fig2": "[sin 10t - 2, 2 sin t + 1.4, 4 - 0.2 cos 3t]",
+    "coning": "coning motion, spin 2*pi rad/s, half-cone angle pi/80",
+}
+
+
+def registry_names() -> tuple[str, ...]:
+    return tuple(PROFILE_REGISTRY)
+
+
+def profile_from_name(name: str) -> AngularVelocityProfile:
+    try:
+        return PROFILE_REGISTRY[name]()
+    except KeyError:
+        raise ConfigError(
+            f"field 'profile': unknown registry name {name!r}; "
+            f"known names: {', '.join(PROFILE_REGISTRY)}"
+        ) from None
+
+
+@dataclass(frozen=True)
+class ScenarioConfig:
+    """Validated description of one experiment."""
+
+    name: str
+    profile: AngularVelocityProfile
+    q0: np.ndarray
+    t0: float
+    tf: float
+    tau: float
+    method: str
+    sampling: MidpointSamplingMode
+    oracle: Callable | None
+    outputs: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class TimingRecord:
+    wall_clock_s: float
+    steps: int
+    repeats: int
+
+
+@dataclass(frozen=True)
+class RunArtifacts:
+    config: ScenarioConfig
+    trajectory: Trajectory
+    error_report: ErrorReport | None
+    defect_ladder: DefectSeries | None
+    timing: TimingRecord
+
+
+_PI_PATTERN = re.compile(
+    r"^\s*(?P<sign>[+-]?)\s*(?P<mult>\d+(?:\.\d*)?)?\s*\*?\s*pi\s*"
+    r"(?:/\s*(?P<div>\d+(?:\.\d*)?))?\s*$"
+)
+
+
+def parse_number(value, field: str) -> float:
+    """Accept a numeric literal or a pi expression like "pi/80" or "2pi"."""
+    if isinstance(value, bool):
+        raise ConfigError(f"field {field!r}: expected a number, got {value!r}")
+    if isinstance(value, (int, float)):
+        return float(value)
+    if isinstance(value, str):
+        m = _PI_PATTERN.match(value)
+        if m:
+            out = math.pi
+            if m.group("mult"):
+                out *= float(m.group("mult"))
+            if m.group("div"):
+                out /= float(m.group("div"))
+            return -out if m.group("sign") == "-" else out
+        try:
+            return float(value)
+        except ValueError:
+            raise ConfigError(
+                f"field {field!r}: cannot parse {value!r} as a number or pi literal"
+            ) from None
+    raise ConfigError(f"field {field!r}: expected a number, got {type(value).__name__}")
+
+
+def _parse_profile(value) -> AngularVelocityProfile:
+    if isinstance(value, str):
+        return profile_from_name(value)
+    if not isinstance(value, dict):
+        raise ConfigError("field 'profile': expected a registry name or an object")
+    kind = value.get("type")
+    if kind == "constant":
+        extra = set(value) - {"type", "omega"}
+        if extra:
+            raise ConfigError(f"field 'profile': unknown keys {sorted(extra)}")
+        omega = value.get("omega")
+        if not isinstance(omega, list) or len(omega) != 3:
+            raise ConfigError("field 'profile.omega': expected a list of 3 numbers")
+        return ConstantProfile(tuple(parse_number(c, "profile.omega") for c in omega))
+    if kind == "coning":
+        extra = set(value) - {"type", "omega0", "beta"}
+        if extra:
+            raise ConfigError(f"field 'profile': unknown keys {sorted(extra)}")
+        try:
+            return ConingProfile(
+                parse_number(value.get("omega0"), "profile.omega0"),
+                parse_number(value.get("beta"), "profile.beta"),
+            )
+        except ValueError as exc:
+            raise ConfigError(f"field 'profile': {exc}") from None
+    if kind == "tabulated":
+        extra = set(value) - {"type", "samples"}
+        if extra:
+            raise ConfigError(f"field 'profile': unknown keys {sorted(extra)}")
+        samples = value.get("samples")
+        if not isinstance(samples, list) or len(samples) < 2:
+            raise ConfigError("field 'profile.samples': need at least two [t, [w1,w2,w3]] pairs")
+        try:
+            times = np.array([s[0] for s in samples], dtype=float)
+            vals = np.array([s[1] for s in samples], dtype=float)
+            return TabulatedProfile(times, vals)
+        except (ValueError, IndexError, TypeError) as exc:
+            raise ConfigError(f"field 'profile.samples': {exc}") from None
+    raise ConfigError(
+        f"field 'profile.type': expected one of constant/coning/tabulated, got {kind!r}"
+    )
+
+
+def _parse_oracle(value, profile, q0, t0):
+    if value is None or value == "none":
+        return None
+    if value == "constant-analytic":
+        if not isinstance(profile, ConstantProfile):
+            raise ConfigError(
+                "field 'oracle': constant-analytic requires a constant profile"
+            )
+        return constant_oracle(np.array(profile.vector), q0, t0)
+    if isinstance(value, dict) and value.get("type") == "coning":
+        extra = set(value) - {"type", "omega0", "beta"}
+        if extra:
+            raise ConfigError(f"field 'oracle': unknown keys {sorted(extra)}")
+        return coning_oracle(
+            parse_number(value.get("omega0"), "oracle.omega0"),
+            parse_number(value.get("beta"), "oracle.beta"),
+        )
+    raise ConfigError(
+        "field 'oracle': expected 'none', 'constant-analytic', or a coning object"
+    )
+
+
+_CONFIG_KEYS = {
+    "name",
+    "profile",
+    "q0",
+    "t0",
+    "tf",
+    "tau",
+    "method",
+    "sampling",
+    "oracle",
+    "outputs",
+}
+
+
+def parse_config(text) -> ScenarioConfig:
+    """Parse and validate a JSON scenario config.
+
+    Unknown keys are rejected; validation errors name the offending field.
+    Defaults: t0 = 0, q0 = [1, 0, 0, 0], sampling = exact, outputs =
+    ("series",), method = SGA-A for constant profiles else SGA-NA.  A
+    coning profile auto-wires the matching analytic oracle unless the
+    config says otherwise.
+    """
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(
+            f"config is not valid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from None
+    if not isinstance(raw, dict):
+        raise ConfigError("config root must be a JSON object")
+    unknown = set(raw) - _CONFIG_KEYS
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    if "profile" not in raw:
+        raise ConfigError("field 'profile' is required")
+    if "tau" not in raw:
+        raise ConfigError("field 'tau' is required")
+    if "tf" not in raw:
+        raise ConfigError("field 'tf' is required")
+
+    profile = _parse_profile(raw["profile"])
+    t0 = parse_number(raw.get("t0", 0.0), "t0")
+    tf = parse_number(raw["tf"], "tf")
+    tau = parse_number(raw["tau"], "tau")
+    if not tf > t0:
+        raise ConfigError(f"field 'tf': must exceed t0, got t0={t0}, tf={tf}")
+    if not tau > 0.0:
+        raise ConfigError(f"field 'tau': must be positive, got {tau}")
+
+    q0_raw = raw.get("q0", [1.0, 0.0, 0.0, 0.0])
+    if not isinstance(q0_raw, list) or len(q0_raw) != 4:
+        raise ConfigError("field 'q0': expected a list of 4 numbers")
+    q0 = np.array([parse_number(c, "q0") for c in q0_raw])
+    if abs(float(np.linalg.norm(q0)) - 1.0) > 1e-9:
+        raise ConfigError(
+            f"field 'q0': norm {float(np.linalg.norm(q0)):.12f} is not 1 within 1e-9"
+        )
+
+    default_method = "SGA-A" if isinstance(profile, ConstantProfile) else "SGA-NA"
+    method = raw.get("method", default_method)
+    if method not in METHODS:
+        raise ConfigError(f"field 'method': expected one of {METHODS}, got {method!r}")
+    if method == "SGA-A" and not isinstance(profile, ConstantProfile):
+        raise ConfigError("field 'method': SGA-A requires a constant profile")
+
+    sampling_raw = raw.get("sampling", "exact")
+    try:
+        sampling = MidpointSamplingMode(sampling_raw)
+    except ValueError:
+        raise ConfigError(
+            f"field 'sampling': expected 'exact' or 'interp', got {sampling_raw!r}"
+        ) from None
+
+    if "oracle" in raw:
+        oracle = _parse_oracle(raw["oracle"], profile, q0, t0)
+    elif isinstance(profile, ConingProfile):
+        oracle = coning_oracle(profile.omega0, profile.beta)
+    else:
+        oracle = None
+
+    outputs_raw = raw.get("outputs", ["series"])
+    if not isinstance(outputs_raw, list) or not all(
+        isinstance(o, str) for o in outputs_raw
+    ):
+        raise ConfigError("field 'outputs': expected a list of output kinds")
+    bad = [o for o in outputs_raw if o not in OUTPUT_KINDS]
+    if bad:
+        raise ConfigError(
+            f"field 'outputs': unknown kinds {bad}; expected subset of {OUTPUT_KINDS}"
+        )
+
+    name = raw.get("name")
+    if name is None:
+        name = raw["profile"] if isinstance(raw["profile"], str) else "scenario"
+    if not isinstance(name, str) or not name:
+        raise ConfigError("field 'name': expected a non-empty string")
+
+    return ScenarioConfig(
+        name=name,
+        profile=profile,
+        q0=q0,
+        t0=t0,
+        tf=tf,
+        tau=tau,
+        method=method,
+        sampling=sampling,
+        oracle=oracle,
+        outputs=tuple(outputs_raw),
+    )
+
+
+def _integrate(cfg: ScenarioConfig) -> Trajectory:
+    if cfg.method == "SGA-A":
+        return integrate_autonomous(
+            np.array(cfg.profile.vector), cfg.q0, cfg.t0, cfg.tf, cfg.tau
+        )
+    if cfg.method == "SGA-NA":
+        return integrate_nonautonomous(
+            cfg.profile, cfg.q0, cfg.t0, cfg.tf, cfg.tau, cfg.sampling
+        )
+    return integrate_baseline(
+        BaselineMethod(cfg.method), cfg.profile, cfg.q0, cfg.t0, cfg.tf, cfg.tau
+    )
+
+
+def one_step_matrix(cfg: ScenarioConfig, tau: float) -> np.ndarray:
+    """4x4 matrix of one integration step taken at the scenario start.
+
+    Every method here advances the state linearly, so the baseline step
+    matrices are recovered by propagating the four basis vectors.
+    """
+    if cfg.method == "SGA-A":
+        return autonomous_transition(np.array(cfg.profile.vector), tau).G
+    if cfg.method == "SGA-NA":
+        w = midpoint_omega(cfg.profile, cfg.t0, tau, cfg.sampling)
+        return nonautonomous_transition(w, tau).G_k
+    step = _STEP_FUNCTIONS[BaselineMethod(cfg.method)]
+    cols = [step(cfg.profile, e, cfg.t0, tau) for e in np.eye(4)]
+    return np.column_stack(cols)
+
+
+def defect_ladder(cfg: ScenarioConfig, halvings: int = 4) -> DefectSeries:
+    """Symplecticity defects of the one-step map over a tau-halving ladder."""
+    taus = [cfg.tau / (2.0**i) for i in range(halvings)]
+    defects = [symplecticity_defect(one_step_matrix(cfg, t)) for t in taus]
+    return DefectSeries(taus=tuple(taus), defects=tuple(defects))
+
+
+def _timed_integration(cfg: ScenarioConfig, benchmark: bool):
+    start = time.perf_counter()
+    traj = _integrate(cfg)
+    elapsed = [time.perf_counter() - start]
+    if benchmark:
+        while sum(elapsed) < _BENCH_MIN_SECONDS or len(elapsed) < _BENCH_MIN_REPEATS:
+            start = time.perf_counter()
+            _integrate(cfg)
+            elapsed.append(time.perf_counter() - start)
+    return traj, min(elapsed), len(elapsed)
+
+
+def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
+    """Run one scenario and collect its requested artifacts.
+
+    The trajectory and any error report are deterministic for a given
+    config; the timing record measures only the integration loop and, when
+    'benchmark' is among the outputs, follows the repeat-until-200ms
+    minimum-of-runs protocol.
+    """
+    traj, wall, repeats = _timed_integration(cfg, "benchmark" in cfg.outputs)
+    report = component_errors(traj, cfg.oracle) if cfg.oracle is not None else None
+    ladder = defect_ladder(cfg) if "defect-ladder" in cfg.outputs else None
+    timing = TimingRecord(wall_clock_s=wall, steps=traj.steps, repeats=repeats)
+    return RunArtifacts(
+        config=cfg,
+        trajectory=traj,
+        error_report=report,
+        defect_ladder=ladder,
+        timing=timing,
+    )
+
+
+def run_sweep(base: ScenarioConfig, taus: Sequence[float]) -> list[RunArtifacts]:
+    """Run the base scenario once per step size, sequentially.
+
+    Sequential execution keeps benchmark timings free of contention skew.
+    """
+    taus = [float(t) for t in taus]
+    if not taus or any(t <= 0.0 for t in taus):
+        raise ConfigError("sweep requires a non-empty list of positive step sizes")
+    return [run_scenario(dataclasses.replace(base, tau=t)) for t in taus]
+
+
+def _fmt(value: float) -> str:
+    # 17 significant digits: lossless float64 round trip.
+    return format(float(value), ".17g")
+
+
+def emit_series(artifacts: RunArtifacts, path) -> None:
+    """Write the trajectory as CSV: t,e0,e1,e2,e3,norm[,err0,err1,err2,err3].
+
+    Absolute per-component errors against the oracle are appended when the
+    scenario has one.  17 significant digits, LF line endings.
+    """
+    traj = artifacts.trajectory
+    norms = traj.norms()
+    errors = None
+    if artifacts.config.oracle is not None:
+        errors = np.abs(traj.states - artifacts.config.oracle(traj.times))
+    header = "t,e0,e1,e2,e3,norm"
+    if errors is not None:
+        header += ",err0,err1,err2,err3"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        for i in range(len(traj.states)):
+            row = [traj.times[i], *traj.states[i], norms[i]]
+            if errors is not None:
+                row.extend(errors[i])
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
+
+
+def _run_entry(a: RunArtifacts) -> dict:
+    report = a.error_report
+    return {
+        "name": a.config.name,
+        "method": a.config.method,
+        "tau": a.config.tau,
+        "steps": a.timing.steps,
+        "max_component_errors": (
+            [float(e) for e in report.max_component_error] if report else None
+        ),
+        "max_norm_deviation": (
+            report.max_norm_deviation
+            if report
+            else float(np.max(np.abs(a.trajectory.norms() - 1.0)))
+        ),
+        "wall_clock_s": a.timing.wall_clock_s,
+        "benchmark_repeats": a.timing.repeats,
+    }
+
+
+def emit_summary(artifacts, path) -> None:
+    """Write a JSON summary for one run or a sweep.
+
+    Per-run entries carry method, tau, steps, per-component max errors, max
+    norm deviation, and wall-clock seconds.  When the runs form a
+    tau-halving ladder with error reports, the estimated convergence order
+    is included.
+    """
+    runs = artifacts if isinstance(artifacts, list) else [artifacts]
+    doc = {"runs": [_run_entry(a) for a in runs]}
+    if len(runs) >= 2 and all(a.error_report is not None for a in runs):
+        try:
+            doc["estimated_order"] = convergence_order(
+                [(a.config.tau, a.error_report.max_error) for a in runs]
+            )
+        except (ValueError, DegenerateDataError):
+            pass
+    ladders = {
+        a.config.name: {
+            "taus": list(a.defect_ladder.taus),
+            "defects": list(a.defect_ladder.defects),
+            "estimated_order": a.defect_ladder.estimated_order,
+        }
+        for a in runs
+        if a.defect_ladder is not None
+    }
+    if ladders:
+        doc["defect_ladders"] = ladders
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
