@@ -7,6 +7,7 @@ verification diagnostics, and a scenario CLI.
 """
 from .baselines import (
     BaselineMethod,
+    baseline_step_matrices,
     euler_backward_step,
     gauss_legendre_step,
     integrate_baseline,
@@ -65,6 +66,7 @@ from .scenario import (
     RunArtifacts,
     ScenarioConfig,
     TimingRecord,
+    config_document,
     defect_ladder,
     emit_series,
     emit_summary,
@@ -82,11 +84,13 @@ from .symplectic import (
     autonomous_transition,
     b_matrix,
     cayley_closed_form,
+    cayley_steps,
+    corrected_rate,
     integrate_autonomous,
     integrate_nonautonomous,
     nonautonomous_transition,
     reduced_2x2_transition,
 )
-from .trajectory import Trajectory, check_unit_quaternion, step_schedule
+from .trajectory import Trajectory, check_unit_quaternion, propagate, step_schedule
 
 __version__ = "0.1.0"

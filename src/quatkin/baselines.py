@@ -1,10 +1,13 @@
 """Comparison integrators: classical RK4, backward Euler, and 2-stage
 Gauss-Legendre, all applied to dq/dt = (1/2) A(w(t)) q.
 
-None of these preserve the quaternion norm exactly (backward Euler damps it
+The field is linear in q, so every step of every method is a 4x4 matrix
+G_k.  :func:`baseline_step_matrices` builds a whole run's G_k at once,
+sampling the profile with one omega_at call per stage on the array of stage
+times, and :func:`quatkin.trajectory.propagate` applies them.  None of
+these preserve the quaternion norm exactly (backward Euler damps it
 strictly), which is what the structure-preserving maps are measured
-against.  All loops share the horizon convention of
-:func:`quatkin.trajectory.step_schedule`.
+against.
 """
 from __future__ import annotations
 
@@ -14,12 +17,13 @@ import math
 import numpy as np
 
 from .errors import SingularMatrixError
-from .linalg import I4, solve_linear_4
+from .linalg import I4
 from .model import AngularVelocityProfile, coefficient_matrix
-from .trajectory import Trajectory, check_unit_quaternion, step_schedule
+from .trajectory import Trajectory, check_unit_quaternion, propagate, step_schedule
 
 __all__ = [
     "BaselineMethod",
+    "baseline_step_matrices",
     "rk4_step",
     "euler_backward_step",
     "gauss_legendre_step",
@@ -40,65 +44,58 @@ GL2_MATRIX = ((0.25, 0.25 - _GL_SQRT3_6), (0.25 + _GL_SQRT3_6, 0.25))
 GL2_WEIGHTS = (0.5, 0.5)
 
 
-def _rate_matrix(profile: AngularVelocityProfile, t: float) -> np.ndarray:
-    return 0.5 * coefficient_matrix(profile.omega_at(t))
+def baseline_step_matrices(method: BaselineMethod, profile: AngularVelocityProfile, t, tau):
+    """Step matrices G_k (..., 4, 4) of `method` taking the state from t_k to
+    t_k + tau_k, for broadcasting t and tau; L = A(w)/2 is the rate matrix.
+    """
+    t = np.asarray(t, dtype=float)
+    tau = np.asarray(tau, dtype=float)
+    h = tau[..., None, None]
+    if method is BaselineMethod.RK4:
+        # Stage times t, t + tau/2, t + tau/2, t + tau: K1 = L1,
+        # K2 = L2 (I + (tau/2) K1), K3 = L2 (I + (tau/2) K2), K4 = L3 (I + tau K3).
+        l1 = 0.5 * coefficient_matrix(profile.omega_at(t))
+        l2 = 0.5 * coefficient_matrix(profile.omega_at(t + tau / 2.0))
+        l3 = 0.5 * coefficient_matrix(profile.omega_at(t + tau))
+        k2 = l2 + (h / 2.0) * (l2 @ l1)
+        k3 = l2 + (h / 2.0) * (l2 @ k2)
+        k4 = l3 + h * (l3 @ k3)
+        return I4 + (h / 6.0) * (l1 + 2.0 * (k2 + k3) + k4)
+    if method is BaselineMethod.EULER_BACKWARD:
+        # (I - x A)^-1 with x = tau/2 and A = A(w(t + tau)).  A^2 = -|w|^2 I
+        # gives it in closed form, (I + x A) / (1 + x^2 |w|^2): no solve.
+        w = profile.omega_at(t + tau)
+        x = h / 2.0
+        n2 = np.sum(w * w, axis=-1)[..., None, None]
+        return (I4 + x * coefficient_matrix(w)) / (1.0 + x * x * n2)
+    # Gauss-Legendre: k_i = L_i (q + tau sum_j a_ij k_j) with L_i at t + c_i tau
+    # is one 8x8 system per step, solved for all four columns of q at once.
+    hl1 = h * (0.5 * coefficient_matrix(profile.omega_at(t + GL2_NODES[0] * tau)))
+    hl2 = h * (0.5 * coefficient_matrix(profile.omega_at(t + GL2_NODES[1] * tau)))
+    (a11, a12), (a21, a22) = GL2_MATRIX
+    m = np.eye(8) - np.block([[a11 * hl1, a12 * hl1], [a21 * hl2, a22 * hl2]])
+    try:
+        stages = np.linalg.solve(m, np.concatenate([hl1, hl2], axis=-2))
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(f"stage system is singular: {exc}") from exc
+    return I4 + GL2_WEIGHTS[0] * stages[..., :4, :] + GL2_WEIGHTS[1] * stages[..., 4:, :]
 
 
 def rk4_step(profile, q, t: float, tau: float):
-    """Classical four-stage Runge-Kutta step with stage times
-    t, t + tau/2, t + tau/2, t + tau."""
-    q = np.asarray(q, dtype=float)
-    k1 = _rate_matrix(profile, t) @ q
-    l_mid = _rate_matrix(profile, t + tau / 2.0)
-    k2 = l_mid @ (q + (tau / 2.0) * k1)
-    k3 = l_mid @ (q + (tau / 2.0) * k2)
-    k4 = _rate_matrix(profile, t + tau) @ (q + tau * k3)
-    return q + (tau / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    """One classical four-stage Runge-Kutta step from t to t + tau."""
+    return baseline_step_matrices(BaselineMethod.RK4, profile, t, tau) @ q
 
 
 def euler_backward_step(profile, q, t: float, tau: float):
-    """Fully implicit Euler step: solve (I - (tau/2) A(w(t + tau))) q+ = q.
-
-    For skew A the system matrix is always nonsingular; the singular-matrix
-    error from the solver is surfaced defensively.  The solve contracts the
-    norm strictly whenever w != 0.
-    """
-    q = np.asarray(q, dtype=float)
-    m = I4 - (tau / 2.0) * coefficient_matrix(profile.omega_at(t + tau))
-    return solve_linear_4(m, q)
+    """One fully implicit Euler step, q+ = (I - (tau/2) A(w(t + tau)))^-1 q;
+    it contracts the norm strictly whenever w != 0."""
+    return baseline_step_matrices(BaselineMethod.EULER_BACKWARD, profile, t, tau) @ q
 
 
 def gauss_legendre_step(profile, q, t: float, tau: float):
-    """2-stage Gauss-Legendre implicit Runge-Kutta step (order 4).
-
-    The field is linear in q, so the two stage equations
-
-        k_i = L_i (q + tau sum_j a_ij k_j),   L_i = (1/2) A(w(t + c_i tau))
-
-    are assembled into one 8x8 linear system and solved directly; no
-    fixed-point iteration is involved.
-    """
-    q = np.asarray(q, dtype=float)
-    l1 = _rate_matrix(profile, t + GL2_NODES[0] * tau)
-    l2 = _rate_matrix(profile, t + GL2_NODES[1] * tau)
-    m = np.eye(8)
-    m[0:4, 0:4] -= tau * GL2_MATRIX[0][0] * l1
-    m[0:4, 4:8] -= tau * GL2_MATRIX[0][1] * l1
-    m[4:8, 0:4] -= tau * GL2_MATRIX[1][0] * l2
-    m[4:8, 4:8] -= tau * GL2_MATRIX[1][1] * l2
-    rhs = np.concatenate([l1 @ q, l2 @ q])
-    try:
-        stages = np.linalg.solve(m, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"stage system is singular: {exc}") from exc
-    return q + tau * (GL2_WEIGHTS[0] * stages[0:4] + GL2_WEIGHTS[1] * stages[4:8])
-
-
-_STEP_FUNCTIONS = {
-    BaselineMethod.RK4: rk4_step,
-    BaselineMethod.EULER_BACKWARD: euler_backward_step,
-    BaselineMethod.GAUSS_LEGENDRE2: gauss_legendre_step,
-}
+    """One 2-stage Gauss-Legendre step (order 4), its linear stage system
+    solved directly with no fixed-point iteration."""
+    return baseline_step_matrices(BaselineMethod.GAUSS_LEGENDRE2, profile, t, tau) @ q
 
 
 def integrate_baseline(
@@ -109,14 +106,9 @@ def integrate_baseline(
     tf: float,
     tau: float,
 ) -> Trajectory:
-    """Repeatedly apply the chosen step over the shared horizon convention."""
+    """Build the chosen method's step matrices over the shared horizon
+    convention and propagate them."""
     q = check_unit_quaternion(q0)
-    step = _STEP_FUNCTIONS[method]
     times, tau_k = step_schedule(t0, tf, tau)
-    k = len(tau_k)
-    states = np.empty((k + 1, 4))
-    states[0] = q
-    for i in range(k):
-        q = step(profile, q, float(times[i]), float(tau_k[i]))
-        states[i + 1] = q
-    return Trajectory(t0=t0, tau=tau, times=times, states=states)
+    g = baseline_step_matrices(method, profile, times[:-1], tau_k)
+    return Trajectory(t0=t0, tau=tau, times=times, states=propagate(g, q))

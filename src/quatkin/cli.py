@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 config/validation error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .diagnostics import euler_formula_gap
@@ -20,6 +19,7 @@ from .scenario import (
     DEFAULT_SWEEP_TAUS,
     REGISTRY_DESCRIPTIONS,
     ScenarioConfig,
+    config_document,
     emit_series,
     emit_summary,
     parse_config,
@@ -81,20 +81,12 @@ def _add_overrides(p: argparse.ArgumentParser) -> None:
 
 def _load_config(args) -> ScenarioConfig:
     with open(args.config, "rb") as fh:
-        text = fh.read().decode("utf-8")
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"config is not valid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from None
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
+        raw = config_document(fh.read())
     for key in ("tau", "t0", "tf", "method", "sampling"):
         value = getattr(args, key, None)
         if value is not None:
             raw[key] = value
-    return parse_config(json.dumps(raw))
+    return parse_config(raw)
 
 
 def _print_run(a) -> None:

@@ -13,11 +13,11 @@ import math
 import re
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .baselines import BaselineMethod, integrate_baseline, _STEP_FUNCTIONS
+from .baselines import BaselineMethod, baseline_step_matrices, integrate_baseline
 from .diagnostics import (
     DefectSeries,
     ErrorReport,
@@ -38,10 +38,10 @@ from .model import (
     midpoint_omega,
 )
 from .symplectic import (
-    autonomous_transition,
+    cayley_steps,
+    corrected_rate,
     integrate_autonomous,
     integrate_nonautonomous,
-    nonautonomous_transition,
 )
 from .trajectory import Trajectory
 
@@ -53,6 +53,7 @@ __all__ = [
     "TimingRecord",
     "RunArtifacts",
     "parse_number",
+    "config_document",
     "parse_config",
     "run_scenario",
     "run_sweep",
@@ -281,8 +282,26 @@ _CONFIG_KEYS = {
 }
 
 
-def parse_config(text) -> ScenarioConfig:
-    """Parse and validate a JSON scenario config.
+def config_document(source) -> dict:
+    """The top-level object of a config given as JSON text (str or bytes) or
+    as a mapping; raises ConfigError for anything else."""
+    if isinstance(source, Mapping):
+        return dict(source)
+    if not isinstance(source, (str, bytes, bytearray)):
+        raise ConfigError(f"config must be JSON text or a mapping, got {type(source).__name__}")
+    try:
+        raw = json.loads(source)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(
+            f"config is not valid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from None
+    if not isinstance(raw, dict):
+        raise ConfigError("config root must be a JSON object")
+    return raw
+
+
+def parse_config(source) -> ScenarioConfig:
+    """Parse and validate a scenario config: JSON text or a mapping.
 
     Unknown keys are rejected; validation errors name the offending field.
     Defaults: t0 = 0, q0 = [1, 0, 0, 0], sampling = exact, outputs =
@@ -290,16 +309,7 @@ def parse_config(text) -> ScenarioConfig:
     coning profile auto-wires the matching analytic oracle unless the
     config says otherwise.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"config is not valid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from None
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
+    raw = config_document(source)
     unknown = set(raw) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -396,19 +406,14 @@ def _integrate(cfg: ScenarioConfig) -> Trajectory:
 
 
 def one_step_matrix(cfg: ScenarioConfig, tau: float) -> np.ndarray:
-    """4x4 matrix of one integration step taken at the scenario start.
-
-    Every method here advances the state linearly, so the baseline step
-    matrices are recovered by propagating the four basis vectors.
-    """
+    """4x4 matrix of one integration step taken at the scenario start,
+    from the same step-matrix builder the method's integrator uses."""
     if cfg.method == "SGA-A":
-        return autonomous_transition(np.array(cfg.profile.vector), tau).G
+        return cayley_steps(cfg.profile.vector, tau)[0]
     if cfg.method == "SGA-NA":
         w = midpoint_omega(cfg.profile, cfg.t0, tau, cfg.sampling)
-        return nonautonomous_transition(w, tau).G_k
-    step = _STEP_FUNCTIONS[BaselineMethod(cfg.method)]
-    cols = [step(cfg.profile, e, cfg.t0, tau) for e in np.eye(4)]
-    return np.column_stack(cols)
+        return cayley_steps(corrected_rate(w, tau), tau)[0]
+    return baseline_step_matrices(BaselineMethod(cfg.method), cfg.profile, cfg.t0, tau)
 
 
 def defect_ladder(cfg: ScenarioConfig, halvings: int = 4) -> DefectSeries:

@@ -1,19 +1,17 @@
-"""Closed-form Cayley transition maps and their fixed-step integration loops.
+"""Closed-form Cayley transition maps for constant and time-varying rates.
 
-Both integrators advance the quaternion with a single orthogonal matrix per
-step, so the state norm is preserved to rounding no matter how long the run
-is.  The constant-rate map comes from the implicit midpoint discretisation
-of dq/dt = (1/2) A(w) q, whose Cayley transform has the closed form
+Both maps are one construction: the Cayley transform of (tau/4) A(w), the
+implicit-midpoint step of dq/dt = (1/2) A(w) q, whose closed form is
 
-    G = [(1 - a) I + (tau/2) A] / (1 + a),      a = tau^2 |w|^2 / 16,
+    G = [(1 - a) I + (tau/2) A(w)] / (1 + a),      a = tau^2 |w|^2 / 16,
 
 equal to cos(theta) I + sin(theta) A/|w| with theta = 2 atan(tau |w| / 4).
-The time-varying map replaces A/2 by B_k = A(w_k)/2 + beta_k J with a
-step-midpoint sample w_k and a small correction on the block matrix
-J = SYMPLECTIC_J4; B_k again satisfies B_k^2 = -gamma_k^2 I, so the same
-closed form applies with x = tau/2.  Both maps are right multiplications
-q -> q (x) p_k, so they preserve the left-multiplication structures
-LEFT_I, LEFT_J and LEFT_K to rounding (see quatkin.linalg).
+:func:`cayley_steps` builds it for a batch of steps.  SGA-A evaluates it at
+the constant rate.  SGA-NA's generator B_k = A(w_k)/2 + beta_k J, with a
+step-midpoint sample w_k and J = SYMPLECTIC_J4 = -A(e2), equals A(w_k')/2 at
+the rate of :func:`corrected_rate`, so SGA-NA is SGA-A evaluated at w_k'.
+Every step is a right multiplication q -> q (x) p_k, so both maps keep the
+norm and the structures LEFT_I, LEFT_J and LEFT_K to rounding.
 """
 from __future__ import annotations
 
@@ -31,11 +29,13 @@ from .model import (
     coefficient_matrix,
     midpoint_omega,
 )
-from .trajectory import Trajectory, check_unit_quaternion, step_schedule
+from .trajectory import Trajectory, check_unit_quaternion, propagate, step_schedule
 
 __all__ = [
     "StepSizeWarning",
     "cayley_closed_form",
+    "cayley_steps",
+    "corrected_rate",
     "AutonomousTransition",
     "autonomous_transition",
     "integrate_autonomous",
@@ -88,6 +88,52 @@ def cayley_closed_form(x: float, m: np.ndarray, gamma: float) -> np.ndarray:
     return ((1.0 - a) * I4 + (2.0 * x) * m) / (1.0 + a)
 
 
+def _norm_sq(w: np.ndarray) -> np.ndarray:
+    """|w|^2 over the last axis, which must hold the three rate components."""
+    if w.shape[-1:] != (3,):
+        raise ValueError(f"expected angular velocity with last axis 3, got {w.shape}")
+    return w[..., 0] * w[..., 0] + w[..., 1] * w[..., 1] + w[..., 2] * w[..., 2]
+
+
+def _require_finite(ok, what: str) -> None:
+    if not np.all(ok):
+        step = int(np.argmin(np.reshape(ok, -1)))
+        raise ConsistencyError(f"{what} is not finite at step {step}")
+
+
+def cayley_steps(omega, tau):
+    """Closed-form Cayley maps G_k for rates omega (..., 3) and steps tau (...).
+
+    Returns (G (..., 4, 4), alpha, theta) broadcast over the leading axes.
+    G is built in place from A(w), one (..., 4, 4) array for the batch, and
+    a negative step gives G.T.  Raises ConsistencyError naming the first
+    step whose rate or map is not finite; emits one StepSizeWarning counting
+    the steps beyond the 1/(5 |w|) guideline.
+    """
+    w = np.asarray(omega, dtype=float)
+    tau = np.asarray(tau, dtype=float)
+    n2 = _norm_sq(w)
+    _require_finite(np.isfinite(w).all(axis=-1), "rate")
+    batch = np.broadcast_shapes(n2.shape, tau.shape)
+    alpha = tau * tau * n2 / 16.0
+    g = coefficient_matrix(np.broadcast_to(w, batch + (3,)))
+    g *= (tau / 2.0)[..., None, None]
+    g.reshape(batch + (16,))[..., ::5] += (1.0 - alpha)[..., None]
+    g /= (1.0 + alpha)[..., None, None]
+    _require_finite(np.isfinite(g).all(axis=(-2, -1)), "step map")
+    step_rate = tau * np.sqrt(n2)
+    over = np.abs(step_rate) * STEP_BOUND_FACTOR > 1.0
+    if np.any(over):
+        warnings.warn(
+            f"{np.count_nonzero(over)} of {over.size} steps exceed the accuracy "
+            f"guideline tau <= 1/(5|omega|); worst tau|omega| = "
+            f"{float(np.max(np.abs(step_rate))):.4g}",
+            StepSizeWarning,
+            stacklevel=3,
+        )
+    return g, alpha, 2.0 * np.arctan(step_rate / 4.0)
+
+
 @dataclass(frozen=True)
 class AutonomousTransition:
     """One-step propagator for constant angular velocity."""
@@ -109,68 +155,39 @@ def autonomous_transition(omega, tau: float) -> AutonomousTransition:
     w = np.asarray(omega, dtype=float)
     if not math.isfinite(tau):
         raise ValueError("step size must be finite")
-    n2 = float(w[0] * w[0] + w[1] * w[1] + w[2] * w[2])
-    n = math.sqrt(n2)
-    if n > 0.0 and abs(tau) > 1.0 / (STEP_BOUND_FACTOR * n):
-        warnings.warn(
-            f"step {tau:.4g} exceeds the accuracy guideline "
-            f"1/(5|omega|) = {1.0 / (STEP_BOUND_FACTOR * n):.4g}",
-            StepSizeWarning,
-            stacklevel=2,
-        )
-    alpha = tau * tau * n2 / 16.0
-    g = ((1.0 - alpha) * I4 + (tau / 2.0) * coefficient_matrix(w)) / (1.0 + alpha)
-    theta = 2.0 * math.atan(tau * n / 4.0)
-    return AutonomousTransition(G=g, alpha=alpha, theta=theta, tau=tau, omega=w)
+    g, alpha, theta = cayley_steps(w, tau)
+    return AutonomousTransition(G=g, alpha=float(alpha), theta=float(theta), tau=tau, omega=w)
 
 
 def integrate_autonomous(omega, q0, t0: float, tf: float, tau: float) -> Trajectory:
-    """Propagate a constant-rate run with one transition matrix built once.
-
-    The loop takes ceil((tf - t0)/tau) steps; a shortened final step (with a
-    freshly built transition) lands exactly on tf.  States are never
-    renormalized.
-    """
+    """Propagate a constant-rate run over the steps of :func:`step_schedule`,
+    a shortened final step included; states are never renormalized."""
     q = check_unit_quaternion(q0)
     times, tau_k = step_schedule(t0, tf, tau)
-    k = len(tau_k)
-    tr = autonomous_transition(omega, tau)
-    g = tr.G
-    alphas = np.full(k, tr.alpha)
-    thetas = np.full(k, tr.theta)
-    if tau_k[-1] != tau:
-        tr_last = autonomous_transition(omega, float(tau_k[-1]))
-        alphas[-1] = tr_last.alpha
-        thetas[-1] = tr_last.theta
-    states = np.empty((k + 1, 4))
-    states[0] = q
-    for i in range(k - 1):
-        q = g @ q
-        states[i + 1] = q
-    g_last = g if tau_k[-1] == tau else tr_last.G
-    states[k] = g_last @ q
+    g, alphas, thetas = cayley_steps(omega, tau_k)
     return Trajectory(
-        t0=t0, tau=tau, times=times, states=states, step_alpha=alphas, step_theta=thetas
+        t0=t0, tau=tau, times=times, states=propagate(g, q), step_alpha=alphas, step_theta=thetas
     )
 
 
-def _na_coefficients(w, tau):
-    """Per-step scalars of the time-varying map (broadcasting).
-
-    beta = -(tau^2/96) W |w|^2 with W the second rate component,
-    gamma^2 = |w|^2/4 - beta W + beta^2, alpha = (tau^2/4) gamma^2.
-    """
-    w = np.asarray(w, dtype=float)
+def _beta(w: np.ndarray, tau) -> np.ndarray:
+    """Coefficient beta = -(tau^2/96) w2 |w|^2 of J in the time-varying generator."""
     tau = np.asarray(tau, dtype=float)
-    if w.shape[-1:] != (3,):
-        raise ValueError(f"expected angular velocity with last axis 3, got {w.shape}")
-    w1, w2, w3 = w[..., 0], w[..., 1], w[..., 2]
-    n2 = w1 * w1 + w2 * w2 + w3 * w3
-    big_omega = w2
-    beta = -(tau * tau / 96.0) * big_omega * n2
-    gamma_sq = n2 / 4.0 - beta * big_omega + beta * beta
-    alpha = tau * tau / 4.0 * gamma_sq
-    return big_omega, beta, gamma_sq, alpha
+    return -(tau * tau / 96.0) * w[..., 1] * _norm_sq(w)
+
+
+def corrected_rate(omega_k, tau) -> np.ndarray:
+    """Rate w' = w + (tau^2/48) w2 |w|^2 e2 of the time-varying map.
+
+    Since J = -A(e2), B_k = A(w_k)/2 + beta_k J equals A(w_k - 2 beta_k e2)/2,
+    so the time-varying step is the constant-rate step at w'.  Broadcasts
+    over leading axes of omega_k / tau.
+    """
+    w = np.asarray(omega_k, dtype=float)
+    beta = _beta(w, tau)
+    out = np.array(np.broadcast_to(w, beta.shape + (3,)))
+    out[..., 1] -= 2.0 * beta
+    return out
 
 
 def b_matrix(omega_k, tau) -> np.ndarray:
@@ -181,33 +198,8 @@ def b_matrix(omega_k, tau) -> np.ndarray:
     Broadcasts over leading axes of omega_k / tau.
     """
     w = np.asarray(omega_k, dtype=float)
-    _, beta, _, _ = _na_coefficients(w, tau)
-    return 0.5 * coefficient_matrix(w) + np.asarray(beta)[..., None, None] * SYMPLECTIC_J4
-
-
-def _na_transition_matrices(w, tau):
-    """Batch-build time-varying transitions; returns (G, alpha, theta, gamma_sq).
-
-    Checks the identity B^2 = -gamma^2 I on every step and raises
-    ConsistencyError if it fails, since the closed form is only valid on
-    the strength of that identity.
-    """
-    w = np.asarray(w, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    _, beta, gamma_sq, alpha = _na_coefficients(w, tau)
-    b = 0.5 * coefficient_matrix(w) + np.asarray(beta)[..., None, None] * SYMPLECTIC_J4
-    square_defect = np.sqrt(
-        np.sum(np.square(b @ b + np.asarray(gamma_sq)[..., None, None] * I4), axis=(-2, -1))
-    )
-    # Negated comparison so NaN from overflow also trips the guard.
-    ok = square_defect <= 1e-10 * (1.0 + gamma_sq)
-    if not np.all(ok):
-        worst = float(np.max(square_defect))
-        raise ConsistencyError(f"B^2 = -gamma^2 I failed: worst defect {worst:.3e}")
-    am = np.asarray(alpha)[..., None, None]
-    g = ((1.0 - am) * I4 + np.asarray(tau)[..., None, None] * b) / (1.0 + am)
-    theta = 2.0 * np.arctan(tau * np.sqrt(gamma_sq) / 2.0)
-    return g, alpha, theta, gamma_sq
+    beta = _beta(w, tau)
+    return 0.5 * coefficient_matrix(w) + beta[..., None, None] * SYMPLECTIC_J4
 
 
 @dataclass(frozen=True)
@@ -226,21 +218,22 @@ class NonAutonomousStepCoefficients:
 def nonautonomous_transition(omega_k, tau: float) -> NonAutonomousStepCoefficients:
     """One-step transition for a midpoint angular-velocity sample.
 
-    G_k = [(1 - a_k) I + tau B_k] / (1 + a_k) with B_k from
-    :func:`b_matrix`; orthogonal, and identical to the constant-rate map
-    whenever the second rate component vanishes.
+    G_k = [(1 - a_k) I + tau B_k] / (1 + a_k) with B_k from :func:`b_matrix`,
+    built as the constant-rate map at :func:`corrected_rate`: orthogonal,
+    and identical to the constant-rate map at w_k whenever w2 = 0.
     """
     w = np.asarray(omega_k, dtype=float)
     if not (math.isfinite(tau) and tau > 0.0):
         raise ValueError(f"step size must be positive, got {tau}")
-    big_omega, beta, gamma_sq, alpha = _na_coefficients(w, tau)
-    g, _, _, _ = _na_transition_matrices(w, tau)
+    g, _, _ = cayley_steps(corrected_rate(w, tau), tau)
+    beta = float(_beta(w, tau))
+    gamma_sq = float(_norm_sq(w)) / 4.0 - beta * w[1] + beta * beta
     return NonAutonomousStepCoefficients(
         omega_k=w,
-        Omega_k=float(big_omega),
-        beta_k=float(beta),
-        gamma_k_sq=float(gamma_sq),
-        alpha_k=float(alpha),
+        Omega_k=float(w[1]),
+        beta_k=beta,
+        gamma_k_sq=gamma_sq,
+        alpha_k=tau * tau / 4.0 * gamma_sq,
         B_k=b_matrix(w, tau),
         G_k=g,
     )
@@ -257,23 +250,16 @@ def integrate_nonautonomous(
     """Propagate a time-varying run, one transition per step.
 
     Step k samples the profile at the midpoint of [t_k, t_k + tau_k]
-    (exactly, or by endpoint averaging per `mode`), builds the transition of
-    :func:`nonautonomous_transition` for that sample, and applies it.  All
-    transitions are constructed in one vectorized pass; the arithmetic is
-    identical to per-step scalar construction.
+    (exactly, or by endpoint averaging per `mode`) and applies the map of
+    :func:`nonautonomous_transition` for that sample.  All maps are built in
+    one batch; the arithmetic is identical to per-step scalar construction.
     """
     q = check_unit_quaternion(q0)
     times, tau_k = step_schedule(t0, tf, tau)
-    k = len(tau_k)
-    omegas = midpoint_omega(profile, times[:k], tau_k, mode)
-    g, alphas, thetas, _ = _na_transition_matrices(omegas, tau_k)
-    states = np.empty((k + 1, 4))
-    states[0] = q
-    for i in range(k):
-        q = g[i] @ q
-        states[i + 1] = q
+    omegas = midpoint_omega(profile, times[:-1], tau_k, mode)
+    g, alphas, thetas = cayley_steps(corrected_rate(omegas, tau_k), tau_k)
     return Trajectory(
-        t0=t0, tau=tau, times=times, states=states, step_alpha=alphas, step_theta=thetas
+        t0=t0, tau=tau, times=times, states=propagate(g, q), step_alpha=alphas, step_theta=thetas
     )
 
 

@@ -1,4 +1,5 @@
-"""Trajectory container and the shared fixed-step horizon convention."""
+"""Trajectory container, the shared fixed-step horizon convention, and the
+one loop that applies per-step matrices to a state."""
 from __future__ import annotations
 
 import math
@@ -8,7 +9,7 @@ import numpy as np
 
 from .errors import InvalidHorizonError, NonUnitStateError
 
-__all__ = ["Trajectory", "step_schedule", "check_unit_quaternion"]
+__all__ = ["Trajectory", "step_schedule", "propagate", "check_unit_quaternion"]
 
 UNIT_NORM_TOL = 1e-9
 
@@ -65,6 +66,20 @@ def step_schedule(t0: float, tf: float, tau: float):
     times = t0 + np.arange(k + 1) * tau
     times[-1] = tf
     return times, tau_k
+
+
+def propagate(g: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The (K + 1, 4) states of q_{k+1} = G_k q_k for step matrices g (K, 4, 4).
+
+    Every integrator builds its step matrices in one batch and hands them
+    here; the products are taken one at a time, in step order, each written
+    straight into its row of the result.
+    """
+    states = np.empty((len(g) + 1, 4))
+    states[0] = q
+    for gi, src, dst in zip(g, states, states[1:]):
+        np.matmul(gi, src, out=dst)
+    return states
 
 
 def check_unit_quaternion(q, tol: float = UNIT_NORM_TOL) -> np.ndarray:

@@ -5,16 +5,28 @@ import numpy.testing as npt
 import pytest
 
 from quatkin.baselines import (
+    GL2_MATRIX,
+    GL2_NODES,
+    GL2_WEIGHTS,
     BaselineMethod,
+    baseline_step_matrices,
     euler_backward_step,
     gauss_legendre_step,
     integrate_baseline,
     rk4_step,
 )
 from quatkin.diagnostics import convergence_order
-from quatkin.model import ConstantProfile, analytic_constant_transition, constant_oracle
+from quatkin.linalg import I4, solve_linear_4
+from quatkin.model import (
+    ConstantProfile,
+    analytic_constant_transition,
+    coefficient_matrix,
+    coning_analytic_state,
+    constant_oracle,
+)
 from quatkin.scenario import profile_from_name
 from quatkin.symplectic import integrate_nonautonomous
+from quatkin.trajectory import step_schedule
 
 E0 = np.array([1.0, 0.0, 0.0, 0.0])
 ZERO = ConstantProfile((0.0, 0.0, 0.0))
@@ -157,3 +169,78 @@ def test_all_methods_share_horizon_convention():
         traj = integrate_baseline(method, profile, E0, 0.0, 1.23, 0.1)
         assert traj.steps == reference.steps
         npt.assert_array_equal(traj.times, reference.times)
+
+
+# --- batched step matrices against the per-step formulas ------------------------------
+# The stage recurrences below are the per-step vector forms the batched
+# builders replace; they are kept here only as a reference.
+
+def _ref_rate(profile, t):
+    return 0.5 * coefficient_matrix(profile.omega_at(t))
+
+
+def _ref_rk4(profile, q, t, tau):
+    k1 = _ref_rate(profile, t) @ q
+    l_mid = _ref_rate(profile, t + tau / 2.0)
+    k2 = l_mid @ (q + (tau / 2.0) * k1)
+    k3 = l_mid @ (q + (tau / 2.0) * k2)
+    k4 = _ref_rate(profile, t + tau) @ (q + tau * k3)
+    return q + (tau / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _ref_euler_backward(profile, q, t, tau):
+    m = I4 - (tau / 2.0) * coefficient_matrix(profile.omega_at(t + tau))
+    return solve_linear_4(m, q)
+
+
+def _ref_gauss_legendre(profile, q, t, tau):
+    l1 = _ref_rate(profile, t + GL2_NODES[0] * tau)
+    l2 = _ref_rate(profile, t + GL2_NODES[1] * tau)
+    m = np.eye(8)
+    m[0:4, 0:4] -= tau * GL2_MATRIX[0][0] * l1
+    m[0:4, 4:8] -= tau * GL2_MATRIX[0][1] * l1
+    m[4:8, 0:4] -= tau * GL2_MATRIX[1][0] * l2
+    m[4:8, 4:8] -= tau * GL2_MATRIX[1][1] * l2
+    stages = np.linalg.solve(m, np.concatenate([l1 @ q, l2 @ q]))
+    return q + tau * (GL2_WEIGHTS[0] * stages[0:4] + GL2_WEIGHTS[1] * stages[4:8])
+
+
+REFERENCE_STEPS = {
+    BaselineMethod.RK4: _ref_rk4,
+    BaselineMethod.EULER_BACKWARD: _ref_euler_backward,
+    BaselineMethod.GAUSS_LEGENDRE2: _ref_gauss_legendre,
+}
+
+
+@pytest.mark.parametrize("method", list(BaselineMethod), ids=lambda m: m.value)
+@pytest.mark.parametrize(
+    "name, tf, tau",
+    [("fig2", 15.0, 0.1), ("coning", 100.0, 0.01)],
+    ids=["fig2", "coning-1e4"],
+)
+def test_batched_matrices_match_per_step_formulas(method, name, tf, tau):
+    profile = profile_from_name(name)
+    q0 = coning_analytic_state(2.0 * math.pi, math.pi / 80.0, 0.0) if name == "coning" else E0
+    traj = integrate_baseline(method, profile, q0, 0.0, tf, tau)
+    times, tau_k = step_schedule(0.0, tf, tau)
+    q, worst = q0, 0.0
+    for k in range(len(tau_k)):
+        q = REFERENCE_STEPS[method](profile, q, float(times[k]), float(tau_k[k]))
+        worst = max(worst, float(np.max(np.abs(traj.states[k + 1] - q))))
+    assert worst <= traj.steps * 1e-14, worst
+
+
+@pytest.mark.parametrize("method", list(BaselineMethod), ids=lambda m: m.value)
+def test_one_step_wrappers_apply_the_step_matrix(method):
+    step = {
+        BaselineMethod.RK4: rk4_step,
+        BaselineMethod.EULER_BACKWARD: euler_backward_step,
+        BaselineMethod.GAUSS_LEGENDRE2: gauss_legendre_step,
+    }[method]
+    profile = profile_from_name("fig2")
+    q = np.array([0.2, -0.4, 0.8, 0.4])
+    g = baseline_step_matrices(method, profile, np.array([0.3, 1.1]), np.array([0.05, 0.02]))
+    assert g.shape == (2, 4, 4)
+    npt.assert_array_equal(step(profile, q, 1.1, 0.02), g[1] @ q)
+    reference = REFERENCE_STEPS[method](profile, q, 0.3, 0.05)
+    npt.assert_allclose(step(profile, q, 0.3, 0.05), reference, atol=1e-15)

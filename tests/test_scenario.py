@@ -1,12 +1,15 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quatkin.cli import main
 from quatkin.errors import ConfigError
+from quatkin.linalg import I4, LEFT_I, LEFT_J, LEFT_K, frobenius_norm
 from quatkin.model import ConingProfile, ConstantProfile, MidpointSamplingMode
 from quatkin.scenario import (
     DEFAULT_SWEEP_TAUS,
@@ -21,7 +24,7 @@ from quatkin.scenario import (
     run_scenario,
     run_sweep,
 )
-from quatkin.symplectic import autonomous_transition
+from quatkin.symplectic import StepSizeWarning, autonomous_transition
 
 CONING_Q0 = [
     math.cos(math.pi / 160.0),
@@ -67,6 +70,23 @@ def test_parse_minimal_fig1a_config():
 def test_parse_config_accepts_bytes():
     cfg = parse_config(make_config().encode("utf-8"))
     assert cfg.tau == 0.01
+
+
+def test_parse_config_accepts_mapping():
+    raw = {"profile": "fig1a", "tau": 0.01, "tf": 1.0, "q0": ["1", 0, 0, 0]}
+    cfg = parse_config(raw)
+    ref = parse_config(json.dumps(raw))
+    assert (cfg.name, cfg.tau, cfg.tf, cfg.method) == (ref.name, ref.tau, ref.tf, ref.method)
+    npt.assert_array_equal(cfg.q0, ref.q0)
+    assert raw == {"profile": "fig1a", "tau": 0.01, "tf": 1.0, "q0": ["1", 0, 0, 0]}
+    with pytest.raises(ConfigError, match="unknown config keys.*horizon"):
+        parse_config({**raw, "horizon": 10})
+
+
+@pytest.mark.parametrize("source", [None, 42, ["profile", "fig1a"]])
+def test_parse_config_rejects_other_input_types(source):
+    with pytest.raises(ConfigError, match=f"JSON text or a mapping, got {type(source).__name__}"):
+        parse_config(source)
 
 
 def test_parse_rejects_unknown_keys():
@@ -208,6 +228,30 @@ def test_one_step_matrix_matches_method_maps():
 
     q = np.array([0.2, -0.4, 0.8, 0.4])
     npt.assert_allclose(m @ q, rk4_step(cfg_rk4.profile, q, 0.0, 0.01), atol=1e-15)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    method=st.sampled_from(("SGA-A", "SGA-NA", "RK4", "EUB", "GL2")),
+    omega=st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3),
+    tau=st.floats(1e-4, 0.2),
+    t0=st.floats(0.0, 10.0),
+    varying=st.booleans(),
+)
+def test_every_step_is_a_right_multiplication(method, omega, tau, t0, varying):
+    # Each step map is q -> q (x) p_k, so it commutes with the left
+    # multiplications; the propagation loop relies on nothing else.
+    profile = "fig2" if varying and method != "SGA-A" else {"type": "constant", "omega": omega}
+    cfg = parse_config(
+        {"profile": profile, "t0": t0, "tf": t0 + 1.0, "tau": tau, "method": method}
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StepSizeWarning)
+        g = one_step_matrix(cfg, tau)
+    for left in (LEFT_I, LEFT_J, LEFT_K):
+        assert frobenius_norm(g @ left - left @ g) <= 1e-13
+    if method in ("SGA-A", "SGA-NA", "GL2"):
+        assert frobenius_norm(g.T @ g - I4) <= 1e-13
 
 
 @pytest.mark.filterwarnings("ignore::quatkin.symplectic.StepSizeWarning")

@@ -28,6 +28,8 @@ from quatkin.symplectic import (
     autonomous_transition,
     b_matrix,
     cayley_closed_form,
+    cayley_steps,
+    corrected_rate,
     integrate_autonomous,
     integrate_nonautonomous,
     nonautonomous_transition,
@@ -405,3 +407,84 @@ def test_consistency_check_is_enforced():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ConsistencyError):
             nonautonomous_transition(np.array([1e200, 1e200, 1e200]), 1.0)
+
+
+def test_consistency_error_names_the_step():
+    w = np.array([[1.0, 0.0, 0.0], [np.inf, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    with pytest.raises(ConsistencyError, match="rate is not finite at step 1"):
+        cayley_steps(w, 0.1)
+
+
+@pytest.mark.parametrize("scale", [1e100, 1e200])
+def test_consistency_error_on_overflowing_rates(scale):
+    # 1e200 overflows the corrected rate itself; 1e100 leaves it finite but
+    # overflows tau^2 |w'|^2 / 16, so the map is NaN.
+    w = scale * np.ones(3) / math.sqrt(3.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ConsistencyError, match="not finite at step 0"):
+            nonautonomous_transition(w, 1.0)
+
+
+@pytest.mark.filterwarnings("ignore::quatkin.symplectic.StepSizeWarning")
+def test_large_finite_rate_gives_orthogonal_map():
+    # Near the top of the range the map is still finite and orthogonal.
+    g = nonautonomous_transition(1e45 * np.ones(3) / math.sqrt(3.0), 1.0).G_k
+    assert np.all(np.isfinite(g))
+    assert frobenius_norm(g.T @ g - I4) <= 1e-13
+
+
+# --- one Cayley form for both maps ---------------------------------------------------
+
+def test_b_matrix_is_half_rate_matrix_at_corrected_rate():
+    # beta_k J = -beta_k A(e2), so B_k = A(w')/2 with w' = w - 2 beta_k e2.
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        w = rng.normal(0.0, 5.0, 3)
+        tau = rng.uniform(1e-4, 1.0)
+        npt.assert_array_equal(0.5 * coefficient_matrix(corrected_rate(w, tau)), b_matrix(w, tau))
+    w_prime = corrected_rate(W_REF, 0.01)
+    npt.assert_allclose(w_prime, W_REF + [0.0, (0.01**2 / 48.0) * 10.0 * 113.0, 0.0], rtol=1e-15)
+
+
+def test_cayley_steps_batch_matches_single_steps():
+    rng = np.random.default_rng(42)
+    w = rng.normal(0.0, 2.0, (50, 3))
+    tau = rng.uniform(1e-3, 0.05, 50)
+    g, alpha, theta = cayley_steps(w, tau)
+    assert g.shape == (50, 4, 4)
+    for k in range(50):
+        tr = autonomous_transition(w[k], float(tau[k]))
+        npt.assert_array_equal(g[k], tr.G)
+        assert alpha[k] == tr.alpha and theta[k] == tr.theta
+
+
+# --- one step-size rule for both maps ------------------------------------------------
+
+def _step_size_warnings(fn, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fn(*args)
+    return [str(w.message) for w in caught if issubclass(w.category, StepSizeWarning)]
+
+
+def test_nonautonomous_large_step_warns_once():
+    caught = _step_size_warnings(
+        integrate_nonautonomous, profile_from_name("fig2"), E0, 0.0, 15.0, 0.25
+    )
+    assert len(caught) == 1
+    assert caught[0].startswith("60 of 60 steps exceed")
+
+
+def test_nonautonomous_coning_small_step_is_silent():
+    q0 = coning_analytic_state(2.0 * math.pi, math.pi / 80.0, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", StepSizeWarning)
+        integrate_nonautonomous(profile_from_name("coning"), q0, 0.0, 10.0, 0.01)
+
+
+def test_integrate_autonomous_partial_step_warns_once():
+    # tau |w| = 0.266 on the 40 full steps; the final 0.01 step is within the
+    # guideline and is not counted.
+    caught = _step_size_warnings(integrate_autonomous, W_REF, E0, 0.0, 1.01, 0.025)
+    assert len(caught) == 1
+    assert caught[0].startswith("40 of 41 steps exceed")
