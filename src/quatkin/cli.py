@@ -13,6 +13,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from .diagnostics import euler_formula_gap
 from .errors import ConfigError, QuatkinError
 from .scenario import (
@@ -94,7 +96,7 @@ def _print_run(a) -> None:
     line = (
         f"{cfg.name}: method={cfg.method} tau={cfg.tau:g} steps={timing.steps} "
         f"wall={timing.wall_clock_s:.4f}s "
-        f"max|norm-1|={max(abs(n - 1.0) for n in a.trajectory.norms()):.3e}"
+        f"max|norm-1|={float(np.max(np.abs(a.trajectory.norms() - 1.0))):.3e}"
     )
     if a.error_report is not None:
         line += f" max_err={a.error_report.max_error:.3e}"

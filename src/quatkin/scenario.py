@@ -62,6 +62,7 @@ __all__ = [
     "emit_series",
     "emit_summary",
     "DEFAULT_SWEEP_TAUS",
+    "MAX_STEPS",
 ]
 
 METHODS = ("SGA-A", "SGA-NA", "RK4", "EUB", "GL2")
@@ -74,6 +75,14 @@ DEFAULT_SWEEP_TAUS = (0.1, 0.05, 0.025, 0.0125, 0.00625)
 # 3 runs, and report the minimum.
 _BENCH_MIN_SECONDS = 0.2
 _BENCH_MIN_REPEATS = 3
+
+# Most steps one run may take; parse_config and run_sweep reject a tau that
+# exceeds it (1e7 steps hold ~1.3 GB of step matrices).
+MAX_STEPS = 10_000_000
+
+# Rows per formatted block in emit_series: bounds the Python floats and text
+# held at once, so memory stays flat however long the run.
+_SERIES_BLOCK_ROWS = 4096
 
 
 def _fig1b(t):
@@ -180,12 +189,16 @@ _PI_PATTERN = re.compile(
 
 
 def parse_number(value, field: str) -> float:
-    """Accept a numeric literal or a pi expression like "pi/80" or "2pi"."""
+    """Accept a finite numeric literal or a pi expression like "pi/80" or
+    "2pi"; nan and infinities are rejected."""
     if isinstance(value, bool):
         raise ConfigError(f"field {field!r}: expected a number, got {value!r}")
     if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
+        try:
+            out = float(value)
+        except OverflowError:  # an int beyond float range
+            out = math.inf
+    elif isinstance(value, str):
         m = _PI_PATTERN.match(value)
         if m:
             out = math.pi
@@ -193,14 +206,20 @@ def parse_number(value, field: str) -> float:
                 out *= float(m.group("mult"))
             if m.group("div"):
                 out /= float(m.group("div"))
-            return -out if m.group("sign") == "-" else out
-        try:
-            return float(value)
-        except ValueError:
-            raise ConfigError(
-                f"field {field!r}: cannot parse {value!r} as a number or pi literal"
-            ) from None
-    raise ConfigError(f"field {field!r}: expected a number, got {type(value).__name__}")
+            if m.group("sign") == "-":
+                out = -out
+        else:
+            try:
+                out = float(value)
+            except ValueError:
+                raise ConfigError(
+                    f"field {field!r}: cannot parse {value!r} as a number or pi literal"
+                ) from None
+    else:
+        raise ConfigError(f"field {field!r}: expected a number, got {type(value).__name__}")
+    if not math.isfinite(out):
+        raise ConfigError(f"field {field!r}: expected a finite number, got {value!r}")
+    return out
 
 
 def _parse_profile(value) -> AngularVelocityProfile:
@@ -238,6 +257,8 @@ def _parse_profile(value) -> AngularVelocityProfile:
         try:
             times = np.array([s[0] for s in samples], dtype=float)
             vals = np.array([s[1] for s in samples], dtype=float)
+            if not (np.all(np.isfinite(times)) and np.all(np.isfinite(vals))):
+                raise ValueError("samples must be finite")
             return TabulatedProfile(times, vals)
         except (ValueError, IndexError, TypeError) as exc:
             raise ConfigError(f"field 'profile.samples': {exc}") from None
@@ -295,9 +316,22 @@ def config_document(source) -> dict:
         raise ConfigError(
             f"config is not valid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except ValueError as exc:  # e.g. an integer literal past the digit limit
+        raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     return raw
+
+
+def _check_step_budget(t0: float, tf: float, tau: float) -> None:
+    # Compared as a float before any step array exists: a tiny tau would
+    # otherwise ask step_schedule for an arbitrarily large allocation.
+    steps = (tf - t0) / tau
+    if steps > MAX_STEPS:
+        raise ConfigError(
+            f"field 'tau': {tau} gives {steps:.4g} steps over [{t0}, {tf}], "
+            f"more than the budget of {MAX_STEPS}"
+        )
 
 
 def parse_config(source) -> ScenarioConfig:
@@ -328,6 +362,14 @@ def parse_config(source) -> ScenarioConfig:
         raise ConfigError(f"field 'tf': must exceed t0, got t0={t0}, tf={tf}")
     if not tau > 0.0:
         raise ConfigError(f"field 'tau': must be positive, got {tau}")
+    _check_step_budget(t0, tf, tau)
+    if isinstance(profile, TabulatedProfile) and not (
+        profile.times[0] <= t0 and tf <= profile.times[-1]
+    ):
+        raise ConfigError(
+            f"field 'profile.samples': span [{profile.times[0]}, {profile.times[-1]}] "
+            f"does not cover the horizon [{t0}, {tf}]"
+        )
 
     q0_raw = raw.get("q0", [1.0, 0.0, 0.0, 0.0])
     if not isinstance(q0_raw, list) or len(q0_raw) != 4:
@@ -462,37 +504,33 @@ def run_sweep(base: ScenarioConfig, taus: Sequence[float]) -> list[RunArtifacts]
     Sequential execution keeps benchmark timings free of contention skew.
     """
     taus = [float(t) for t in taus]
-    if not taus or any(t <= 0.0 for t in taus):
-        raise ConfigError("sweep requires a non-empty list of positive step sizes")
+    if not taus or not all(math.isfinite(t) and t > 0.0 for t in taus):
+        raise ConfigError("sweep requires a non-empty list of finite positive step sizes")
+    for t in taus:
+        _check_step_budget(base.t0, base.tf, t)
     return [run_scenario(dataclasses.replace(base, tau=t)) for t in taus]
-
-
-def _fmt(value: float) -> str:
-    # 17 significant digits: lossless float64 round trip.
-    return format(float(value), ".17g")
 
 
 def emit_series(artifacts: RunArtifacts, path) -> None:
     """Write the trajectory as CSV: t,e0,e1,e2,e3,norm[,err0,err1,err2,err3].
 
     Absolute per-component errors against the oracle are appended when the
-    scenario has one.  17 significant digits, LF line endings.
+    scenario has one.  17 significant digits, LF line endings.  Rows are
+    written in blocks of _SERIES_BLOCK_ROWS, each rendered by one
+    %-format; "%.17g" % x gives the same text as format(x, ".17g").
     """
     traj = artifacts.trajectory
-    norms = traj.norms()
-    errors = None
-    if artifacts.config.oracle is not None:
-        errors = np.abs(traj.states - artifacts.config.oracle(traj.times))
+    columns = [traj.times[:, None], traj.states, traj.norms()[:, None]]
     header = "t,e0,e1,e2,e3,norm"
-    if errors is not None:
+    if artifacts.config.oracle is not None:
+        columns.append(np.abs(traj.states - artifacts.config.oracle(traj.times)))
         header += ",err0,err1,err2,err3"
+    row_fmt = ",".join(["%.17g"] * sum(c.shape[1] for c in columns)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        for i in range(len(traj.states)):
-            row = [traj.times[i], *traj.states[i], norms[i]]
-            if errors is not None:
-                row.extend(errors[i])
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for start in range(0, len(traj.states), _SERIES_BLOCK_ROWS):
+            block = np.hstack([c[start : start + _SERIES_BLOCK_ROWS] for c in columns])
+            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _run_entry(a: RunArtifacts) -> dict:

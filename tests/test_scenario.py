@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,7 +15,9 @@ from quatkin.linalg import I4, LEFT_I, LEFT_J, LEFT_K, frobenius_norm
 from quatkin.model import ConingProfile, ConstantProfile, MidpointSamplingMode
 from quatkin.scenario import (
     DEFAULT_SWEEP_TAUS,
+    MAX_STEPS,
     PROFILE_REGISTRY,
+    _SERIES_BLOCK_ROWS,
     defect_ladder,
     emit_series,
     emit_summary,
@@ -121,6 +125,23 @@ def test_parse_pi_literals():
     assert parse_number(0.25, "x") == 0.25
     with pytest.raises(ConfigError, match="'x'"):
         parse_number("two pi", "x")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", float("nan"), -math.inf, 10**400, "1e400"])
+def test_parse_number_rejects_non_finite(value):
+    with pytest.raises(ConfigError, match="'x': expected a finite number"):
+        parse_number(value, "x")
+
+
+def test_parse_rejects_integer_literal_past_digit_limit():
+    with pytest.raises(ConfigError, match="not valid JSON"):
+        parse_config('{"profile": "fig1a", "tau": 0.01, "tf": 1' + "0" * 5000 + "}")
+
+
+def test_parse_rejects_non_finite_tabulated_samples():
+    samples = [[0.0, [1.0, 0.0, 0.0]], [2.0, ["nan", 0.0, 0.0]]]
+    with pytest.raises(ConfigError, match="'profile.samples'.*finite"):
+        parse_config(make_config(profile={"type": "tabulated", "samples": samples}))
 
 
 def test_parse_coning_config_auto_wires_oracle():
@@ -281,6 +302,55 @@ def test_run_sweep_rejects_bad_taus():
 
 # --- emission ----------------------------------------------------------------------
 
+def reference_series_csv(artifacts) -> bytes:
+    """The CSV emit_series must write, formatted one value at a time."""
+    traj = artifacts.trajectory
+    norms = traj.norms()
+    oracle = artifacts.config.oracle
+    errors = None if oracle is None else np.abs(traj.states - oracle(traj.times))
+    lines = ["t,e0,e1,e2,e3,norm" + ("" if errors is None else ",err0,err1,err2,err3")]
+    for i in range(len(traj.states)):
+        row = [traj.times[i], *traj.states[i], norms[i]]
+        if errors is not None:
+            row.extend(errors[i])
+        lines.append(",".join(format(float(v), ".17g") for v in row))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def special_values_artifacts():
+    from quatkin.trajectory import Trajectory
+
+    artifacts = run_scenario(parse_config(make_config(tf=0.05)))
+    states = np.array(
+        [
+            [np.nan, np.inf, -np.inf, -0.0],
+            [5e-324, 1e308, -1e308, 0.1],
+            [1.0 / 3.0, 1e16, -5e-324, 0.0],
+        ]
+    )
+    times = np.array([-0.0, 5e-324, 1e308])
+    single = Trajectory(t0=0.0, tau=0.01, times=times, states=states)
+    return dataclasses.replace(artifacts, trajectory=single)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("case", ["coning-oracle", "coning-no-oracle", "special-values"])
+def test_emit_series_bytes_match_per_value_format(tmp_path, case):
+    if case == "special-values":
+        artifacts = special_values_artifacts()
+    else:
+        oracle = {} if case == "coning-oracle" else {"oracle": "none"}
+        cfg = make_config(profile="coning", q0=CONING_Q0, tf=100.0, method="SGA-NA", **oracle)
+        artifacts = run_scenario(parse_config(cfg))
+        assert (artifacts.config.oracle is None) == (case == "coning-no-oracle")
+        # Two full row blocks and a partial third.
+        rows = len(artifacts.trajectory.states)
+        assert rows > 2 * _SERIES_BLOCK_ROWS and rows % _SERIES_BLOCK_ROWS
+    path = tmp_path / "series.csv"
+    emit_series(artifacts, path)
+    assert path.read_bytes() == reference_series_csv(artifacts)
+
+
 def test_emit_series_roundtrip_bit_exact(tmp_path):
     cfg = parse_config(make_config(tf=0.5))
     artifacts = run_scenario(cfg)
@@ -325,13 +395,12 @@ def test_emit_series_single_state(tmp_path):
         times=np.array([0.0]),
         states=np.array([[1.0, 0.0, 0.0, 0.0]]),
     )
-    import dataclasses
-
     artifacts = dataclasses.replace(artifacts, trajectory=single)
     path = tmp_path / "one.csv"
     emit_series(artifacts, path)
     lines = path.read_text(encoding="utf-8").strip().split("\n")
     assert len(lines) == 2
+    assert path.read_bytes() == reference_series_csv(artifacts)
 
 
 def test_emit_series_deterministic_bytes(tmp_path):
@@ -446,20 +515,73 @@ def test_cli_malformed_json_exit_code(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore::quatkin.symplectic.StepSizeWarning")
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cli_runtime_error_exit_code(tmp_path, capsys):
-    # Tabulated profile that does not cover the horizon fails at run time.
-    cfg = {
-        "profile": {
-            "type": "tabulated",
-            "samples": [[0.0, [1.0, 0.0, 0.0]], [1.0, [1.0, 0.0, 0.0]]],
-        },
-        "tau": 0.1,
-        "tf": 5.0,
-    }
-    cfg_path = tmp_path / "short.json"
+    # A finite rate whose step map overflows passes parsing and fails at run time.
+    cfg = {"profile": {"type": "constant", "omega": [1e200, 0.0, 0.0]}, "tau": 0.1, "tf": 1.0}
+    cfg_path = tmp_path / "huge.json"
     cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
     assert main(["run", str(cfg_path)]) == 2
     assert "runtime error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"tf": "inf"}, "'tf'"),
+        ({"profile": {"type": "coning", "omega0": "nan", "beta": "pi/80"}}, "'profile.omega0'"),
+        (
+            {
+                "profile": {
+                    "type": "tabulated",
+                    "samples": [[0.0, [1.0, 0.0, 0.0]], [1.0, [1.0, 0.0, 0.0]]],
+                },
+                "tf": 5.0,
+            },
+            "'profile.samples'",
+        ),
+        (
+            {
+                "profile": {
+                    "type": "tabulated",
+                    "samples": [[0.5, [1.0, 0.0, 0.0]], [9.0, [1.0, 0.0, 0.0]]],
+                },
+                "tf": 5.0,
+            },
+            "'profile.samples'",
+        ),
+    ],
+    ids=["tf-inf", "omega0-nan", "samples-end-early", "samples-start-late"],
+)
+def test_cli_rejects_out_of_range_config_values(tmp_path, capsys, overrides, field):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(make_config(**overrides), encoding="utf-8")
+    assert main(["run", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
+
+
+def test_cli_rejects_tau_over_step_budget(tmp_path, capsys):
+    tiny, ok = tmp_path / "tiny-tau.json", tmp_path / "ok.json"
+    tiny.write_text(make_config(tau=1e-300), encoding="utf-8")
+    ok.write_text(make_config(), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        codes = [main(["run", str(tiny)]), main(["sweep", str(ok), "--taus", "0.1", "1e-300"])]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert codes == [1, 1]
+    assert peak < 1 << 20  # rejected before any step array exists
+    err = capsys.readouterr().err
+    assert err.count("field 'tau'") == 2 and err.count("1e+300 steps") == 2
+
+
+def test_parse_step_budget_boundary():
+    assert parse_config(make_config(tf=float(MAX_STEPS), tau=1.0)).tau == 1.0
+    with pytest.raises(ConfigError, match=f"'tau'.*budget of {MAX_STEPS}"):
+        parse_config(make_config(tf=float(MAX_STEPS), tau=0.5))
 
 
 def test_cli_default_sweep_taus_constant():
