@@ -19,7 +19,13 @@ import numpy as np
 from .errors import SingularMatrixError
 from .linalg import I4
 from .model import AngularVelocityProfile, coefficient_matrix
-from .trajectory import Trajectory, check_unit_quaternion, propagate, step_schedule
+from .trajectory import (
+    Trajectory,
+    check_unit_quaternion,
+    propagate,
+    step_end_times,
+    step_schedule,
+)
 
 __all__ = [
     "BaselineMethod",
@@ -44,19 +50,23 @@ GL2_MATRIX = ((0.25, 0.25 - _GL_SQRT3_6), (0.25 + _GL_SQRT3_6, 0.25))
 GL2_WEIGHTS = (0.5, 0.5)
 
 
-def baseline_step_matrices(method: BaselineMethod, profile: AngularVelocityProfile, t, tau):
+def baseline_step_matrices(
+    method: BaselineMethod, profile: AngularVelocityProfile, t, tau, t_end=None
+):
     """Step matrices G_k (..., 4, 4) of `method` taking the state from t_k to
     t_k + tau_k, for broadcasting t and tau; L = A(w)/2 is the rate matrix.
+    t_end is where the step-end rate is sampled (default t + tau).
     """
     t = np.asarray(t, dtype=float)
     tau = np.asarray(tau, dtype=float)
+    t_end = t + tau if t_end is None else t_end
     h = tau[..., None, None]
     if method is BaselineMethod.RK4:
         # Stage times t, t + tau/2, t + tau/2, t + tau: K1 = L1,
         # K2 = L2 (I + (tau/2) K1), K3 = L2 (I + (tau/2) K2), K4 = L3 (I + tau K3).
         l1 = 0.5 * coefficient_matrix(profile.omega_at(t))
         l2 = 0.5 * coefficient_matrix(profile.omega_at(t + tau / 2.0))
-        l3 = 0.5 * coefficient_matrix(profile.omega_at(t + tau))
+        l3 = 0.5 * coefficient_matrix(profile.omega_at(t_end))
         k2 = l2 + (h / 2.0) * (l2 @ l1)
         k3 = l2 + (h / 2.0) * (l2 @ k2)
         k4 = l3 + h * (l3 @ k3)
@@ -64,7 +74,7 @@ def baseline_step_matrices(method: BaselineMethod, profile: AngularVelocityProfi
     if method is BaselineMethod.EULER_BACKWARD:
         # (I - x A)^-1 with x = tau/2 and A = A(w(t + tau)).  A^2 = -|w|^2 I
         # gives it in closed form, (I + x A) / (1 + x^2 |w|^2): no solve.
-        w = profile.omega_at(t + tau)
+        w = profile.omega_at(t_end)
         x = h / 2.0
         n2 = np.sum(w * w, axis=-1)[..., None, None]
         return (I4 + x * coefficient_matrix(w)) / (1.0 + x * x * n2)
@@ -110,5 +120,5 @@ def integrate_baseline(
     convention and propagate them."""
     q = check_unit_quaternion(q0)
     times, tau_k = step_schedule(t0, tf, tau)
-    g = baseline_step_matrices(method, profile, times[:-1], tau_k)
+    g = baseline_step_matrices(method, profile, times[:-1], tau_k, step_end_times(times, tau_k))
     return Trajectory(t0=t0, tau=tau, times=times, states=propagate(g, q))

@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 config/validation error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -91,6 +92,15 @@ def _load_config(args) -> ScenarioConfig:
     return parse_config(raw)
 
 
+def _check_output_dirs(args) -> None:
+    """Reject --out/--summary paths whose directory is missing, before any
+    integration runs."""
+    for flag in ("out", "summary"):
+        path = getattr(args, flag, None)
+        if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise ConfigError(f"--{flag}: directory of {path!r} does not exist")
+
+
 def _print_run(a) -> None:
     cfg, timing = a.config, a.timing
     line = (
@@ -115,6 +125,7 @@ def main(argv=None) -> int:
             return 0
         if args.verb == "run":
             cfg = _load_config(args)
+            _check_output_dirs(args)
             artifacts = run_scenario(cfg)
             _print_run(artifacts)
             if args.out:
@@ -124,6 +135,7 @@ def main(argv=None) -> int:
             return 0
         if args.verb == "sweep":
             cfg = _load_config(args)
+            _check_output_dirs(args)
             runs = run_sweep(cfg, args.taus)
             for a in runs:
                 _print_run(a)

@@ -179,12 +179,13 @@ def omega_at(profile: AngularVelocityProfile, t):
     return profile.omega_at(t)
 
 
-def midpoint_omega(profile, t_k, tau, mode=MidpointSamplingMode.EXACT):
+def midpoint_omega(profile, t_k, tau, mode=MidpointSamplingMode.EXACT, t_end=None):
     """Angular velocity at the midpoint of the step [t_k, t_k + tau].
 
     EXACT evaluates the profile at t_k + tau/2.  LINEAR_INTERP averages the
     endpoint samples, i.e. the midpoint value of the chord, which avoids
-    fractional-interval sampling when only endpoint data is available.
+    fractional-interval sampling when only endpoint data is available; its
+    end sample is taken at t_end (default t_k + tau).
     """
     t_k = np.asarray(t_k, dtype=float)
     tau = np.asarray(tau, dtype=float)
@@ -193,7 +194,8 @@ def midpoint_omega(profile, t_k, tau, mode=MidpointSamplingMode.EXACT):
     if mode is MidpointSamplingMode.EXACT:
         return profile.omega_at(t_k + tau / 2.0)
     if mode is MidpointSamplingMode.LINEAR_INTERP:
-        return 0.5 * (profile.omega_at(t_k) + profile.omega_at(t_k + tau))
+        t_end = t_k + tau if t_end is None else t_end
+        return 0.5 * (profile.omega_at(t_k) + profile.omega_at(t_end))
     raise ValueError(f"unknown sampling mode {mode!r}")
 
 

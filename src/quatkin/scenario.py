@@ -17,6 +17,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from ._g17 import render_rows
 from .baselines import BaselineMethod, baseline_step_matrices, integrate_baseline
 from .diagnostics import (
     DefectSeries,
@@ -80,7 +81,7 @@ _BENCH_MIN_REPEATS = 3
 # exceeds it (1e7 steps hold ~1.3 GB of step matrices).
 MAX_STEPS = 10_000_000
 
-# Rows per formatted block in emit_series: bounds the Python floats and text
+# Rows per formatted block in emit_series: bounds the temporaries and text
 # held at once, so memory stays flat however long the run.
 _SERIES_BLOCK_ROWS = 4096
 
@@ -515,9 +516,9 @@ def emit_series(artifacts: RunArtifacts, path) -> None:
     """Write the trajectory as CSV: t,e0,e1,e2,e3,norm[,err0,err1,err2,err3].
 
     Absolute per-component errors against the oracle are appended when the
-    scenario has one.  17 significant digits, LF line endings.  Rows are
-    written in blocks of _SERIES_BLOCK_ROWS, each rendered by one
-    %-format; "%.17g" % x gives the same text as format(x, ".17g").
+    scenario has one.  Every value is written as format(x, ".17g") writes
+    it, LF line endings.  Rows are rendered in blocks of _SERIES_BLOCK_ROWS
+    by _g17.render_rows, which produces that text byte for byte.
     """
     traj = artifacts.trajectory
     columns = [traj.times[:, None], traj.states, traj.norms()[:, None]]
@@ -525,12 +526,11 @@ def emit_series(artifacts: RunArtifacts, path) -> None:
     if artifacts.config.oracle is not None:
         columns.append(np.abs(traj.states - artifacts.config.oracle(traj.times)))
         header += ",err0,err1,err2,err3"
-    row_fmt = ",".join(["%.17g"] * sum(c.shape[1] for c in columns)) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii") + b"\n")
         for start in range(0, len(traj.states), _SERIES_BLOCK_ROWS):
             block = np.hstack([c[start : start + _SERIES_BLOCK_ROWS] for c in columns])
-            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
+            fh.write(render_rows(block))
 
 
 def _run_entry(a: RunArtifacts) -> dict:

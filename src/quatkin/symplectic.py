@@ -29,7 +29,13 @@ from .model import (
     coefficient_matrix,
     midpoint_omega,
 )
-from .trajectory import Trajectory, check_unit_quaternion, propagate, step_schedule
+from .trajectory import (
+    Trajectory,
+    check_unit_quaternion,
+    propagate,
+    step_end_times,
+    step_schedule,
+)
 
 __all__ = [
     "StepSizeWarning",
@@ -101,14 +107,15 @@ def _require_finite(ok, what: str) -> None:
         raise ConsistencyError(f"{what} is not finite at step {step}")
 
 
-def cayley_steps(omega, tau):
+def cayley_steps(omega, tau, counts=None):
     """Closed-form Cayley maps G_k for rates omega (..., 3) and steps tau (...).
 
     Returns (G (..., 4, 4), alpha, theta) broadcast over the leading axes.
     G is built in place from A(w), one (..., 4, 4) array for the batch, and
     a negative step gives G.T.  Raises ConsistencyError naming the first
     step whose rate or map is not finite; emits one StepSizeWarning counting
-    the steps beyond the 1/(5 |w|) guideline.
+    the steps beyond the 1/(5 |w|) guideline.  counts, when given, is the
+    number of steps each map is applied for, and the warning tallies those.
     """
     w = np.asarray(omega, dtype=float)
     tau = np.asarray(tau, dtype=float)
@@ -124,8 +131,9 @@ def cayley_steps(omega, tau):
     step_rate = tau * np.sqrt(n2)
     over = np.abs(step_rate) * STEP_BOUND_FACTOR > 1.0
     if np.any(over):
+        counts = np.ones(over.shape, dtype=int) if counts is None else np.asarray(counts)
         warnings.warn(
-            f"{np.count_nonzero(over)} of {over.size} steps exceed the accuracy "
+            f"{counts[over].sum()} of {counts.sum()} steps exceed the accuracy "
             f"guideline tau <= 1/(5|omega|); worst tau|omega| = "
             f"{float(np.max(np.abs(step_rate))):.4g}",
             StepSizeWarning,
@@ -161,12 +169,27 @@ def autonomous_transition(omega, tau: float) -> AutonomousTransition:
 
 def integrate_autonomous(omega, q0, t0: float, tf: float, tau: float) -> Trajectory:
     """Propagate a constant-rate run over the steps of :func:`step_schedule`,
-    a shortened final step included; states are never renormalized."""
+    a shortened final step included; states are never renormalized.
+
+    Only the distinct maps are built: the full step, applied through a
+    broadcast view, and the shortened final step when there is one.
+    """
     q = check_unit_quaternion(q0)
     times, tau_k = step_schedule(t0, tf, tau)
-    g, alphas, thetas = cayley_steps(omega, tau_k)
+    k = len(tau_k)
+    short = tau_k[-1] != tau_k[0]
+    counts = [k - 1, 1] if short else [k]
+    g, alpha, theta = cayley_steps(omega, tau_k[[0, -1]] if short else tau_k[:1], counts)
+    states = propagate(np.broadcast_to(g[0], (k, 4, 4)), q)
+    if short:
+        np.matmul(g[1], states[-2], out=states[-1])
     return Trajectory(
-        t0=t0, tau=tau, times=times, states=propagate(g, q), step_alpha=alphas, step_theta=thetas
+        t0=t0,
+        tau=tau,
+        times=times,
+        states=states,
+        step_alpha=np.repeat(alpha, counts),
+        step_theta=np.repeat(theta, counts),
     )
 
 
@@ -256,7 +279,7 @@ def integrate_nonautonomous(
     """
     q = check_unit_quaternion(q0)
     times, tau_k = step_schedule(t0, tf, tau)
-    omegas = midpoint_omega(profile, times[:-1], tau_k, mode)
+    omegas = midpoint_omega(profile, times[:-1], tau_k, mode, step_end_times(times, tau_k))
     g, alphas, thetas = cayley_steps(corrected_rate(omegas, tau_k), tau_k)
     return Trajectory(
         t0=t0, tau=tau, times=times, states=propagate(g, q), step_alpha=alphas, step_theta=thetas

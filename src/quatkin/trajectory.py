@@ -9,7 +9,13 @@ import numpy as np
 
 from .errors import InvalidHorizonError, NonUnitStateError
 
-__all__ = ["Trajectory", "step_schedule", "propagate", "check_unit_quaternion"]
+__all__ = [
+    "Trajectory",
+    "step_schedule",
+    "step_end_times",
+    "propagate",
+    "check_unit_quaternion",
+]
 
 UNIT_NORM_TOL = 1e-9
 
@@ -66,6 +72,13 @@ def step_schedule(t0: float, tf: float, tau: float):
     times = t0 + np.arange(k + 1) * tau
     times[-1] = tf
     return times, tau_k
+
+
+def step_end_times(times: np.ndarray, tau_k: np.ndarray) -> np.ndarray:
+    """End time t_k + tau_k of each step of a schedule, capped at the horizon
+    end times[-1]: the sum can round one ulp past tf, outside a profile whose
+    samples end exactly there."""
+    return np.minimum(times[:-1] + tau_k, times[-1])
 
 
 def propagate(g: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -103,6 +103,31 @@ def test_euler_backward_samples_rate_at_step_end():
     npt.assert_allclose(q1, [1.0 / 1.01, 0.1 / 1.01, 0.0, 0.0], rtol=1e-14)
 
 
+@pytest.mark.filterwarnings("ignore::quatkin.symplectic.StepSizeWarning")
+def test_tabulated_profile_ending_at_tf_runs_every_method():
+    # The step-end time t_k + tau_k can round one ulp past tf; with samples
+    # ending exactly at tf that sample must still lie inside the table.
+    from quatkin.model import MidpointSamplingMode, TabulatedProfile
+
+    rng = np.random.default_rng(2024)
+    runners = [
+        lambda p, t0, tf, tau, m=m: integrate_baseline(m, p, E0, t0, tf, tau)
+        for m in BaselineMethod
+    ] + [
+        lambda p, t0, tf, tau, mode=mode: integrate_nonautonomous(p, E0, t0, tf, tau, mode)
+        for mode in MidpointSamplingMode
+    ]
+    for _ in range(400):
+        t0 = rng.uniform(-5.0, 5.0)
+        tf = t0 + rng.uniform(0.1, 10.0)
+        tau = float(rng.choice([0.01, 0.03, 0.07, 0.1]))
+        times = np.linspace(t0, tf, 50)
+        times[-1] = tf
+        profile = TabulatedProfile(times, rng.normal(size=(50, 3)))
+        for run in runners:
+            assert run(profile, t0, tf, tau).times[-1] == tf
+
+
 # --- Gauss-Legendre -----------------------------------------------------------------
 
 def test_gauss_legendre_local_order_five():

@@ -9,6 +9,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quatkin._g17 import _VECTOR_MIN_ROWS
 from quatkin.cli import main
 from quatkin.errors import ConfigError
 from quatkin.linalg import I4, LEFT_I, LEFT_J, LEFT_K, frobenius_norm
@@ -317,7 +318,8 @@ def reference_series_csv(artifacts) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def special_values_artifacts():
+def special_values_artifacts(repeats=1):
+    """Four rows of special and edge values, repeated `repeats` times."""
     from quatkin.trajectory import Trajectory
 
     artifacts = run_scenario(parse_config(make_config(tf=0.05)))
@@ -326,18 +328,30 @@ def special_values_artifacts():
             [np.nan, np.inf, -np.inf, -0.0],
             [5e-324, 1e308, -1e308, 0.1],
             [1.0 / 3.0, 1e16, -5e-324, 0.0],
+            [1e-14, -9.9999999999999995e-05, 1e15 + 0.25, 2.0**-25],
         ]
     )
-    times = np.array([-0.0, 5e-324, 1e308])
-    single = Trajectory(t0=0.0, tau=0.01, times=times, states=states)
-    return dataclasses.replace(artifacts, trajectory=single)
+    times = np.array([-0.0, 5e-324, 1e308, 0.01])
+    tiled = Trajectory(
+        t0=0.0, tau=0.01, times=np.tile(times, repeats), states=np.tile(states, (repeats, 1))
+    )
+    return dataclasses.replace(artifacts, trajectory=tiled)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.parametrize("case", ["coning-oracle", "coning-no-oracle", "special-values"])
+@pytest.mark.parametrize(
+    "case", ["coning-oracle", "coning-no-oracle", "special-values", "special-values-tiled"]
+)
 def test_emit_series_bytes_match_per_value_format(tmp_path, case):
+    # The special-value tables sit on either side of the renderer's
+    # crossover: the small one takes the %-format, the tiled one the
+    # vectorised path; the coning tables span several row blocks.
     if case == "special-values":
         artifacts = special_values_artifacts()
+        assert len(artifacts.trajectory.states) < _VECTOR_MIN_ROWS
+    elif case == "special-values-tiled":
+        artifacts = special_values_artifacts(repeats=50)
+        assert len(artifacts.trajectory.states) > _VECTOR_MIN_ROWS
     else:
         oracle = {} if case == "coning-oracle" else {"oracle": "none"}
         cfg = make_config(profile="coning", q0=CONING_Q0, tf=100.0, method="SGA-NA", **oracle)
@@ -502,6 +516,28 @@ def test_cli_validation_error_exit_code(tmp_path, capsys):
     cfg_path.write_text(make_config(tf=-1.0), encoding="utf-8")
     assert main(["run", str(cfg_path)]) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "verb, flag",
+    [("run", "--out"), ("run", "--summary"), ("sweep", "--summary")],
+)
+def test_cli_rejects_missing_output_directory_before_running(
+    tmp_path, capsys, monkeypatch, verb, flag
+):
+    import quatkin.cli
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("integrated before checking the output directory")
+
+    monkeypatch.setattr(quatkin.cli, "run_scenario", must_not_run)
+    monkeypatch.setattr(quatkin.cli, "run_sweep", must_not_run)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(make_config(), encoding="utf-8")
+    target = tmp_path / "missing-dir" / "out.file"
+    assert main([verb, str(cfg_path), flag, str(target)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and flag in err and "missing-dir" in err
 
 
 def test_cli_missing_file_exit_code(capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -35,6 +36,7 @@ from quatkin.symplectic import (
     nonautonomous_transition,
     reduced_2x2_transition,
 )
+from quatkin.trajectory import propagate, step_schedule
 
 W_REF = np.array([2.0, 10.0, 3.0])
 E0 = np.array([1.0, 0.0, 0.0, 0.0])
@@ -202,6 +204,30 @@ def test_integrate_autonomous_partial_step_stays_on_flow():
     oracle = constant_oracle(w, E0)
     assert traj.times[-1] == 0.95
     assert np.max(np.abs(traj.states - oracle(traj.times))) <= 5e-3
+
+
+@pytest.mark.filterwarnings("ignore::quatkin.symplectic.StepSizeWarning")
+@pytest.mark.parametrize("tf", [1.05, 1.0], ids=["shortened-last-step", "whole-steps"])
+def test_integrate_autonomous_matches_one_map_per_step(tf):
+    # Reference: one Cayley map built for every step and applied in turn.
+    traj = integrate_autonomous(W_REF, E0, 0.0, tf, 0.1)
+    _, tau_k = step_schedule(0.0, tf, 0.1)
+    g, alpha, theta = cayley_steps(W_REF, tau_k)
+    npt.assert_array_equal(traj.states, propagate(g, E0))
+    npt.assert_array_equal(traj.step_alpha, alpha)
+    npt.assert_array_equal(traj.step_theta, theta)
+
+
+def test_integrate_autonomous_builds_only_distinct_maps():
+    tracemalloc.start()
+    try:
+        traj = integrate_autonomous(W_REF, E0, 0.0, 1000.005, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.steps == 100_001
+    # (K, 4, 4) step matrices alone would take 128 bytes a step.
+    assert peak < 100 * traj.steps
 
 
 def test_integrate_autonomous_norm_preservation_long_run():
