@@ -8,21 +8,16 @@ verification diagnostics, and a scenario CLI.
 from .baselines import (
     BaselineMethod,
     baseline_step_matrices,
-    euler_backward_step,
-    gauss_legendre_step,
     integrate_baseline,
-    rk4_step,
 )
 from .diagnostics import (
     DefectSeries,
     ErrorReport,
     component_errors,
     convergence_order,
-    cosine_fit_residual,
     euler_formula_gap,
     norm_history,
     orthogonality_defect,
-    subnorm_pair_history,
     symplecticity_defect,
 )
 from .errors import (
@@ -31,7 +26,6 @@ from .errors import (
     DegenerateDataError,
     InvalidHorizonError,
     NonUnitStateError,
-    PreconditionError,
     ProfileDomainError,
     QuatkinError,
     SingularMatrixError,
@@ -42,7 +36,6 @@ from .linalg import (
     LEFT_K,
     SYMPLECTIC_J4,
     frobenius_norm,
-    mat_mul,
     solve_linear_4,
 )
 from .model import (
@@ -83,13 +76,11 @@ from .symplectic import (
     StepSizeWarning,
     autonomous_transition,
     b_matrix,
-    cayley_closed_form,
     cayley_steps,
     corrected_rate,
     integrate_autonomous,
     integrate_nonautonomous,
     nonautonomous_transition,
-    reduced_2x2_transition,
 )
 from .trajectory import Trajectory, check_unit_quaternion, propagate, step_schedule
 

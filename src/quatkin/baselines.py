@@ -30,9 +30,6 @@ from .trajectory import (
 __all__ = [
     "BaselineMethod",
     "baseline_step_matrices",
-    "rk4_step",
-    "euler_backward_step",
-    "gauss_legendre_step",
     "integrate_baseline",
 ]
 
@@ -89,23 +86,6 @@ def baseline_step_matrices(
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"stage system is singular: {exc}") from exc
     return I4 + GL2_WEIGHTS[0] * stages[..., :4, :] + GL2_WEIGHTS[1] * stages[..., 4:, :]
-
-
-def rk4_step(profile, q, t: float, tau: float):
-    """One classical four-stage Runge-Kutta step from t to t + tau."""
-    return baseline_step_matrices(BaselineMethod.RK4, profile, t, tau) @ q
-
-
-def euler_backward_step(profile, q, t: float, tau: float):
-    """One fully implicit Euler step, q+ = (I - (tau/2) A(w(t + tau)))^-1 q;
-    it contracts the norm strictly whenever w != 0."""
-    return baseline_step_matrices(BaselineMethod.EULER_BACKWARD, profile, t, tau) @ q
-
-
-def gauss_legendre_step(profile, q, t: float, tau: float):
-    """One 2-stage Gauss-Legendre step (order 4), its linear stage system
-    solved directly with no fixed-point iteration."""
-    return baseline_step_matrices(BaselineMethod.GAUSS_LEGENDRE2, profile, t, tau) @ q
 
 
 def integrate_baseline(

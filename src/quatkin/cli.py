@@ -83,8 +83,12 @@ def _add_overrides(p: argparse.ArgumentParser) -> None:
 
 
 def _load_config(args) -> ScenarioConfig:
-    with open(args.config, "rb") as fh:
-        raw = config_document(fh.read())
+    try:
+        with open(args.config, "rb") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"config {args.config!r} cannot be read: {exc.strerror}") from None
+    raw = config_document(text)
     for key in ("tau", "t0", "tf", "method", "sampling"):
         value = getattr(args, key, None)
         if value is not None:
@@ -117,6 +121,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.verb == "gap":
+            if not 0.0 <= args.x < np.inf:  # false for nan too
+                raise ConfigError(f"argument x: expected a finite number >= 0, got {args.x}")
             print(format(euler_formula_gap(args.x), ".17g"))
             return 0
         if args.verb == "registry":
@@ -143,7 +149,7 @@ def main(argv=None) -> int:
                 emit_summary(runs, args.summary)
             return 0
         raise AssertionError(f"unhandled verb {args.verb}")
-    except (ConfigError, FileNotFoundError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (QuatkinError, OSError, ValueError) as exc:

@@ -1,4 +1,4 @@
-"""Verification instruments: norm and sub-norm histories, orthogonality and
+"""Verification instruments: norm histories, orthogonality and
 symplecticity defects, oracle error reports, convergence-order estimates,
 and the closed-form-vs-exact-rotation gap function."""
 from __future__ import annotations
@@ -16,13 +16,11 @@ __all__ = [
     "ErrorReport",
     "DefectSeries",
     "norm_history",
-    "subnorm_pair_history",
     "orthogonality_defect",
     "symplecticity_defect",
     "component_errors",
     "convergence_order",
     "euler_formula_gap",
-    "cosine_fit_residual",
 ]
 
 
@@ -70,19 +68,6 @@ class DefectSeries:
 def norm_history(traj: Trajectory) -> np.ndarray:
     """(n, 2) array of (t, |q|) along a trajectory."""
     return np.column_stack([traj.times, traj.norms()])
-
-
-def subnorm_pair_history(traj: Trajectory, t_start: float = 0.0) -> np.ndarray:
-    """(n, 3) array of (t, e0^2 + e1^2, e2^2 + e3^2) for t >= t_start.
-
-    These pair sums are conserved once the second and third rate components
-    vanish; t_start lets asymptotic profiles skip their transient.
-    """
-    keep = traj.times >= t_start
-    s = traj.states[keep]
-    return np.column_stack(
-        [traj.times[keep], s[:, 0] ** 2 + s[:, 1] ** 2, s[:, 2] ** 2 + s[:, 3] ** 2]
-    )
 
 
 def orthogonality_defect(g: np.ndarray) -> float:
@@ -152,33 +137,14 @@ def euler_formula_gap(x):
 
     h(x) = max(|cos(x/2) - cos(2 atan(x/4))|, |sin(x/2) - sin(2 atan(x/4))|),
     the per-step accuracy envelope of the constant-rate map at x = |w| tau.
-    Accepts scalars or arrays (x >= 0).
+    Accepts scalars or arrays of finite x >= 0.
     """
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise ValueError("gap argument must be non-negative")
+    if not np.all(np.isfinite(x) & (x >= 0)):
+        raise ValueError("gap argument must be finite and non-negative")
     theta = 2.0 * np.arctan(x / 4.0)
     gap = np.maximum(
         np.abs(np.cos(x / 2.0) - np.cos(theta)),
         np.abs(np.sin(x / 2.0) - np.sin(theta)),
     )
     return float(gap) if gap.ndim == 0 else gap
-
-
-def cosine_fit_residual(series, omega: float) -> float:
-    """RMS residual of a least-squares fit c*cos(omega t + phi).
-
-    The fit is linearized as a cos(omega t) + b sin(omega t).  `series` is a
-    sequence of (t, value) pairs, at least 8 of them.  Raises
-    DegenerateDataError when all values are identical.
-    """
-    data = np.asarray(series, dtype=float)
-    if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] < 8:
-        raise ValueError("need at least 8 (t, value) samples")
-    t, y = data[:, 0], data[:, 1]
-    if np.all(y == y[0]):
-        raise DegenerateDataError("all samples equal; cosine fit is degenerate")
-    design = np.column_stack([np.cos(omega * t), np.sin(omega * t)])
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    resid = y - design @ coef
-    return float(np.sqrt(np.mean(resid * resid)))

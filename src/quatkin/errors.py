@@ -1,5 +1,16 @@
 """Exception types raised across the package."""
 
+__all__ = [
+    "QuatkinError",
+    "SingularMatrixError",
+    "ProfileDomainError",
+    "ConsistencyError",
+    "InvalidHorizonError",
+    "NonUnitStateError",
+    "DegenerateDataError",
+    "ConfigError",
+]
+
 
 class QuatkinError(Exception):
     """Base class for all errors raised by quatkin."""
@@ -11,10 +22,6 @@ class SingularMatrixError(QuatkinError):
 
 class ProfileDomainError(QuatkinError):
     """An angular-velocity profile was sampled outside its domain."""
-
-
-class PreconditionError(QuatkinError):
-    """An operation's precondition failed; the message names which one."""
 
 
 class ConsistencyError(QuatkinError):

@@ -10,7 +10,6 @@ import numpy as np
 from .errors import SingularMatrixError
 
 __all__ = [
-    "I2",
     "I4",
     "J2",
     "SYMPLECTIC_J4",
@@ -18,7 +17,6 @@ __all__ = [
     "LEFT_J",
     "LEFT_K",
     "PIVOT_FLOOR",
-    "mat_mul",
     "frobenius_norm",
     "solve_linear_4",
 ]
@@ -29,7 +27,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-I2 = _frozen(np.eye(2))
 I4 = _frozen(np.eye(4))
 
 # 2x2 rotation generator: J2 @ J2 = -I2, J2.T = -J2
@@ -90,11 +87,6 @@ LEFT_K = _frozen(
 
 # Pivot magnitudes below this floor are treated as singular.
 PIVOT_FLOOR = 1e-14
-
-
-def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product of two 4x4 (or conformable) matrices."""
-    return np.asarray(a, dtype=float) @ np.asarray(b, dtype=float)
 
 
 def frobenius_norm(a: np.ndarray) -> float:

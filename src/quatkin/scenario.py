@@ -452,10 +452,10 @@ def one_step_matrix(cfg: ScenarioConfig, tau: float) -> np.ndarray:
     """4x4 matrix of one integration step taken at the scenario start,
     from the same step-matrix builder the method's integrator uses."""
     if cfg.method == "SGA-A":
-        return cayley_steps(cfg.profile.vector, tau)[0]
+        return cayley_steps(cfg.profile.vector, tau)
     if cfg.method == "SGA-NA":
         w = midpoint_omega(cfg.profile, cfg.t0, tau, cfg.sampling)
-        return cayley_steps(corrected_rate(w, tau), tau)[0]
+        return cayley_steps(corrected_rate(w, tau), tau)
     return baseline_step_matrices(BaselineMethod(cfg.method), cfg.profile, cfg.t0, tau)
 
 
@@ -518,19 +518,22 @@ def emit_series(artifacts: RunArtifacts, path) -> None:
     Absolute per-component errors against the oracle are appended when the
     scenario has one.  Every value is written as format(x, ".17g") writes
     it, LF line endings.  Rows are rendered in blocks of _SERIES_BLOCK_ROWS
-    by _g17.render_rows, which produces that text byte for byte.
+    by _g17.render_rows, which produces that text byte for byte; the norm
+    and error columns are computed per block too, so no column of the whole
+    run is built.
     """
     traj = artifacts.trajectory
-    columns = [traj.times[:, None], traj.states, traj.norms()[:, None]]
-    header = "t,e0,e1,e2,e3,norm"
-    if artifacts.config.oracle is not None:
-        columns.append(np.abs(traj.states - artifacts.config.oracle(traj.times)))
-        header += ",err0,err1,err2,err3"
+    oracle = artifacts.config.oracle
+    header = "t,e0,e1,e2,e3,norm" + ("" if oracle is None else ",err0,err1,err2,err3")
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii") + b"\n")
         for start in range(0, len(traj.states), _SERIES_BLOCK_ROWS):
-            block = np.hstack([c[start : start + _SERIES_BLOCK_ROWS] for c in columns])
-            fh.write(render_rows(block))
+            rows = slice(start, start + _SERIES_BLOCK_ROWS)
+            t, q = traj.times[rows], traj.states[rows]
+            columns = [t[:, None], q, np.linalg.norm(q, axis=1)[:, None]]
+            if oracle is not None:
+                columns.append(np.abs(q - oracle(t)))
+            fh.write(render_rows(np.hstack(columns)))
 
 
 def _run_entry(a: RunArtifacts) -> dict:

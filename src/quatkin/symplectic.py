@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, PreconditionError
-from .linalg import I2, I4, J2, SYMPLECTIC_J4, frobenius_norm
+from .errors import ConsistencyError
+from .linalg import SYMPLECTIC_J4
 from .model import (
     AngularVelocityProfile,
     MidpointSamplingMode,
@@ -39,7 +39,6 @@ from .trajectory import (
 
 __all__ = [
     "StepSizeWarning",
-    "cayley_closed_form",
     "cayley_steps",
     "corrected_rate",
     "AutonomousTransition",
@@ -49,7 +48,6 @@ __all__ = [
     "NonAutonomousStepCoefficients",
     "nonautonomous_transition",
     "integrate_nonautonomous",
-    "reduced_2x2_transition",
 ]
 
 # Accuracy guideline: the closed form tracks the exact flow to ~1e-4 per
@@ -60,38 +58,6 @@ STEP_BOUND_FACTOR = 5.0
 
 class StepSizeWarning(UserWarning):
     """Step size exceeds the accuracy guideline tau <= 1/(5 |omega|)."""
-
-
-def cayley_closed_form(x: float, m: np.ndarray, gamma: float) -> np.ndarray:
-    """Cayley transform (I - x M)^-1 (I + x M) for skew M with M^2 = -gamma^2 I.
-
-    Under those preconditions the transform collapses to
-
-        (1/(1 + a)) [(1 - a) I + 2 x M],    a = x^2 gamma^2,
-
-    which equals cos(theta) I + sin(theta) M/gamma with
-    theta = 2 atan(x gamma), an orthogonal matrix.  Raises
-    PreconditionError naming the violated hypothesis.
-    """
-    m = np.asarray(m, dtype=float)
-    if m.shape != (4, 4):
-        raise PreconditionError(f"m must be 4x4, got {m.shape}")
-    if not gamma > 0.0:
-        raise PreconditionError(f"gamma must be positive, got {gamma}")
-    skew_defect = frobenius_norm(m + m.T)
-    if skew_defect > 1e-12:
-        raise PreconditionError(
-            f"m is not skew-symmetric: |m + m.T| = {skew_defect:.3e} > 1e-12"
-        )
-    g2 = gamma * gamma
-    square_defect = frobenius_norm(m @ m + g2 * I4)
-    if square_defect > 1e-10 * (1.0 + g2):
-        raise PreconditionError(
-            f"m^2 != -gamma^2 I: defect {square_defect:.3e} exceeds "
-            f"{1e-10 * (1.0 + g2):.3e}"
-        )
-    a = x * x * g2
-    return ((1.0 - a) * I4 + (2.0 * x) * m) / (1.0 + a)
 
 
 def _norm_sq(w: np.ndarray) -> np.ndarray:
@@ -110,12 +76,12 @@ def _require_finite(ok, what: str) -> None:
 def cayley_steps(omega, tau, counts=None):
     """Closed-form Cayley maps G_k for rates omega (..., 3) and steps tau (...).
 
-    Returns (G (..., 4, 4), alpha, theta) broadcast over the leading axes.
-    G is built in place from A(w), one (..., 4, 4) array for the batch, and
-    a negative step gives G.T.  Raises ConsistencyError naming the first
-    step whose rate or map is not finite; emits one StepSizeWarning counting
-    the steps beyond the 1/(5 |w|) guideline.  counts, when given, is the
-    number of steps each map is applied for, and the warning tallies those.
+    Returns only the maps, one (..., 4, 4) array broadcast over the leading
+    axes and built in place from A(w); a negative step gives G.T.  Raises
+    ConsistencyError naming the first step whose rate or map is not finite;
+    emits one StepSizeWarning counting the steps beyond the 1/(5 |w|)
+    guideline.  counts, when given, is the number of steps each map is
+    applied for, and the warning tallies those.
     """
     w = np.asarray(omega, dtype=float)
     tau = np.asarray(tau, dtype=float)
@@ -139,7 +105,7 @@ def cayley_steps(omega, tau, counts=None):
             StepSizeWarning,
             stacklevel=3,
         )
-    return g, alpha, 2.0 * np.arctan(step_rate / 4.0)
+    return g
 
 
 @dataclass(frozen=True)
@@ -147,8 +113,6 @@ class AutonomousTransition:
     """One-step propagator for constant angular velocity."""
 
     G: np.ndarray
-    alpha: float
-    theta: float
     tau: float
     omega: np.ndarray
 
@@ -163,8 +127,7 @@ def autonomous_transition(omega, tau: float) -> AutonomousTransition:
     w = np.asarray(omega, dtype=float)
     if not math.isfinite(tau):
         raise ValueError("step size must be finite")
-    g, alpha, theta = cayley_steps(w, tau)
-    return AutonomousTransition(G=g, alpha=float(alpha), theta=float(theta), tau=tau, omega=w)
+    return AutonomousTransition(G=cayley_steps(w, tau), tau=tau, omega=w)
 
 
 def integrate_autonomous(omega, q0, t0: float, tf: float, tau: float) -> Trajectory:
@@ -179,18 +142,11 @@ def integrate_autonomous(omega, q0, t0: float, tf: float, tau: float) -> Traject
     k = len(tau_k)
     short = tau_k[-1] != tau_k[0]
     counts = [k - 1, 1] if short else [k]
-    g, alpha, theta = cayley_steps(omega, tau_k[[0, -1]] if short else tau_k[:1], counts)
+    g = cayley_steps(omega, tau_k[[0, -1]] if short else tau_k[:1], counts)
     states = propagate(np.broadcast_to(g[0], (k, 4, 4)), q)
     if short:
         np.matmul(g[1], states[-2], out=states[-1])
-    return Trajectory(
-        t0=t0,
-        tau=tau,
-        times=times,
-        states=states,
-        step_alpha=np.repeat(alpha, counts),
-        step_theta=np.repeat(theta, counts),
-    )
+    return Trajectory(t0=t0, tau=tau, times=times, states=states)
 
 
 def _beta(w: np.ndarray, tau) -> np.ndarray:
@@ -227,39 +183,24 @@ def b_matrix(omega_k, tau) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NonAutonomousStepCoefficients:
-    """Everything computed for one step of the time-varying scheme."""
+    """One step of the time-varying scheme: the midpoint rate and its map."""
 
     omega_k: np.ndarray
-    Omega_k: float
-    beta_k: float
-    gamma_k_sq: float
-    alpha_k: float
-    B_k: np.ndarray
     G_k: np.ndarray
 
 
 def nonautonomous_transition(omega_k, tau: float) -> NonAutonomousStepCoefficients:
     """One-step transition for a midpoint angular-velocity sample.
 
-    G_k = [(1 - a_k) I + tau B_k] / (1 + a_k) with B_k from :func:`b_matrix`,
-    built as the constant-rate map at :func:`corrected_rate`: orthogonal,
-    and identical to the constant-rate map at w_k whenever w2 = 0.
+    G_k = [(1 - a_k) I + tau B_k] / (1 + a_k) with B_k from :func:`b_matrix`
+    and a_k = tau^2 |w_k'|^2 / 16, built as the constant-rate map at
+    w_k' = :func:`corrected_rate`: orthogonal, and identical to the
+    constant-rate map at w_k whenever w2 = 0.
     """
     w = np.asarray(omega_k, dtype=float)
     if not (math.isfinite(tau) and tau > 0.0):
         raise ValueError(f"step size must be positive, got {tau}")
-    g, _, _ = cayley_steps(corrected_rate(w, tau), tau)
-    beta = float(_beta(w, tau))
-    gamma_sq = float(_norm_sq(w)) / 4.0 - beta * w[1] + beta * beta
-    return NonAutonomousStepCoefficients(
-        omega_k=w,
-        Omega_k=float(w[1]),
-        beta_k=beta,
-        gamma_k_sq=gamma_sq,
-        alpha_k=tau * tau / 4.0 * gamma_sq,
-        B_k=b_matrix(w, tau),
-        G_k=g,
-    )
+    return NonAutonomousStepCoefficients(w, cayley_steps(corrected_rate(w, tau), tau))
 
 
 def integrate_nonautonomous(
@@ -280,18 +221,5 @@ def integrate_nonautonomous(
     q = check_unit_quaternion(q0)
     times, tau_k = step_schedule(t0, tf, tau)
     omegas = midpoint_omega(profile, times[:-1], tau_k, mode, step_end_times(times, tau_k))
-    g, alphas, thetas = cayley_steps(corrected_rate(omegas, tau_k), tau_k)
-    return Trajectory(
-        t0=t0, tau=tau, times=times, states=propagate(g, q), step_alpha=alphas, step_theta=thetas
-    )
-
-
-def reduced_2x2_transition(omega1_mid: float, tau: float) -> np.ndarray:
-    """Planar transition for the (e0, e1) pair when only the first rate
-    component is active.
-
-    Returns cos(theta) I2 - sin(theta) J2 with theta = 2 atan(w1 tau / 4);
-    a rotation, hence exactly symplectic with respect to J2.
-    """
-    theta = 2.0 * math.atan(omega1_mid * tau / 4.0)
-    return math.cos(theta) * I2 - math.sin(theta) * J2
+    g = cayley_steps(corrected_rate(omegas, tau_k), tau_k)
+    return Trajectory(t0=t0, tau=tau, times=times, states=propagate(g, q))

@@ -26,17 +26,14 @@ class Trajectory:
 
     states[k] is the quaternion at times[k]; times[k] = t0 + k*tau except
     possibly the final sample, which lands exactly on the requested end time
-    when the horizon is not an integer number of steps.  step_alpha and
-    step_theta are optional per-step diagnostics recorded by the
-    structure-preserving integrators.
+    when the horizon is not an integer number of steps.  Every integrator
+    returns this same record, whatever its method.
     """
 
     t0: float
     tau: float
     times: np.ndarray
     states: np.ndarray
-    step_alpha: np.ndarray | None = None
-    step_theta: np.ndarray | None = None
 
     def __post_init__(self):
         if self.states.ndim != 2 or self.states.shape[1] != 4 or len(self.states) == 0:

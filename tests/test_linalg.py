@@ -11,33 +11,9 @@ from quatkin.linalg import (
     LEFT_K,
     SYMPLECTIC_J4,
     frobenius_norm,
-    mat_mul,
     solve_linear_4,
 )
 from quatkin.model import coefficient_matrix
-
-
-def test_mat_mul_identity():
-    npt.assert_array_equal(mat_mul(I4, I4), I4)
-
-
-def test_mat_mul_j_squared_is_minus_identity():
-    npt.assert_array_equal(mat_mul(SYMPLECTIC_J4, SYMPLECTIC_J4), -I4)
-
-
-def test_mat_mul_rate_matrix_squares_to_minus_norm():
-    # A(w) @ A(w) = -|w|^2 I; |(2,10,3)|^2 = 113
-    a = coefficient_matrix([2.0, 10.0, 3.0])
-    npt.assert_allclose(mat_mul(a, a), -113.0 * I4, atol=1e-12)
-
-
-def test_mat_mul_associative_on_random_triples():
-    rng = np.random.default_rng(42)
-    for _ in range(50):
-        a, b, c = rng.normal(size=(3, 4, 4))
-        left = mat_mul(mat_mul(a, b), c)
-        right = mat_mul(a, mat_mul(b, c))
-        npt.assert_allclose(left, right, rtol=1e-12, atol=1e-12)
 
 
 def test_frobenius_norm_values():

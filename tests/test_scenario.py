@@ -246,10 +246,11 @@ def test_one_step_matrix_matches_method_maps():
     )
     cfg_rk4 = parse_config(make_config(method="RK4"))
     m = one_step_matrix(cfg_rk4, 0.01)
-    from quatkin.baselines import rk4_step
+    from quatkin.baselines import BaselineMethod, baseline_step_matrices
 
     q = np.array([0.2, -0.4, 0.8, 0.4])
-    npt.assert_allclose(m @ q, rk4_step(cfg_rk4.profile, q, 0.0, 0.01), atol=1e-15)
+    rk4 = baseline_step_matrices(BaselineMethod.RK4, cfg_rk4.profile, 0.0, 0.01)
+    npt.assert_allclose(m @ q, rk4 @ q, atol=1e-15)
 
 
 @settings(max_examples=100, deadline=None)
@@ -425,6 +426,23 @@ def test_emit_series_deterministic_bytes(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_emit_series_memory_flat_in_run_length(tmp_path):
+    # Every column is built one row block at a time, so emission's traced
+    # peak is the same for 25 k and 100 k rows.
+    peaks = []
+    for rows in (25_000, 100_000):
+        cfg = parse_config(make_config(profile="coning", q0=CONING_Q0, tf=rows / 100.0, tau=0.01))
+        artifacts = run_scenario(cfg)
+        assert artifacts.config.oracle is not None and artifacts.timing.steps == rows
+        tracemalloc.start()
+        try:
+            emit_series(artifacts, tmp_path / "series.csv")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + (64 << 10), peaks
+
+
 def test_emit_summary_single_run(tmp_path):
     cfg = parse_config(make_config(tf=1.0, oracle="constant-analytic"))
     artifacts = run_scenario(cfg)
@@ -461,6 +479,16 @@ def test_cli_gap_prints_value(capsys):
     out = capsys.readouterr().out.strip()
     assert float(out) < 1.25e-4
     assert float(out) > 0.0
+
+
+@pytest.mark.parametrize("x", ["-0.1", "nan", "inf"])
+def test_cli_gap_rejects_negative_and_non_finite(capsys, x):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["gap", x]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: argument x:")
 
 
 def test_cli_registry_lists_names(capsys):
@@ -542,6 +570,18 @@ def test_cli_rejects_missing_output_directory_before_running(
 
 def test_cli_missing_file_exit_code(capsys):
     assert main(["run", "/nonexistent/config.json"]) == 1
+
+
+def test_cli_unreadable_config_is_a_config_error(tmp_path, capsys):
+    # A directory given as the config is a config error naming the path;
+    # a failed output write stays a runtime error.
+    assert main(["run", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config") and str(tmp_path) in err
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(make_config(tf=0.1), encoding="utf-8")
+    assert main(["run", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("runtime error:")
 
 
 def test_cli_malformed_json_exit_code(tmp_path, capsys):

@@ -7,13 +7,8 @@ import numpy.testing as npt
 import pytest
 
 from quatkin.diagnostics import euler_formula_gap, symplecticity_defect
-from quatkin.errors import (
-    ConsistencyError,
-    InvalidHorizonError,
-    NonUnitStateError,
-    PreconditionError,
-)
-from quatkin.linalg import I2, I4, J2, SYMPLECTIC_J4, frobenius_norm, solve_linear_4
+from quatkin.errors import ConsistencyError, InvalidHorizonError, NonUnitStateError
+from quatkin.linalg import I4, J2, SYMPLECTIC_J4, frobenius_norm, solve_linear_4
 from quatkin.model import (
     ConstantProfile,
     MidpointSamplingMode,
@@ -28,13 +23,11 @@ from quatkin.symplectic import (
     StepSizeWarning,
     autonomous_transition,
     b_matrix,
-    cayley_closed_form,
     cayley_steps,
     corrected_rate,
     integrate_autonomous,
     integrate_nonautonomous,
     nonautonomous_transition,
-    reduced_2x2_transition,
 )
 from quatkin.trajectory import propagate, step_schedule
 
@@ -42,53 +35,37 @@ W_REF = np.array([2.0, 10.0, 3.0])
 E0 = np.array([1.0, 0.0, 0.0, 0.0])
 
 
-def random_skew_with_known_square(rng):
-    """Random A(w)-type skew matrix together with its gamma."""
-    w = rng.normal(0.0, 4.0, 3)
-    n = np.linalg.norm(w)
-    return coefficient_matrix(w), float(n), w
-
-
 # --- closed-form Cayley transform ----------------------------------------------
 
 def test_cayley_zero_argument_is_identity():
-    npt.assert_array_equal(cayley_closed_form(0.0, -SYMPLECTIC_J4, 1.0), I4)
+    npt.assert_array_equal(cayley_steps([0.0, 1.0, 0.0], 0.0), I4)
 
 
+@pytest.mark.filterwarnings("ignore::quatkin.symplectic.StepSizeWarning")
 def test_cayley_quarter_turn_case():
-    # x = 1, M = -J (gamma = 1): theta = 2 atan 1 = pi/2, so the map is -J
-    # and the trig branch agrees with the rational one.
-    g = cayley_closed_form(1.0, -SYMPLECTIC_J4, 1.0)
+    # w = e2, tau = 4: tau |w| / 4 = 1, theta = 2 atan 1 = pi/2, so the map
+    # is A(e2) = -J and the trig branch agrees with the rational one.
+    g = cayley_steps([0.0, 1.0, 0.0], 4.0)
     npt.assert_allclose(g, -SYMPLECTIC_J4, atol=1e-15)
     theta = 2.0 * math.atan(1.0)
     trig = math.cos(theta) * I4 + math.sin(theta) * (-SYMPLECTIC_J4)
     npt.assert_allclose(g, trig, atol=1e-15)
 
 
+@pytest.mark.filterwarnings("ignore::quatkin.symplectic.StepSizeWarning")
 def test_cayley_orthogonal_and_matches_trig_branch():
     rng = np.random.default_rng(21)
     for _ in range(100):
-        m, gamma, _ = random_skew_with_known_square(rng)
+        w = rng.normal(0.0, 4.0, 3)
+        gamma = float(np.linalg.norm(w))
         if gamma < 1e-3:
             continue
-        x = rng.uniform(-0.5, 0.5)
-        g = cayley_closed_form(x, m, gamma)
+        tau = rng.uniform(-2.0, 2.0)
+        g = cayley_steps(w, tau)
         assert frobenius_norm(g.T @ g - I4) <= 1e-14
-        theta = 2.0 * math.atan(x * gamma)
-        trig = math.cos(theta) * I4 + (math.sin(theta) / gamma) * m
+        theta = 2.0 * math.atan(tau * gamma / 4.0)
+        trig = math.cos(theta) * I4 + (math.sin(theta) / gamma) * coefficient_matrix(w)
         npt.assert_allclose(g, trig, atol=1e-14)
-
-
-def test_cayley_precondition_errors_name_the_failure():
-    with pytest.raises(PreconditionError, match="skew"):
-        cayley_closed_form(0.1, I4.copy(), 1.0)
-    bad_square = np.zeros((4, 4))
-    bad_square[0, 1] = 1.0
-    bad_square[1, 0] = -1.0
-    with pytest.raises(PreconditionError, match="gamma"):
-        cayley_closed_form(0.1, bad_square, 2.0)  # M^2 != -4 I
-    with pytest.raises(PreconditionError, match="positive"):
-        cayley_closed_form(0.1, -SYMPLECTIC_J4, 0.0)
 
 
 # --- constant-rate transition ----------------------------------------------------
@@ -96,17 +73,20 @@ def test_cayley_precondition_errors_name_the_failure():
 def test_autonomous_zero_rate():
     tr = autonomous_transition(np.zeros(3), 0.5)
     npt.assert_array_equal(tr.G, I4)
-    assert tr.alpha == 0.0 and tr.theta == 0.0
 
 
 def test_autonomous_alpha_value():
-    tr = autonomous_transition(W_REF, 0.01)
-    npt.assert_allclose(tr.alpha, 7.0625e-4, rtol=1e-12)
+    # a = tau^2 |w|^2 / 16 = 1e-4 * 113 / 16 sets the diagonal (1 - a)/(1 + a).
+    a = 7.0625e-4
+    g = autonomous_transition(W_REF, 0.01).G
+    npt.assert_allclose(g[0, 0], (1.0 - a) / (1.0 + a), rtol=1e-12)
 
 
 def test_autonomous_matches_cayley_closed_form():
+    # (1/(1 + a)) [(1 - a) I + (tau/2) A] with a = tau^2 |w|^2 / 16.
     tr = autonomous_transition(W_REF, 0.01)
-    g = cayley_closed_form(0.01 / 4.0, coefficient_matrix(W_REF), float(np.linalg.norm(W_REF)))
+    a = 0.01**2 * 113.0 / 16.0
+    g = ((1.0 - a) * I4 + 0.005 * coefficient_matrix(W_REF)) / (1.0 + a)
     npt.assert_allclose(tr.G, g, atol=1e-15)
 
 
@@ -212,10 +192,7 @@ def test_integrate_autonomous_matches_one_map_per_step(tf):
     # Reference: one Cayley map built for every step and applied in turn.
     traj = integrate_autonomous(W_REF, E0, 0.0, tf, 0.1)
     _, tau_k = step_schedule(0.0, tf, 0.1)
-    g, alpha, theta = cayley_steps(W_REF, tau_k)
-    npt.assert_array_equal(traj.states, propagate(g, E0))
-    npt.assert_array_equal(traj.step_alpha, alpha)
-    npt.assert_array_equal(traj.step_theta, theta)
+    npt.assert_array_equal(traj.states, propagate(cayley_steps(W_REF, tau_k), E0))
 
 
 def test_integrate_autonomous_builds_only_distinct_maps():
@@ -268,17 +245,23 @@ def test_b_matrix_structure_coefficient():
 
 
 def test_nonautonomous_coefficients_reference_values():
-    co = nonautonomous_transition(W_REF, 0.01)
-    assert co.Omega_k == 10.0
-    npt.assert_allclose(co.beta_k, -1.1770833333333333e-3, rtol=1e-12)
-    gamma_expected = 113.0 / 4.0 - co.beta_k * 10.0 + co.beta_k**2
-    npt.assert_allclose(co.gamma_k_sq, gamma_expected, rtol=1e-15)
-    npt.assert_allclose(co.gamma_k_sq, 28.261772218858507, rtol=1e-12)
-    npt.assert_allclose(co.alpha_k, 0.01**2 / 4.0 * co.gamma_k_sq, rtol=1e-15)
+    # The correction moves only w2, by -2 beta; gamma^2 = |w'|^2 / 4 is the
+    # squared norm of the generator B = A(w')/2.
+    tau = 0.01
+    w_prime = corrected_rate(W_REF, tau)
+    assert w_prime[0] == 2.0 and w_prime[2] == 3.0
+    beta = -(w_prime[1] - 10.0) / 2.0
+    npt.assert_allclose(beta, -1.1770833333333333e-3, rtol=1e-12)
+    gamma_sq = float(w_prime @ w_prime) / 4.0
+    npt.assert_allclose(gamma_sq, 113.0 / 4.0 - beta * 10.0 + beta**2, rtol=1e-15)
+    npt.assert_allclose(gamma_sq, 28.261772218858507, rtol=1e-12)
+    # the map's diagonal is (1 - a)/(1 + a) with a = tau^2 gamma^2 / 4
+    a = tau * tau / 4.0 * gamma_sq
+    g = nonautonomous_transition(W_REF, tau).G_k
+    npt.assert_allclose(np.diag(g), (1.0 - a) / (1.0 + a), rtol=1e-15)
     # generator identity backing the closed form
-    assert frobenius_norm(co.B_k @ co.B_k + co.gamma_k_sq * I4) <= 1e-10 * (
-        1.0 + co.gamma_k_sq
-    )
+    b = b_matrix(W_REF, tau)
+    assert frobenius_norm(b @ b + gamma_sq * I4) <= 1e-10 * (1.0 + gamma_sq)
 
 
 @pytest.mark.filterwarnings("ignore::quatkin.symplectic.StepSizeWarning")
@@ -295,7 +278,7 @@ def test_nonautonomous_small_step_limit():
     tau = 1e-6
     co = nonautonomous_transition(W_REF, tau)
     assert frobenius_norm(co.G_k - I4) <= 1.1 * tau * float(np.linalg.norm(W_REF))
-    assert frobenius_norm((co.G_k - I4) / tau - co.B_k) <= 1e-4
+    assert frobenius_norm((co.G_k - I4) / tau - b_matrix(W_REF, tau)) <= 1e-4
 
 
 def test_nonautonomous_orthogonality_random():
@@ -355,35 +338,16 @@ def test_integrate_nonautonomous_interp_mode_close_to_exact():
     assert np.max(np.abs(interp.norms() - 1.0)) <= 1e-12
 
 
-def test_integrate_nonautonomous_records_step_diagnostics():
-    traj = integrate_nonautonomous(profile_from_name("fig1d"), E0, 0.0, 1.0, 0.1)
-    assert traj.step_alpha.shape == (traj.steps,)
-    assert traj.step_theta.shape == (traj.steps,)
-    assert np.all(traj.step_alpha > 0.0)
-
-
 # --- reduced planar transition ------------------------------------------------------
 
-def test_reduced_2x2_zero_rate():
-    npt.assert_array_equal(reduced_2x2_transition(0.0, 0.1), I2)
-
-
-def test_reduced_2x2_symplectic_random():
-    rng = np.random.default_rng(33)
-    for _ in range(100):
-        g = reduced_2x2_transition(rng.normal(0.0, 5.0), rng.uniform(0.0, 1.0))
-        assert frobenius_norm(g.T @ J2 @ g - J2) <= 1e-15
-
-
-def test_reduced_2x2_quarter_turn():
-    npt.assert_allclose(reduced_2x2_transition(4.0, 1.0), -J2, atol=1e-15)
-
-
 def test_reduced_2x2_matches_upper_block_of_full_map():
-    # For rates along the first axis the full map decouples into two planes.
+    # For rates along the first axis the full map decouples into two planes,
+    # each turned by the rotation cos(theta) I2 - sin(theta) J2.
     omega1, tau = 1.7, 0.05
     g4 = autonomous_transition(np.array([omega1, 0.0, 0.0]), tau).G
-    npt.assert_allclose(g4[:2, :2], reduced_2x2_transition(omega1, tau), atol=1e-15)
+    theta = 2.0 * math.atan(omega1 * tau / 4.0)
+    npt.assert_allclose(g4[:2, :2], math.cos(theta) * np.eye(2) - math.sin(theta) * J2, atol=1e-15)
+    npt.assert_array_equal(g4[:2, 2:], np.zeros((2, 2)))
 
 
 # --- symplecticity-defect behaviour --------------------------------------------------
@@ -476,12 +440,10 @@ def test_cayley_steps_batch_matches_single_steps():
     rng = np.random.default_rng(42)
     w = rng.normal(0.0, 2.0, (50, 3))
     tau = rng.uniform(1e-3, 0.05, 50)
-    g, alpha, theta = cayley_steps(w, tau)
+    g = cayley_steps(w, tau)
     assert g.shape == (50, 4, 4)
     for k in range(50):
-        tr = autonomous_transition(w[k], float(tau[k]))
-        npt.assert_array_equal(g[k], tr.G)
-        assert alpha[k] == tr.alpha and theta[k] == tr.theta
+        npt.assert_array_equal(g[k], autonomous_transition(w[k], float(tau[k])).G)
 
 
 # --- one step-size rule for both maps ------------------------------------------------
