@@ -7,7 +7,7 @@ verification diagnostics, and a scenario CLI.
 """
 from .baselines import (
     BaselineMethod,
-    baseline_step_matrices,
+    baseline_steps,
     integrate_baseline,
 )
 from .diagnostics import (
@@ -53,6 +53,7 @@ from .model import (
     constant_transition_series,
     midpoint_omega,
     omega_at,
+    right_matrix,
 )
 from .scenario import (
     PROFILE_REGISTRY,

@@ -23,6 +23,7 @@ from .errors import ProfileDomainError
 from .linalg import I4, frobenius_norm
 
 __all__ = [
+    "right_matrix",
     "coefficient_matrix",
     "AngularVelocityProfile",
     "ConstantProfile",
@@ -40,35 +41,32 @@ __all__ = [
 ]
 
 
+# Entry (i, j) of R(p) is entry _RIGHT_TAKE[i, j] of (p, -p): 4 + k takes -p_k.
+_RIGHT_TAKE = np.array([[0, 5, 6, 7], [1, 0, 3, 6], [2, 7, 0, 1], [3, 2, 5, 0]])
+
+
+def right_matrix(p) -> np.ndarray:
+    """Matrix R(p) = p0 I + A(p1, p2, p3) of the right multiplication
+    q -> q (x) p, whose first column is p; every step map is one of these.
+    Broadcasts: (..., 4) yields (..., 4, 4).  No input check."""
+    p = np.asarray(p, dtype=float)
+    return np.take(np.concatenate([p, -p], axis=-1), _RIGHT_TAKE, axis=-1)
+
+
 def coefficient_matrix(omega: np.ndarray) -> np.ndarray:
     """Skew-symmetric rate matrix A(w) of the quaternion rate equation.
 
     For w = [w1, w2, w3] the first row is [0, -w1, -w2, -w3], the first
     column its negative transpose, and the lower-right 3x3 block is the
-    negated cross-product matrix of w.  Satisfies A.T = -A and
-    A @ A = -|w|^2 I.  Broadcasts: an input of shape (..., 3) yields
-    (..., 4, 4).
+    negated cross-product matrix of w: A(w) = right_matrix((0, w)), with
+    A.T = -A and A @ A = -|w|^2 I.  Broadcasts: (..., 3) yields (..., 4, 4).
     """
     w = np.asarray(omega, dtype=float)
     if w.shape[-1:] != (3,):
         raise ValueError(f"expected angular velocity with last axis 3, got {w.shape}")
     if not np.all(np.isfinite(w)):
         raise ValueError("angular velocity must be finite")
-    w1, w2, w3 = w[..., 0], w[..., 1], w[..., 2]
-    a = np.zeros(w.shape[:-1] + (4, 4))
-    a[..., 0, 1] = -w1
-    a[..., 0, 2] = -w2
-    a[..., 0, 3] = -w3
-    a[..., 1, 0] = w1
-    a[..., 1, 2] = w3
-    a[..., 1, 3] = -w2
-    a[..., 2, 0] = w2
-    a[..., 2, 1] = -w3
-    a[..., 2, 3] = w1
-    a[..., 3, 0] = w3
-    a[..., 3, 1] = w2
-    a[..., 3, 2] = -w1
-    return a
+    return right_matrix(np.concatenate([np.zeros_like(w[..., :1]), w], axis=-1))
 
 
 class AngularVelocityProfile:

@@ -18,7 +18,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from ._g17 import render_rows
-from .baselines import BaselineMethod, baseline_step_matrices, integrate_baseline
+from .baselines import BaselineMethod, baseline_steps, integrate_baseline
 from .diagnostics import (
     DefectSeries,
     ErrorReport,
@@ -37,6 +37,7 @@ from .model import (
     coning_oracle,
     constant_oracle,
     midpoint_omega,
+    right_matrix,
 )
 from .symplectic import (
     cayley_steps,
@@ -78,7 +79,7 @@ _BENCH_MIN_SECONDS = 0.2
 _BENCH_MIN_REPEATS = 3
 
 # Most steps one run may take; parse_config and run_sweep reject a tau that
-# exceeds it (1e7 steps hold ~1.3 GB of step matrices).
+# exceeds it (1e7 steps hold ~0.8 GB of step quaternions, states and times).
 MAX_STEPS = 10_000_000
 
 # Rows per formatted block in emit_series: bounds the temporaries and text
@@ -324,7 +325,7 @@ def config_document(source) -> dict:
     return raw
 
 
-def _check_step_budget(t0: float, tf: float, tau: float) -> None:
+def _check_tau(profile, t0: float, tf: float, tau: float, outputs) -> None:
     # Compared as a float before any step array exists: a tiny tau would
     # otherwise ask step_schedule for an arbitrarily large allocation.
     steps = (tf - t0) / tau
@@ -333,6 +334,10 @@ def _check_step_budget(t0: float, tf: float, tau: float) -> None:
             f"field 'tau': {tau} gives {steps:.4g} steps over [{t0}, {tf}], "
             f"more than the budget of {MAX_STEPS}"
         )
+    # A ladder step samples the profile at t0 + tau, whatever the horizon.
+    end = profile.times[-1] if isinstance(profile, TabulatedProfile) else math.inf
+    if "defect-ladder" in outputs and t0 + tau > end:
+        raise ConfigError(f"field 'tau': defect ladder samples t0 + tau = {t0 + tau} > {end}")
 
 
 def parse_config(source) -> ScenarioConfig:
@@ -363,7 +368,6 @@ def parse_config(source) -> ScenarioConfig:
         raise ConfigError(f"field 'tf': must exceed t0, got t0={t0}, tf={tf}")
     if not tau > 0.0:
         raise ConfigError(f"field 'tau': must be positive, got {tau}")
-    _check_step_budget(t0, tf, tau)
     if isinstance(profile, TabulatedProfile) and not (
         profile.times[0] <= t0 and tf <= profile.times[-1]
     ):
@@ -413,6 +417,7 @@ def parse_config(source) -> ScenarioConfig:
         raise ConfigError(
             f"field 'outputs': unknown kinds {bad}; expected subset of {OUTPUT_KINDS}"
         )
+    _check_tau(profile, t0, tf, tau, outputs_raw)
 
     name = raw.get("name")
     if name is None:
@@ -450,13 +455,13 @@ def _integrate(cfg: ScenarioConfig) -> Trajectory:
 
 def one_step_matrix(cfg: ScenarioConfig, tau: float) -> np.ndarray:
     """4x4 matrix of one integration step taken at the scenario start,
-    from the same step-matrix builder the method's integrator uses."""
+    from the same step builder the method's integrator uses."""
     if cfg.method == "SGA-A":
-        return cayley_steps(cfg.profile.vector, tau)
+        return right_matrix(cayley_steps(cfg.profile.vector, tau))
     if cfg.method == "SGA-NA":
         w = midpoint_omega(cfg.profile, cfg.t0, tau, cfg.sampling)
-        return cayley_steps(corrected_rate(w, tau), tau)
-    return baseline_step_matrices(BaselineMethod(cfg.method), cfg.profile, cfg.t0, tau)
+        return right_matrix(cayley_steps(corrected_rate(w, tau), tau))
+    return right_matrix(baseline_steps(BaselineMethod(cfg.method), cfg.profile, cfg.t0, tau))
 
 
 def defect_ladder(cfg: ScenarioConfig, halvings: int = 4) -> DefectSeries:
@@ -508,7 +513,7 @@ def run_sweep(base: ScenarioConfig, taus: Sequence[float]) -> list[RunArtifacts]
     if not taus or not all(math.isfinite(t) and t > 0.0 for t in taus):
         raise ConfigError("sweep requires a non-empty list of finite positive step sizes")
     for t in taus:
-        _check_step_budget(base.t0, base.tf, t)
+        _check_tau(base.profile, base.t0, base.tf, t, base.outputs)
     return [run_scenario(dataclasses.replace(base, tau=t)) for t in taus]
 
 

@@ -6,10 +6,12 @@ implicit-midpoint step of dq/dt = (1/2) A(w) q, whose closed form is
     G = [(1 - a) I + (tau/2) A(w)] / (1 + a),      a = tau^2 |w|^2 / 16,
 
 equal to cos(theta) I + sin(theta) A/|w| with theta = 2 atan(tau |w| / 4).
-:func:`cayley_steps` builds it for a batch of steps.  SGA-A evaluates it at
-the constant rate.  SGA-NA's generator B_k = A(w_k)/2 + beta_k J, with a
-step-midpoint sample w_k and J = SYMPLECTIC_J4 = -A(e2), equals A(w_k')/2 at
-the rate of :func:`corrected_rate`, so SGA-NA is SGA-A evaluated at w_k'.
+G is the right multiplication q -> q (x) p by its first column, the unit
+quaternion p = ((1 - a), (tau/2) w) / (1 + a), which :func:`cayley_steps`
+builds for a batch of steps.  SGA-A evaluates it at the constant rate.
+SGA-NA's generator B_k = A(w_k)/2 + beta_k J, with a step-midpoint sample
+w_k and J = SYMPLECTIC_J4 = -A(e2), equals A(w_k')/2 at the rate of
+:func:`corrected_rate`, so SGA-NA is SGA-A evaluated at w_k'.
 Every step is a right multiplication q -> q (x) p_k, so both maps keep the
 norm and the structures LEFT_I, LEFT_J and LEFT_K to rounding.
 """
@@ -28,6 +30,7 @@ from .model import (
     MidpointSamplingMode,
     coefficient_matrix,
     midpoint_omega,
+    right_matrix,
 )
 from .trajectory import (
     Trajectory,
@@ -73,15 +76,14 @@ def _require_finite(ok, what: str) -> None:
         raise ConsistencyError(f"{what} is not finite at step {step}")
 
 
-def cayley_steps(omega, tau, counts=None):
-    """Closed-form Cayley maps G_k for rates omega (..., 3) and steps tau (...).
+def cayley_steps(omega, tau):
+    """Step quaternions p_k (..., 4) of the Cayley maps G_k = R(p_k) for rates
+    omega (..., 3) and steps tau (...).
 
-    Returns only the maps, one (..., 4, 4) array broadcast over the leading
-    axes and built in place from A(w); a negative step gives G.T.  Raises
-    ConsistencyError naming the first step whose rate or map is not finite;
-    emits one StepSizeWarning counting the steps beyond the 1/(5 |w|)
-    guideline.  counts, when given, is the number of steps each map is
-    applied for, and the warning tallies those.
+    Broadcasts over the leading axes; a negative step gives the conjugate,
+    whose map is G.T.  Raises ConsistencyError naming the first step whose
+    rate or map is not finite; emits one StepSizeWarning counting the steps
+    beyond the 1/(5 |w|) guideline.
     """
     w = np.asarray(omega, dtype=float)
     tau = np.asarray(tau, dtype=float)
@@ -89,23 +91,22 @@ def cayley_steps(omega, tau, counts=None):
     _require_finite(np.isfinite(w).all(axis=-1), "rate")
     batch = np.broadcast_shapes(n2.shape, tau.shape)
     alpha = tau * tau * n2 / 16.0
-    g = coefficient_matrix(np.broadcast_to(w, batch + (3,)))
-    g *= (tau / 2.0)[..., None, None]
-    g.reshape(batch + (16,))[..., ::5] += (1.0 - alpha)[..., None]
-    g /= (1.0 + alpha)[..., None, None]
-    _require_finite(np.isfinite(g).all(axis=(-2, -1)), "step map")
+    p = np.empty(batch + (4,))
+    p[..., 0] = 1.0 - alpha
+    np.multiply(w, (tau / 2.0)[..., None], out=p[..., 1:])
+    p /= (1.0 + alpha)[..., None]
+    _require_finite(np.isfinite(p).all(axis=-1), "step map")
     step_rate = tau * np.sqrt(n2)
     over = np.abs(step_rate) * STEP_BOUND_FACTOR > 1.0
     if np.any(over):
-        counts = np.ones(over.shape, dtype=int) if counts is None else np.asarray(counts)
         warnings.warn(
-            f"{counts[over].sum()} of {counts.sum()} steps exceed the accuracy "
+            f"{np.count_nonzero(over)} of {over.size} steps exceed the accuracy "
             f"guideline tau <= 1/(5|omega|); worst tau|omega| = "
             f"{float(np.max(np.abs(step_rate))):.4g}",
             StepSizeWarning,
             stacklevel=3,
         )
-    return g
+    return p
 
 
 @dataclass(frozen=True)
@@ -127,26 +128,15 @@ def autonomous_transition(omega, tau: float) -> AutonomousTransition:
     w = np.asarray(omega, dtype=float)
     if not math.isfinite(tau):
         raise ValueError("step size must be finite")
-    return AutonomousTransition(G=cayley_steps(w, tau), tau=tau, omega=w)
+    return AutonomousTransition(G=right_matrix(cayley_steps(w, tau)), tau=tau, omega=w)
 
 
 def integrate_autonomous(omega, q0, t0: float, tf: float, tau: float) -> Trajectory:
     """Propagate a constant-rate run over the steps of :func:`step_schedule`,
-    a shortened final step included; states are never renormalized.
-
-    Only the distinct maps are built: the full step, applied through a
-    broadcast view, and the shortened final step when there is one.
-    """
+    a shortened final step included; states are never renormalized."""
     q = check_unit_quaternion(q0)
     times, tau_k = step_schedule(t0, tf, tau)
-    k = len(tau_k)
-    short = tau_k[-1] != tau_k[0]
-    counts = [k - 1, 1] if short else [k]
-    g = cayley_steps(omega, tau_k[[0, -1]] if short else tau_k[:1], counts)
-    states = propagate(np.broadcast_to(g[0], (k, 4, 4)), q)
-    if short:
-        np.matmul(g[1], states[-2], out=states[-1])
-    return Trajectory(t0=t0, tau=tau, times=times, states=states)
+    return Trajectory(t0=t0, tau=tau, times=times, states=propagate(cayley_steps(omega, tau_k), q))
 
 
 def _beta(w: np.ndarray, tau) -> np.ndarray:
@@ -200,7 +190,8 @@ def nonautonomous_transition(omega_k, tau: float) -> NonAutonomousStepCoefficien
     w = np.asarray(omega_k, dtype=float)
     if not (math.isfinite(tau) and tau > 0.0):
         raise ValueError(f"step size must be positive, got {tau}")
-    return NonAutonomousStepCoefficients(w, cayley_steps(corrected_rate(w, tau), tau))
+    g = right_matrix(cayley_steps(corrected_rate(w, tau), tau))
+    return NonAutonomousStepCoefficients(w, g)
 
 
 def integrate_nonautonomous(
@@ -221,5 +212,5 @@ def integrate_nonautonomous(
     q = check_unit_quaternion(q0)
     times, tau_k = step_schedule(t0, tf, tau)
     omegas = midpoint_omega(profile, times[:-1], tau_k, mode, step_end_times(times, tau_k))
-    g = cayley_steps(corrected_rate(omegas, tau_k), tau_k)
-    return Trajectory(t0=t0, tau=tau, times=times, states=propagate(g, q))
+    p = cayley_steps(corrected_rate(omegas, tau_k), tau_k)
+    return Trajectory(t0=t0, tau=tau, times=times, states=propagate(p, q))

@@ -1,5 +1,5 @@
 """Trajectory container, the shared fixed-step horizon convention, and the
-one loop that applies per-step matrices to a state."""
+one loop that applies every integrator's step quaternions p_k to a state."""
 from __future__ import annotations
 
 import math
@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidHorizonError, NonUnitStateError
+from .model import right_matrix
 
 __all__ = [
     "Trajectory",
@@ -18,6 +19,8 @@ __all__ = [
 ]
 
 UNIT_NORM_TOL = 1e-9
+
+_BLOCK_STEPS = 4096  # steps whose 4x4 matrices propagate holds at once
 
 
 @dataclass(frozen=True)
@@ -78,17 +81,19 @@ def step_end_times(times: np.ndarray, tau_k: np.ndarray) -> np.ndarray:
     return np.minimum(times[:-1] + tau_k, times[-1])
 
 
-def propagate(g: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """The (K + 1, 4) states of q_{k+1} = G_k q_k for step matrices g (K, 4, 4).
+def propagate(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The (K + 1, 4) states of q_{k+1} = q_k (x) p_k for step quaternions p (K, 4).
 
-    Every integrator builds its step matrices in one batch and hands them
-    here; the products are taken one at a time, in step order, each written
+    A run's step quaternions become matrices R(p_k) only here, a block of
+    steps at a time; the products are taken in step order, each written
     straight into its row of the result.
     """
-    states = np.empty((len(g) + 1, 4))
+    states = np.empty((len(p) + 1, 4))
     states[0] = q
-    for gi, src, dst in zip(g, states, states[1:]):
-        np.matmul(gi, src, out=dst)
+    for start in range(0, len(p), _BLOCK_STEPS):
+        g = right_matrix(p[start:start + _BLOCK_STEPS])
+        for gi, src, dst in zip(g, states[start:], states[start + 1:]):
+            np.matmul(gi, src, out=dst)
     return states
 
 

@@ -9,21 +9,24 @@ from quatkin.baselines import (
     GL2_NODES,
     GL2_WEIGHTS,
     BaselineMethod,
-    baseline_step_matrices,
+    baseline_steps,
     integrate_baseline,
 )
 from quatkin.diagnostics import convergence_order
 from quatkin.linalg import I4, solve_linear_4
 from quatkin.model import (
     ConstantProfile,
+    MidpointSamplingMode,
     analytic_constant_transition,
     coefficient_matrix,
     coning_analytic_state,
     constant_oracle,
+    midpoint_omega,
+    right_matrix,
 )
 from quatkin.scenario import profile_from_name
-from quatkin.symplectic import integrate_nonautonomous
-from quatkin.trajectory import step_schedule
+from quatkin.symplectic import cayley_steps, corrected_rate, integrate_nonautonomous
+from quatkin.trajectory import step_end_times, step_schedule
 
 E0 = np.array([1.0, 0.0, 0.0, 0.0])
 ZERO = ConstantProfile((0.0, 0.0, 0.0))
@@ -37,7 +40,7 @@ RK4, EUB, GL2 = (
 
 def one_step(method, profile, q, t, tau):
     """One step of `method` from q at time t, through its step matrix."""
-    return baseline_step_matrices(method, profile, t, tau) @ q
+    return right_matrix(baseline_steps(method, profile, t, tau)) @ q
 
 
 @pytest.mark.parametrize(
@@ -116,7 +119,7 @@ def test_euler_backward_samples_rate_at_step_end():
 def test_tabulated_profile_ending_at_tf_runs_every_method():
     # The step-end time t_k + tau_k can round one ulp past tf; with samples
     # ending exactly at tf that sample must still lie inside the table.
-    from quatkin.model import MidpointSamplingMode, TabulatedProfile
+    from quatkin.model import TabulatedProfile
 
     rng = np.random.default_rng(2024)
     runners = [
@@ -135,6 +138,34 @@ def test_tabulated_profile_ending_at_tf_runs_every_method():
         profile = TabulatedProfile(times, rng.normal(size=(50, 3)))
         for run in runners:
             assert run(profile, t0, tf, tau).times[-1] == tf
+
+
+# --- step norm |p_k| -------------------------------------------------------------
+
+@pytest.mark.filterwarnings("ignore::quatkin.symplectic.StepSizeWarning")
+def test_step_norm_ranks_the_methods_on_fig2():
+    # Every step map is R(p_k) with R(p_k).T R(p_k) = |p_k|^2 I, so |p_k| is
+    # the per-step norm factor: 1 for the Cayley maps and GL2, a strict
+    # contraction for EUB, and a drift for RK4.
+    profile = profile_from_name("fig2")
+    times, tau_k = step_schedule(0.0, 15.0, 0.1)
+    t, t_end = times[:-1], step_end_times(times, tau_k)
+    w = midpoint_omega(profile, t, tau_k, MidpointSamplingMode.EXACT, t_end)
+
+    def step_norms(p):
+        return np.linalg.norm(p, axis=-1)
+
+    npt.assert_allclose(step_norms(cayley_steps(w, tau_k)), 1.0, rtol=0.0, atol=1e-15)
+    sga_na = cayley_steps(corrected_rate(w, tau_k), tau_k)
+    npt.assert_allclose(step_norms(sga_na), 1.0, rtol=0.0, atol=1e-15)
+    gl2 = baseline_steps(GL2, profile, t, tau_k, t_end)
+    npt.assert_allclose(step_norms(gl2), 1.0, rtol=0.0, atol=1e-14)
+    w_end = profile.omega_at(t_end)
+    damping = 1.0 / np.sqrt(1.0 + tau_k**2 * np.sum(w_end * w_end, axis=-1) / 4.0)
+    eub = baseline_steps(EUB, profile, t, tau_k, t_end)
+    npt.assert_allclose(step_norms(eub), damping, rtol=0.0, atol=1e-15)
+    rk4 = baseline_steps(RK4, profile, t, tau_k, t_end)
+    assert np.max(np.abs(step_norms(rk4) - 1.0)) > 1e-8
 
 
 # --- Gauss-Legendre -----------------------------------------------------------------
@@ -270,7 +301,8 @@ def test_one_step_wrappers_apply_the_step_matrix(method):
     # step matrix agrees with the per-step stage formula.
     profile = profile_from_name("fig2")
     q = np.array([0.2, -0.4, 0.8, 0.4])
-    g = baseline_step_matrices(method, profile, np.array([0.3, 1.1]), np.array([0.05, 0.02]))
+    p = baseline_steps(method, profile, np.array([0.3, 1.1]), np.array([0.05, 0.02]))
+    g = right_matrix(p)
     assert g.shape == (2, 4, 4)
     npt.assert_array_equal(one_step(method, profile, q, 1.1, 0.02), g[1] @ q)
     reference = REFERENCE_STEPS[method](profile, q, 0.3, 0.05)

@@ -18,6 +18,7 @@ from quatkin.model import (
     constant_transition_series,
     midpoint_omega,
     omega_at,
+    right_matrix,
 )
 from quatkin.scenario import profile_from_name
 
@@ -65,6 +66,29 @@ def test_coefficient_matrix_broadcasts():
 def test_coefficient_matrix_rejects_non_finite():
     with pytest.raises(ValueError):
         coefficient_matrix([np.nan, 0.0, 0.0])
+
+
+def test_right_matrix_is_the_hamilton_right_product():
+    # q (x) p written out component by component.
+    rng = np.random.default_rng(5)
+    for _ in range(100):
+        q, p = rng.normal(size=(2, 4))
+        q, p = q / np.linalg.norm(q), p / np.linalg.norm(p)
+        (q0, q1, q2, q3), (p0, p1, p2, p3) = q, p
+        product = [
+            q0 * p0 - q1 * p1 - q2 * p2 - q3 * p3,
+            q0 * p1 + q1 * p0 + q2 * p3 - q3 * p2,
+            q0 * p2 - q1 * p3 + q2 * p0 + q3 * p1,
+            q0 * p3 + q1 * p2 - q2 * p1 + q3 * p0,
+        ]
+        npt.assert_allclose(right_matrix(p) @ q, product, rtol=0.0, atol=1e-15)
+
+
+def test_coefficient_matrix_is_right_matrix_of_pure_quaternion():
+    ws = np.random.default_rng(6).normal(size=(50, 3))
+    ws[::3, 1] = 0.0
+    pure = np.concatenate([np.zeros((50, 1)), ws], axis=1)
+    assert coefficient_matrix(ws).tobytes() == right_matrix(pure).tobytes()
 
 
 # --- profiles -----------------------------------------------------------------

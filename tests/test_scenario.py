@@ -13,7 +13,7 @@ from quatkin._g17 import _VECTOR_MIN_ROWS
 from quatkin.cli import main
 from quatkin.errors import ConfigError
 from quatkin.linalg import I4, LEFT_I, LEFT_J, LEFT_K, frobenius_norm
-from quatkin.model import ConingProfile, ConstantProfile, MidpointSamplingMode
+from quatkin.model import ConingProfile, ConstantProfile, MidpointSamplingMode, right_matrix
 from quatkin.scenario import (
     DEFAULT_SWEEP_TAUS,
     MAX_STEPS,
@@ -246,10 +246,10 @@ def test_one_step_matrix_matches_method_maps():
     )
     cfg_rk4 = parse_config(make_config(method="RK4"))
     m = one_step_matrix(cfg_rk4, 0.01)
-    from quatkin.baselines import BaselineMethod, baseline_step_matrices
+    from quatkin.baselines import BaselineMethod, baseline_steps
 
     q = np.array([0.2, -0.4, 0.8, 0.4])
-    rk4 = baseline_step_matrices(BaselineMethod.RK4, cfg_rk4.profile, 0.0, 0.01)
+    rk4 = right_matrix(baseline_steps(BaselineMethod.RK4, cfg_rk4.profile, 0.0, 0.01))
     npt.assert_allclose(m @ q, rk4 @ q, atol=1e-15)
 
 
@@ -652,6 +652,28 @@ def test_cli_rejects_tau_over_step_budget(tmp_path, capsys):
     assert peak < 1 << 20  # rejected before any step array exists
     err = capsys.readouterr().err
     assert err.count("field 'tau'") == 2 and err.count("1e+300 steps") == 2
+
+
+LADDER_TABLE = {"type": "tabulated", "samples": [[0.0, [1.0, 2.0, 0.5]], [1.0, [2.0, 1.0, 0.0]]]}
+
+
+@pytest.mark.parametrize(
+    "method, sampling", [("RK4", "exact"), ("SGA-NA", "interp")], ids=["RK4", "SGA-NA-interp"]
+)
+def test_cli_rejects_defect_ladder_step_past_table(tmp_path, capsys, method, sampling):
+    # One ladder step of tau = 1.5 from t0 = 0 samples the table past its end
+    # at t = 1, although the run itself takes one shortened step.
+    fields = dict(profile=LADDER_TABLE, tf=1.0, method=method, sampling=sampling)
+    cfg_path, out = tmp_path / "ladder.json", tmp_path / "out.csv"
+    cfg_path.write_text(make_config(tau=1.5, outputs=["defect-ladder"], **fields))
+    assert main(["run", str(cfg_path), "--out", str(out)]) == 1
+    cfg_path.write_text(make_config(tau=0.1, outputs=["defect-ladder"], **fields))
+    assert main(["sweep", str(cfg_path), "--taus", "0.5", "1.5", "--summary", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error: field 'tau'") == 2
+    assert not out.exists()
+    assert main(["run", str(cfg_path), "--out", str(out)]) == 0
+    assert out.exists()
 
 
 def test_parse_step_budget_boundary():

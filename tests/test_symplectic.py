@@ -17,6 +17,7 @@ from quatkin.model import (
     coning_analytic_state,
     coning_oracle,
     constant_oracle,
+    right_matrix,
 )
 from quatkin.scenario import profile_from_name
 from quatkin.symplectic import (
@@ -29,7 +30,7 @@ from quatkin.symplectic import (
     integrate_nonautonomous,
     nonautonomous_transition,
 )
-from quatkin.trajectory import propagate, step_schedule
+from quatkin.trajectory import _BLOCK_STEPS, propagate, step_schedule
 
 W_REF = np.array([2.0, 10.0, 3.0])
 E0 = np.array([1.0, 0.0, 0.0, 0.0])
@@ -38,14 +39,14 @@ E0 = np.array([1.0, 0.0, 0.0, 0.0])
 # --- closed-form Cayley transform ----------------------------------------------
 
 def test_cayley_zero_argument_is_identity():
-    npt.assert_array_equal(cayley_steps([0.0, 1.0, 0.0], 0.0), I4)
+    npt.assert_array_equal(right_matrix(cayley_steps([0.0, 1.0, 0.0], 0.0)), I4)
 
 
 @pytest.mark.filterwarnings("ignore::quatkin.symplectic.StepSizeWarning")
 def test_cayley_quarter_turn_case():
     # w = e2, tau = 4: tau |w| / 4 = 1, theta = 2 atan 1 = pi/2, so the map
     # is A(e2) = -J and the trig branch agrees with the rational one.
-    g = cayley_steps([0.0, 1.0, 0.0], 4.0)
+    g = right_matrix(cayley_steps([0.0, 1.0, 0.0], 4.0))
     npt.assert_allclose(g, -SYMPLECTIC_J4, atol=1e-15)
     theta = 2.0 * math.atan(1.0)
     trig = math.cos(theta) * I4 + math.sin(theta) * (-SYMPLECTIC_J4)
@@ -61,7 +62,7 @@ def test_cayley_orthogonal_and_matches_trig_branch():
         if gamma < 1e-3:
             continue
         tau = rng.uniform(-2.0, 2.0)
-        g = cayley_steps(w, tau)
+        g = right_matrix(cayley_steps(w, tau))
         assert frobenius_norm(g.T @ g - I4) <= 1e-14
         theta = 2.0 * math.atan(tau * gamma / 4.0)
         trig = math.cos(theta) * I4 + (math.sin(theta) / gamma) * coefficient_matrix(w)
@@ -193,6 +194,17 @@ def test_integrate_autonomous_matches_one_map_per_step(tf):
     traj = integrate_autonomous(W_REF, E0, 0.0, tf, 0.1)
     _, tau_k = step_schedule(0.0, tf, 0.1)
     npt.assert_array_equal(traj.states, propagate(cayley_steps(W_REF, tau_k), E0))
+
+
+def test_propagate_matches_sequential_products_across_blocks():
+    rng = np.random.default_rng(8)
+    p = rng.normal(size=(2 * _BLOCK_STEPS + 5, 4))
+    p /= np.linalg.norm(p, axis=1, keepdims=True)
+    q, expected = E0, [E0]
+    for pk in p:
+        q = right_matrix(pk) @ q
+        expected.append(q)
+    assert propagate(p, E0).tobytes() == np.array(expected).tobytes()
 
 
 def test_integrate_autonomous_builds_only_distinct_maps():
@@ -440,7 +452,7 @@ def test_cayley_steps_batch_matches_single_steps():
     rng = np.random.default_rng(42)
     w = rng.normal(0.0, 2.0, (50, 3))
     tau = rng.uniform(1e-3, 0.05, 50)
-    g = cayley_steps(w, tau)
+    g = right_matrix(cayley_steps(w, tau))
     assert g.shape == (50, 4, 4)
     for k in range(50):
         npt.assert_array_equal(g[k], autonomous_transition(w[k], float(tau[k])).G)
