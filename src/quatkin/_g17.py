@@ -13,24 +13,39 @@ its 17 digits: ``D = round(x·10^s)``, ``s = 16 − X``, is
 ``M·F_s`` is exact in 128 bits and lies in ``[2^126, 2^128)``, so ``D`` and its
 rounding bits always sit in the top 64-bit word; the low word only matters
 through "is it zero".  The product is formed from 32-bit limbs held in uint64
-so that no partial sum overflows.  ``X`` is estimated by ``floor(log10|x|)``
-and corrected where the truncated ``D`` falls outside ``[10^16, 10^17)``; when
-rounding carries ``D`` to ``10^17`` (the double ``1e-14`` does), it becomes
-``10^16`` and ``X`` grows by one.
+so that no partial sum overflows.  ``X`` is estimated from the biased binary
+exponent (a table of ``floor(log10 2^E)`` and one compare against the next
+power of ten) and corrected where the truncated ``D`` falls outside
+``[10^16, 10^17)``; when rounding carries ``D`` to ``10^17`` (the double
+``1e-14`` does), it becomes ``10^16`` and ``X`` grows by one.
 
-How the text is laid out: every value owns a 48-byte template of six
+How the text is laid out: every value owns a 32-byte template of four
 little-endian uint64 words,
 
-    word 0   '-' '0' '.' '0' '0' '0' d0 '.'
-    word 1-4 four digits, each followed by a '.' slot
-    word 5   'e' sign tens ones  separator  (3 pad bytes)
+    word 0    '-' '0' '.' '0' '0' '0' s0 s1
+    word 1-2  s2 ... s17
+    word 3    'e' sign tens ones separator (3 pad bytes)
 
-which holds every byte any ``%g`` form of the value can use, in order.  A mask
-that depends only on the value's class (decimal exponent, sign) and on its
-count of significant digits zeroes the bytes that form does not use, and one
-``bytes.translate`` deletes the zeros.  Zeros of either sign are a class of
-their own; nan, ±inf, subnormals and ``|x|`` outside about ``[1e-16, 1e17)``
-are rendered one at a time with ``"%.17g" % x`` and spliced in.
+where ``s0..s17`` are the 18 digits of ``D' = D + 9p·floor(D/p)``: ``D`` with
+a zero digit slot opened where the value's form puts its '.', ``p`` being 10
+to the number of digits after it.  In exponent form the slot follows ``d0``;
+in fixed form with ``X >= 0`` it follows ``d_X``; ``0.000ddd`` forms and
+17-digit integers put it last, where it is never shown.  A word per class
+(decimal exponent and sign) holds the constant bytes and turns the slot's '0'
+into '.'; a mask per (class, count of trailing zeros of ``D'``) zeroes the
+bytes that form does not use, and one ``bytes.translate`` deletes the zeros.
+Zeros of either sign are a class of their own; nan, ±inf, subnormals and
+``|x|`` outside about ``[1e-16, 1e17)`` are rendered one at a time with
+``"%.17g" % x`` and spliced in.
+
+The template was 48 bytes (a '.' slot after each of 16 digits, digits
+gathered eight bytes each); at 32 bytes ``tobytes`` and ``translate`` move
+two thirds of the bytes and the digit gather half.  A 24-byte layout (the
+exponent and ``X >= 0`` forms shifted 5 bytes to the front) cut ``translate``
+by a further quarter but measured slower overall: numpy gathers 24-byte rows
+at half the speed of 32-byte ones, and the shift adds five passes.
+Blocks are rendered in sub-blocks of ``_SUB_BLOCK_VALUES`` values, which
+bounds the temporaries of the digit and text stages.
 """
 
 from __future__ import annotations
@@ -38,10 +53,17 @@ from __future__ import annotations
 import numpy as np
 
 # Below this many rows one C-level %-format beats the vectorised path, whose
-# fixed cost is ~0.15 ms a block.  Measured on coning trajectory blocks: the
-# two break even near 25 rows of 10 columns and 55 rows of 6; at 64 rows the
-# vectorised path is 1.3x (6 columns) and 1.9x (10 columns) faster.
-_VECTOR_MIN_ROWS = 64
+# fixed cost is ~0.15-0.2 ms a block (about 100 numpy calls).  Measured on
+# coning trajectory blocks (2-vCPU VM, min of 15): the two break even near 28
+# rows of 10 columns and 50 rows of 6; at 64 rows the vectorised path is
+# 1.9x (10 columns) faster.
+_VECTOR_MIN_ROWS = 48
+
+# Values per sub-block of the digit and text stages, which bounds their
+# temporaries.  A 4096x10 coning block peaks at 1.7, 2.2 and 4.6 MB
+# (tracemalloc) for 8192, 16384 and 40960 values; 8192 took ~1.1x the time
+# of 16384 (numpy's per-call cost) and 40960 ~0.96x.
+_SUB_BLOCK_VALUES = 16384
 
 _U64 = np.uint64
 _MASK32 = _U64(0xFFFFFFFF)
@@ -54,59 +76,71 @@ _OTHER = _NX + 1  # class index of values rendered one at a time
 
 
 def _power_tables():
-    pow5 = [5**s for s in range(33)]
+    """Limbs of F_s and shift bases, indexed by xi = X - _X_MIN (s = 32 - xi)."""
+    pow5 = [5 ** (32 - xi) for xi in range(33)]
     shift = [75 - p.bit_length() for p in pow5]
     aligned = [p << c for p, c in zip(pow5, shift)]
     low = np.array([a & 0xFFFFFFFF for a in aligned], dtype=_U64)
-    mid = np.array([(a >> 32) & 0xFFFFFFFF for a in aligned], dtype=_U64)
     high = np.array([a >> 32 for a in aligned], dtype=_U64)  # < 2^43
     # D = floor(M·F_s / 2^64 / 2^sh), sh = c_s - s - 64 - E; the table holds
-    # sh - 1 + E + 1075, so that sh - 1 = base[s] - biased exponent.
-    base = np.array([c - s - 64 + 1075 - 1 for s, c in enumerate(shift)], dtype=_U64)
-    return low, mid, high, base
+    # sh - 1 + E + 1075, so that sh - 1 = base[xi] - biased exponent.
+    base = [c - (32 - xi) - 64 + 1075 - 1 for xi, c in enumerate(shift)]
+    return low, high, np.array(base, dtype=_U64)
 
 
-_F_LOW, _F_MID, _F_HIGH, _SHIFT_BASE = _power_tables()
+_F_LOW, _F_HIGH, _SHIFT_BASE = _power_tables()
+
+
+def _exponent_tables():
+    """floor(log10 2^E) - _X_MIN per biased exponent, and the power of ten
+    above floor(log10 2^E).
+
+    A normal x in [2^E, 2^(E+1)) has decimal exponent est or est + 1, and it
+    is est + 1 where |x| >= 10^(est + 1).  The power is a rounded double, so
+    a value between it and the true power gets an estimate one off, which
+    the digit stage corrects.  Zeros, subnormals, inf and nan get an estimate
+    far outside the exact range.
+    """
+    e = np.arange(2048) - 1023
+    est = np.floor(e * np.log10(2.0)).astype(np.intp)
+    est[[0, -1]] = 1 << 20
+    return est - _X_MIN, 10.0 ** np.minimum(est + 1, 308)
+
+
+_XI_EST, _X_NEXT = _exponent_tables()
 
 
 def _digit_tables():
-    # Row n holds the four decimal digits of n, most significant first.
-    digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T
-    pairs = np.full((10_000, 8), ord("."), dtype=np.uint8)
-    pairs[:, 0::2] = digits + np.uint8(ord("0"))
-    dig8 = pairs.view("<u8")[:, 0].copy()
+    # The four digits of n as ASCII, first digit in the lowest byte.
+    digits = np.indices((10,) * 4, dtype=_U64).reshape(4, -1)
+    dig4 = sum((digits[i] + _U64(ord("0"))) << _U64(8 * i) for i in range(4))
+    # The two digits of n as bytes 6 and 7 of template word 0.
+    tens, ones = np.divmod(np.arange(100, dtype=_U64), _U64(10))
+    dig2 = ((tens + _U64(ord("0"))) << _U64(48)) | ((ones + _U64(ord("0"))) << _U64(56))
     # Trailing decimal zeros of a four-digit chunk; a zero chunk counts 4.
-    trailing = np.logical_and.accumulate(digits[:, ::-1] == 0, axis=1)
-    return dig8, trailing.sum(axis=1, dtype=np.uint8)
+    # Of the two leading digits only the second can be a trailing zero of a
+    # value rendered from D (the first is d0), so they count at most 1.
+    trailing = np.logical_and.accumulate(digits[::-1].T == 0, axis=1)
+    tz4 = trailing.sum(axis=1).astype(np.intp)
+    return dig4, dig4 << _U64(32), dig2, tz4, np.minimum(tz4[:100], 1)
 
 
-_DIG8, _TZ4 = _digit_tables()
-
-_WORD0 = np.frombuffer(b"-0.000\x00.", dtype="<u8")[0]
+_DIG4_LOW, _DIG4_HIGH, _DIG2, _TZ4, _TZ2 = _digit_tables()
 
 
-def _exponent_words():
-    x = np.arange(_X_MIN, _X_MAX + 1)
-    text = np.zeros((_NX + 2, 4), dtype=np.uint8)
-    text[:_NX, 0] = ord("e")
-    text[:_NX, 1] = np.where(x < 0, ord("-"), ord("+"))
-    text[:_NX, 2] = np.abs(x) // 10 + ord("0")
-    text[:_NX, 3] = np.abs(x) % 10 + ord("0")
-    return text.view("<u4")[:, 0].astype(_U64)
+def _layout_tables():
+    """Per-class constant words and slot units, and per-key keep masks.
 
-
-_EXP_WORD = _exponent_words()
-
-
-def _mask_tables():
-    """Keep masks (as uint64 words) and text lengths per (class, nz).
-
-    Row ``(xi * 2 + sign) * 18 + nz``; xi indexes X - _X_MIN, or is _ZERO or
-    _OTHER.  nz is the count of significant digits, 1..17.
+    Rows of the class tables are signed class indices 2·xi + sign, xi being
+    X - _X_MIN, _ZERO or _OTHER.  Key row ``(2·xi + sign) * 18 + tz``, tz
+    the count of trailing zero digits among s0..s17 (17 - tz is the last
+    nonzero slot).
+    Returns (class words (n_class, 4), slot units (n_class,), masks
+    (n_key, 4), text lengths (n_key,)).
     """
     xi = np.arange(_NX + 2)[:, None, None]
     sign = np.arange(2)[None, :, None]
-    nz = np.arange(18)[None, None, :]
+    tz = np.arange(18)[None, None, :]
     x = xi + _X_MIN
     regular = xi < _NX
     fixed = regular & (x >= -4) & (x < 17)
@@ -114,144 +148,201 @@ def _mask_tables():
     small = fixed & (x < 0)
     large = fixed & (x >= 0)
     zero = xi == _ZERO
-    # digits kept and the digit a '.' follows (-1: none)
-    ndig = np.where(large, np.maximum(nz, x + 1), np.where(zero, 1, nz))
-    ndig = np.where(regular | zero, ndig, 0)
-    dot_after = np.where(large & (nz > x + 1), x, np.where(expo & (nz > 1), 0, -1))
-
-    keep = np.zeros((_NX + 2, 2, 18, 48), dtype=bool)
+    # The slot s0..s17 that holds the '.', 17 where none is ever shown.
+    dot_slot = np.where(expo, 1, np.where(large, np.minimum(x + 1, 17), 17))
+    # Slots shown: up to the last nonzero one, the integer digits of a fixed
+    # form, and the '.' only where a nonzero slot follows it.
+    last = 17 - tz
+    end = np.where(large, np.maximum(last, x), np.where(zero, 0, last))
+    end = np.where(regular | zero, end, -1)
+    keep = np.zeros((_NX + 2, 2, 18, 32), dtype=bool)
     keep[..., 0] = (sign == 1) & (regular | zero)
     keep[..., 1] = small  # '0'
     keep[..., 2] = small  # '.'
     for z in range(3):  # zeros between '0.' and the digits: -X - 1 of them
         keep[..., 3 + z] = small & (-x - 1 > z)
-    for i in range(17):
-        pos = 6 + 2 * i
-        keep[..., pos] = ndig > i
-        keep[..., pos + 1] = dot_after == i
-    for b in range(40, 44):
-        keep[..., b] = expo
-    keep[..., 44] = True  # separator
-    words = (keep.astype(np.uint8) * 0xFF).view("<u8").reshape(-1, 6)
-    return words, keep.sum(axis=-1).reshape(-1)
+    for slot in range(18):
+        keep[..., 6 + slot] = np.where(slot == dot_slot, last > slot, slot <= end)
+    keep[..., 24:28] = expo[..., None]
+    keep[..., 28] = True  # separator
+    masks = (keep.astype(np.uint8) * 0xFF).view("<u8").reshape(-1, 4)
+
+    classes = np.arange(_NX + 2)
+    slot = dot_slot[:, 0, 0]
+    exp = np.abs(classes + _X_MIN)
+    text = np.zeros((_NX + 2, 32), dtype=np.uint8)
+    text[:, :6] = np.frombuffer(b"-0.000", dtype=np.uint8)
+    text[classes, 6 + slot] = ord("0") ^ ord(".")  # XORed into the slot's '0'
+    text[:_NX, 24] = ord("e")
+    text[:_NX, 25] = np.where(classes[:_NX] + _X_MIN < 0, ord("-"), ord("+"))
+    text[:_NX, 26] = exp[:_NX] // 10 + ord("0")
+    text[:_NX, 27] = exp[:_NX] % 10 + ord("0")
+    text[:, 28] = ord(",")
+    units = _U64(10) ** (17 - slot).astype(_U64)
+    return (
+        np.repeat(text.view("<u8"), 2, axis=0),
+        np.repeat(units, 2),
+        masks,
+        keep.sum(axis=-1).reshape(-1),
+    )
 
 
-_MASK_WORDS, _TEXT_LEN = _mask_tables()
+_CLASS_WORDS, _SLOT_UNIT, _MASK_WORDS, _TEXT_LEN = _layout_tables()
+_NEWLINE = _U64((ord(",") ^ ord("\n")) << 32)
 
 
-def _round17(m, biased, x10):
-    """Truncated and round-half-even value of M·2^E·10^(16 - x10), x10 in [-16, 16].
+# Every np.take below uses mode="clip": the indices are in range by
+# construction (or clipped on purpose), and it skips numpy's bounds check and
+# output buffering, ~1.5x faster than the default.
+
+
+def _round17(m, biased, xi):
+    """Truncated and round-half-even value of M·2^E·10^(16 - X), xi = X - _X_MIN.
 
     m is the 53-bit significand M and biased the biased exponent E + 1075.
+    xi outside [0, 32] is clipped; the result is then meaningless.
     """
-    s = 16 - x10
-    f0 = _F_LOW[s]
     m0 = m & _MASK32
     m1 = m >> _U64(32)
-    a = m0 * f0
-    b = m0 * _F_MID[s]
-    c = m1 * f0
-    t1 = (a >> _U64(32)) + (b & _MASK32) + (c & _MASK32)
-    low_nonzero = ((a | t1) & _MASK32) != 0
-    f2 = _F_HIGH[s]
-    hi = (
-        (t1 >> _U64(32)) + (b >> _U64(32)) + (c >> _U64(32))
-        + m0 * (f2 >> _U64(32)) + m1 * f2
-    )
-    below = _SHIFT_BASE[s] - biased
+    a = np.take(_F_LOW, xi, mode="clip")
+    c = m1 * a
+    a *= m0
+    f2 = np.take(_F_HIGH, xi, mode="clip")
+    b = f2 & _MASK32
+    b *= m0
+    t1 = a >> _U64(32)
+    t1 += b & _MASK32
+    t1 += c & _MASK32
+    a |= t1
+    a &= _MASK32
+    low_nonzero = a != 0
+    del a
+    hi = t1 >> _U64(32)
+    hi += b >> _U64(32)
+    hi += c >> _U64(32)
+    del b, c, t1
+    m1 *= f2
+    hi += m1
+    f2 >>= _U64(32)
+    f2 *= m0
+    hi += f2
+    del m0, m1, f2
+    below = np.take(_SHIFT_BASE, xi, mode="clip")
+    below -= biased
     q2 = hi >> below  # 2·floor + the half bit
-    sticky = (hi != (q2 << below)) | low_nonzero
+    low_nonzero |= hi != (q2 << below)  # sticky
     q = q2 >> _U64(1)
-    return q, (q2 + (sticky | (q & _U64(1)))) >> _U64(1)
+    up = q & _U64(1)
+    up |= low_nonzero
+    q2 += up
+    q2 >>= _U64(1)
+    return q, q2
 
 
-def _fast_digits(m, biased, x10, ok):
-    """17-digit integer D and decimal exponent of the values where ok holds.
+def _fast_digits(m, biased, xi):
+    """17-digit integer D and class index from an estimate xi.
 
-    x10 estimates the decimal exponent to within one.  Returns (D, x10, ok);
-    ok is cleared where the exponent lies outside the exact range.
+    xi estimates X - _X_MIN to within one.  Returns (D, xi, ok); ok holds
+    where X lies in the exact range [-16, 16].
     """
-    ok = ok & (x10 >= _X_MIN) & (x10 <= 16)
-    x10 = np.where(ok, x10, 0)
-    q, d = _round17(m, biased, x10)
-    low, high = q < _U64(10**16), q >= _U64(10**17)
-    redo = np.flatnonzero((low | high) & ok)
+    ok = xi.view(_U64) <= _U64(16 - _X_MIN)
+    q, d = _round17(m, biased, xi)
+    q -= _U64(10**16)  # wraps below 10^16
+    redo = np.flatnonzero((q >= _U64(9 * 10**16)) & ok)
     if redo.size:
-        x_new = x10[redo] + high[redo] - low[redo]
-        fits = (x_new >= _X_MIN) & (x_new <= 16)
+        q = q[redo] + _U64(10**16)
+        xi_new = xi[redo] + (q >= _U64(10**17)) - (q < _U64(10**16))
+        fits = xi_new.view(_U64) <= _U64(16 - _X_MIN)
         ok[redo[~fits]] = False
-        redo, x_new = redo[fits], x_new[fits]
-        x10[redo] = x_new
-        q, d[redo] = _round17(m[redo], biased[redo], x_new)
+        redo, xi_new = redo[fits], xi_new[fits]
+        xi[redo] = xi_new
+        q, d[redo] = _round17(m[redo], biased[redo], xi_new)
         ok[redo[(q < _U64(10**16)) | (q >= _U64(10**17))]] = False
-    carry = d == _U64(10**17)
+    carry = np.flatnonzero(d == _U64(10**17))
     d[carry] = _U64(10**16)
-    x10 = x10 + carry
-    return d, x10, ok
+    xi[carry] += 1
+    return d, xi, ok
 
 
 def _classify(values):
-    """17-digit integer D (0 where not computed), class index and sign bit.
+    """17-digit integer D, signed class index and the per-value indices.
 
-    The class index is X - _X_MIN for values rendered from D, _ZERO for ±0
-    and _OTHER for values left to the per-value path.
+    The signed class index is 2·xi + sign, where xi is X - _X_MIN for values
+    rendered from D, _ZERO for ±0 and _OTHER for values left to the
+    per-value path; D is 0 for the last two.
     """
     bits = values.view(_U64)
     biased = (bits >> _U64(52)) & _U64(0x7FF)
-    frac = bits & _U64((1 << 52) - 1)
-    normal = (biased != 0) & (biased != 0x7FF)
-    zero = (biased == 0) & (frac == 0)
-    x10 = np.floor(np.log10(np.where(normal, np.abs(values), 1.0))).astype(np.intp)
-    d, x10, ok = _fast_digits(frac | _U64(1 << 52), biased, x10, normal)
-    d[~ok] = 0
-    xi = np.where(ok, x10 - _X_MIN, np.where(zero, _ZERO, _OTHER))
-    return d, xi, (bits >> _U64(63)).astype(np.intp)
+    xi = np.take(_XI_EST, biased.view(np.intp), mode="clip")
+    xi += np.abs(values) >= np.take(_X_NEXT, biased.view(np.intp), mode="clip")
+    m = bits & _U64((1 << 52) - 1)
+    m |= _U64(1 << 52)
+    d, cls, ok = _fast_digits(m, biased, xi)
+    cls *= 2
+    cls += (bits >> _U64(63)).view(np.intp)
+    rest = np.flatnonzero(~ok)
+    d[rest] = 0
+    zero = values[rest] == 0
+    cls[rest] = (cls[rest] & 1) + np.where(zero, 2 * _ZERO, 2 * _OTHER)
+    return d, cls, rest[~zero]
 
 
-def _text_words(d, xi, sign, ncols):
-    """The masked 48-byte templates (n, 6) and mask-table rows of the values."""
-    # D = d0·10^16 + c1·10^12 + c2·10^8 + c3·10^4 + c4, chunks as (n, 4).
-    d0 = d // _U64(10**16)
-    rest = d - d0 * _U64(10**16)
-    hi8 = rest // _U64(10**8)
-    halves = np.empty((d.size, 2), dtype=np.uint32)
-    halves[:, 0] = hi8
-    halves[:, 1] = rest - hi8 * _U64(10**8)
-    upper = halves // np.uint32(10_000)
-    chunks = np.stack([upper, halves - upper * np.uint32(10_000)], axis=2).reshape(-1, 4)
-    t1, t2, t3, t4 = np.take(_TZ4, chunks).T
-    tz = t4 + (t4 == 4) * (t3 + (t3 == 4) * (t2 + (t2 == 4) * t1))
-    key = (xi * 2 + sign) * 18 + 17 - tz
+def _text_words(d, cls, ncols):
+    """The masked 32-byte templates (n, 4) and mask-table rows of the values.
 
-    words = np.take(_MASK_WORDS, key, axis=0)
-    words[:, 0] &= _WORD0 | ((d0 + _U64(ord("0"))) << _U64(48))
-    words[:, 1:5] &= np.take(_DIG8, chunks)
-    sep = np.full(ncols, ord(","), dtype=_U64)
-    sep[-1] = ord("\n")
-    words.reshape(-1, ncols, 6)[..., 5] &= np.take(_EXP_WORD, xi).reshape(-1, ncols) | (
-        sep << _U64(32)
-    )
+    d is overwritten.
+    """
+    # D' = D + 9p·floor(D/p): the '.' slot opened.
+    unit = np.take(_SLOT_UNIT, cls, mode="clip")
+    slot = d // unit
+    unit *= _U64(9)
+    slot *= unit
+    d += slot
+    del unit, slot
+    lead = d // _U64(10**16)
+    d -= lead * _U64(10**16)
+    # Digits s2..s9 and s10..s17 in the rows of one (2, n) array, so that
+    # every operation runs along n (numpy runs (n, 2) shapes row by row).
+    eight = np.empty((2, d.size), dtype=_U64)
+    np.floor_divide(d, _U64(10**8), out=eight[0])
+    np.subtract(d, eight[0] * _U64(10**8), out=eight[1])
+    upper = eight // _U64(10_000)
+    eight -= upper * _U64(10_000)
+
+    # Trailing zeros of D': the last four digits, then the next four where
+    # those are all zero.
+    tz = np.take(_TZ4, eight[1].view(np.intp), mode="clip")
+    zeros = np.flatnonzero(tz == 4)
+    for chunk, table in ((upper[1], _TZ4), (eight[0], _TZ4), (upper[0], _TZ4), (lead, _TZ2)):
+        if not zeros.size:
+            break
+        more = np.take(table, chunk[zeros].view(np.intp), mode="clip")
+        tz[zeros] += more
+        zeros = zeros[more == 4]
+    key = cls * 18
+    key += tz
+    del tz
+
+    text = np.take(_DIG4_HIGH, eight.view(np.intp), mode="clip")
+    text |= np.take(_DIG4_LOW, upper.view(np.intp), mode="clip")
+    del upper, eight
+
+    words = np.take(_CLASS_WORDS, cls, axis=0, mode="clip")
+    words[:, 0] ^= np.take(_DIG2, lead.view(np.intp), mode="clip")
+    words.T[1:3] ^= text
+    words.reshape(-1, ncols, 4)[:, -1, 3] ^= _NEWLINE
+    words &= np.take(_MASK_WORDS, key, axis=0, mode="clip")
     return words, key
 
 
-def render_rows(block: np.ndarray) -> bytes:
-    """The rows of a 2-D float64 block as '%.17g' CSV lines, LF-terminated."""
-    block = np.ascontiguousarray(block, dtype=np.float64)
-    rows, ncols = block.shape
-    if rows < _VECTOR_MIN_ROWS:
-        row_fmt = ",".join(["%.17g"] * ncols) + "\n"
-        return ((row_fmt * rows) % tuple(block.ravel().tolist())).encode("ascii")
-
+def _render(block):
     values = block.ravel()
-    d, xi, sign = _classify(values)
-    words, key = _text_words(d, xi, sign, ncols)
-    # Hold one copy of the block's text at a time.
-    raw = words.tobytes()
-    del d, sign, words
-    text = raw.translate(None, b"\0")
-    del raw
+    d, cls, others = _classify(values)
+    words, key = _text_words(d, cls, block.shape[1])
+    del d, cls
+    text = words.tobytes().translate(None, b"\0")
+    del words
 
-    others = np.flatnonzero(xi == _OTHER)
     if not others.size:
         return text
     # Each such value left only its separator; put its text before it.
@@ -262,3 +353,14 @@ def render_rows(block: np.ndarray) -> bytes:
         start = end
     pieces.append(text[start:])
     return b"".join(pieces)
+
+
+def render_rows(block: np.ndarray) -> bytes:
+    """The rows of a 2-D float64 block as '%.17g' CSV lines, LF-terminated."""
+    block = np.ascontiguousarray(block, dtype=np.float64)
+    rows, ncols = block.shape
+    if rows < _VECTOR_MIN_ROWS:
+        row_fmt = ",".join(["%.17g"] * ncols) + "\n"
+        return ((row_fmt * rows) % tuple(block.ravel().tolist())).encode("ascii")
+    step = max(_SUB_BLOCK_VALUES // ncols, 1)
+    return b"".join([_render(block[r:r + step]) for r in range(0, rows, step)])

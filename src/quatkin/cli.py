@@ -110,7 +110,7 @@ def _print_run(a) -> None:
     line = (
         f"{cfg.name}: method={cfg.method} tau={cfg.tau:g} steps={timing.steps} "
         f"wall={timing.wall_clock_s:.4f}s "
-        f"max|norm-1|={float(np.max(np.abs(a.trajectory.norms() - 1.0))):.3e}"
+        f"max|norm-1|={a.max_norm_deviation:.3e}"
     )
     if a.error_report is not None:
         line += f" max_err={a.error_report.max_error:.3e}"

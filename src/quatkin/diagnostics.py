@@ -102,14 +102,15 @@ def component_errors(traj: Trajectory, oracle) -> ErrorReport:
     ref = np.asarray(oracle(traj.times), dtype=float)
     if ref.shape != traj.states.shape:
         raise ValueError(f"oracle returned shape {ref.shape}, expected {traj.states.shape}")
-    abs_err = np.abs(traj.states - ref)
-    per_component = abs_err.max(axis=0)
-    worst_idx = int(np.argmax(abs_err.max(axis=1)))
-    norm_dev = float(np.max(np.abs(traj.norms() - 1.0)))
+    # Errors component-major, (4, n): numpy reduces the short rows of an
+    # (n, 4) array one at a time, ~10x slower than whole columns.
+    abs_err = np.subtract(traj.states.T, ref.T, out=np.empty(ref.shape[::-1]))
+    np.abs(abs_err, out=abs_err)
+    row_max = np.maximum(np.maximum(abs_err[0], abs_err[1]), np.maximum(abs_err[2], abs_err[3]))
     return ErrorReport(
-        max_component_error=per_component,
-        max_norm_deviation=norm_dev,
-        t_max_error=float(traj.times[worst_idx]),
+        max_component_error=abs_err.max(axis=1),
+        max_norm_deviation=float(np.max(np.abs(traj.norms() - 1.0))),
+        t_max_error=float(traj.times[int(np.argmax(row_max))]),
         samples=len(traj.states),
     )
 

@@ -182,6 +182,7 @@ class RunArtifacts:
     error_report: ErrorReport | None
     defect_ladder: DefectSeries | None
     timing: TimingRecord
+    max_norm_deviation: float  # max |(|q| - 1)| over the trajectory
 
 
 _PI_PATTERN = re.compile(
@@ -492,6 +493,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
     minimum-of-runs protocol.
     """
     traj, wall, repeats = _timed_integration(cfg, "benchmark" in cfg.outputs)
+    norm_dev = float(np.max(np.abs(traj.norms() - 1.0)))
     report = component_errors(traj, cfg.oracle) if cfg.oracle is not None else None
     ladder = defect_ladder(cfg) if "defect-ladder" in cfg.outputs else None
     timing = TimingRecord(wall_clock_s=wall, steps=traj.steps, repeats=repeats)
@@ -501,6 +503,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
         error_report=report,
         defect_ladder=ladder,
         timing=timing,
+        max_norm_deviation=norm_dev,
     )
 
 
@@ -523,11 +526,12 @@ def emit_series(artifacts: RunArtifacts, path) -> None:
     Absolute per-component errors against the oracle are appended when the
     scenario has one.  Every value is written as format(x, ".17g") writes
     it, LF line endings.  Rows are rendered in blocks of _SERIES_BLOCK_ROWS
-    by _g17.render_rows, which produces that text byte for byte; the norm
-    and error columns are computed per block too, so no column of the whole
-    run is built.
+    by _g17.render_rows, which produces that text byte for byte; the error
+    columns are computed per block too and the norm column is sliced from
+    the trajectory's norms, so no new column of the whole run is built.
     """
     traj = artifacts.trajectory
+    norms = traj.norms()
     oracle = artifacts.config.oracle
     header = "t,e0,e1,e2,e3,norm" + ("" if oracle is None else ",err0,err1,err2,err3")
     with open(path, "wb") as fh:
@@ -535,7 +539,7 @@ def emit_series(artifacts: RunArtifacts, path) -> None:
         for start in range(0, len(traj.states), _SERIES_BLOCK_ROWS):
             rows = slice(start, start + _SERIES_BLOCK_ROWS)
             t, q = traj.times[rows], traj.states[rows]
-            columns = [t[:, None], q, np.linalg.norm(q, axis=1)[:, None]]
+            columns = [t[:, None], q, norms[rows, None]]
             if oracle is not None:
                 columns.append(np.abs(q - oracle(t)))
             fh.write(render_rows(np.hstack(columns)))
@@ -551,11 +555,7 @@ def _run_entry(a: RunArtifacts) -> dict:
         "max_component_errors": (
             [float(e) for e in report.max_component_error] if report else None
         ),
-        "max_norm_deviation": (
-            report.max_norm_deviation
-            if report
-            else float(np.max(np.abs(a.trajectory.norms() - 1.0)))
-        ),
+        "max_norm_deviation": a.max_norm_deviation,
         "wall_clock_s": a.timing.wall_clock_s,
         "benchmark_repeats": a.timing.repeats,
     }

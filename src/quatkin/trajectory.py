@@ -49,7 +49,14 @@ class Trajectory:
         return len(self.states) - 1
 
     def norms(self) -> np.ndarray:
-        return np.linalg.norm(self.states, axis=1)
+        """|q| at every sample.  Computed on the first call and kept, read-only:
+        the report, the summary, the printout and the CSV all use it."""
+        norms = self.__dict__.get("_norms")
+        if norms is None:
+            norms = np.linalg.norm(self.states, axis=1)
+            norms.flags.writeable = False
+            object.__setattr__(self, "_norms", norms)
+        return norms
 
 
 def step_schedule(t0: float, tf: float, tau: float):

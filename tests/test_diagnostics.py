@@ -122,6 +122,41 @@ def test_defects_invariant_under_structure_preserving_conjugation():
             )
 
 
+def row_wise_component_errors(traj, oracle):
+    """The ErrorReport fields as first computed: reductions over (n, 4) rows
+    and the trajectory's norms recomputed."""
+    abs_err = np.abs(traj.states - np.asarray(oracle(traj.times), dtype=float))
+    worst = int(np.argmax(abs_err.max(axis=1)))
+    norm_dev = float(np.max(np.abs(np.linalg.norm(traj.states, axis=1) - 1.0)))
+    return abs_err.max(axis=0), norm_dev, float(traj.times[worst]), len(traj.states)
+
+
+@pytest.mark.parametrize("with_nan", [False, True])
+def test_component_errors_bitwise_equal_to_row_wise_formulation(with_nan):
+    # Dyadic states and offsets make every error exact, so many rows tie for
+    # the overall maximum and many rows hold it in two components; the first
+    # such row must be reported.  A nan error wins wherever it sits.
+    rng = np.random.default_rng(41)
+    n = 5000
+    states = rng.integers(-8, 9, (n, 4)) / 8.0
+    ref = states - rng.choice([-0.5, -0.25, 0.0, 0.25, 0.5], (n, 4))
+    if with_nan:
+        ref[[1234, 4321], [2, 0]] = np.nan
+    traj = Trajectory(t0=0.0, tau=0.01, times=0.01 * np.arange(n), states=states)
+    report = component_errors(traj, lambda t: ref)
+    per_component, norm_dev, t_max, samples = row_wise_component_errors(traj, lambda t: ref)
+    assert report.max_component_error.tobytes() == per_component.tobytes()
+    assert np.float64(report.max_norm_deviation).tobytes() == np.float64(norm_dev).tobytes()
+    assert (report.t_max_error, report.samples) == (t_max, samples)
+    if with_nan:
+        assert np.isnan(per_component[[0, 2]]).all() and report.t_max_error == traj.times[1234]
+    else:
+        row_max = np.abs(states - ref).max(axis=1)
+        assert np.count_nonzero(row_max == 0.5) > 1000
+        assert np.count_nonzero((np.abs(states - ref) == 0.5).sum(axis=1) >= 2) > 100
+        assert report.t_max_error == traj.times[np.flatnonzero(row_max == 0.5)[0]]
+
+
 def test_component_errors_self_oracle_is_zero():
     traj = integrate_autonomous(W_REF, E0, 0.0, 1.0, 0.01)
 

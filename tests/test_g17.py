@@ -1,11 +1,17 @@
 """The vectorised %.17g renderer against CPython's per-value formatting."""
+import dataclasses
+import tracemalloc
 from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from quatkin._g17 import _VECTOR_MIN_ROWS, render_rows
+from quatkin.scenario import parse_config, run_scenario
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def reference_rows(block) -> bytes:
@@ -128,3 +134,80 @@ def test_render_rows_both_paths_match(rows):
     block = rng.standard_normal((rows, 6)) * np.array([1e3, 1, 1, 1e-3, 1e-9, 1e-14])
     block[0, 0] = -0.0
     assert render_rows(block) == reference_rows(block)
+
+
+def g17_layout(x):
+    """(decimal exponent, significant digits, digits before a fixed-form '.')
+    of CPython's '%.17g' text of x != 0; the last is 0 for other forms."""
+    text = "%.17g" % abs(x)
+    if "e" in text:
+        mantissa, exp = text.split("e")
+        return int(exp), len(mantissa.replace(".", "")), 0
+    if text.startswith("0."):
+        digits = text[2:].lstrip("0")
+        return len(digits) - len(text[2:]) - 1, len(digits), 0
+    whole = text.split(".")[0]
+    dot = len(whole) if "." in text else 0
+    return len(whole) - 1, len(text.replace(".", "").rstrip("0")), dot
+
+
+def layout_cases():
+    """Doubles that between them reach every text layout of the exact path."""
+    cases = []
+    for k in range(-16, 18):  # decade edges: both forms, and carries into 10^k
+        cases += ulps_around(float(f"1e{k}"), 3)
+    for nz in range(1, 18):  # integers with nz significant digits ...
+        head = int("12345678912345678"[:nz])
+        cases += [float(head * 10 ** (16 - nz)), float(head * 10 ** max(0, 15 - nz))]
+        cases.append(float(head) * 2.0**-20)  # ... and dyadic fractions
+    for int_digits in range(1, 17):  # a '.' after 1..16 integer digits
+        cases.append(int("9876543219876543"[:int_digits]) + 0.5)
+    rng = np.random.default_rng(17)
+    cases += list(rng.standard_normal(400) * 10.0 ** rng.integers(-16, 17, 400))
+    return cases + [-x for x in cases]
+
+
+def test_render_rows_covers_every_layout():
+    # A deterministic table against "%.17g" % x that reaches every decimal
+    # exponent of the exact path with both signs, every count of significant
+    # digits, every fixed-form '.' position, the carry of the 17-digit
+    # integer to 10^17 (the double 1e-14 lies below 10^-14 and rounds up to
+    # it), and both separators.
+    cases = layout_cases()
+    layouts = [g17_layout(x) for x in cases]
+    exponents = {(e, x < 0) for (e, _, _), x in zip(layouts, cases)}
+    assert {(e, s) for e in range(-16, 17) for s in (False, True)} <= exponents
+    assert {n for _, n, _ in layouts} == set(range(1, 18))
+    assert {d for _, _, d in layouts} == set(range(0, 17))
+    carries = [x for x in cases if x and abs(Decimal(x)) < Decimal(10) ** g17_layout(x)[0]]
+    assert set(carries) == {1e-14, -1e-14}
+    for ncols in (7, 10):
+        block = tiled(cases, ncols)
+        text = render_rows(block)
+        assert text == reference_rows(block)
+        assert text.count(b"\n") == block.shape[0] and text.count(b",") == block.size - block.shape[0]
+
+
+def coning_long_block():
+    """Rows 0..4095 of the coning-long CSV, built as emit_series builds them."""
+    cfg = parse_config((CONFIGS / "coning-long.json").read_text(encoding="utf-8"))
+    traj = run_scenario(dataclasses.replace(cfg, tf=40.95)).trajectory
+    t, q = traj.times, traj.states
+    return np.hstack([t[:, None], q, traj.norms()[:, None], np.abs(q - cfg.oracle(t))])
+
+
+def test_render_rows_peak_memory_on_a_coning_block():
+    # The digit and text stages run in sub-blocks: the traced peak of one
+    # 4096x10 block is ~2.2 MB for 0.87 MB of text, where rendering the
+    # whole block at once peaked at 8.4 MB.
+    block = coning_long_block()
+    assert block.shape == (4096, 10)
+    render_rows(block)
+    tracemalloc.start()
+    try:
+        text = render_rows(block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == reference_rows(block)
+    assert peak <= 3_000_000, peak

@@ -293,6 +293,7 @@ def test_nonautonomous_small_step_limit():
     assert frobenius_norm((co.G_k - I4) / tau - b_matrix(W_REF, tau)) <= 1e-4
 
 
+@pytest.mark.filterwarnings("ignore::quatkin.symplectic.StepSizeWarning")
 def test_nonautonomous_orthogonality_random():
     rng = np.random.default_rng(31)
     for _ in range(200):
@@ -312,6 +313,7 @@ def test_integrate_nonautonomous_constant_profile_matches_autonomous():
     npt.assert_array_equal(t_na.states, t_a.states)
 
 
+@pytest.mark.filterwarnings("ignore::quatkin.symplectic.StepSizeWarning")
 def test_integrate_nonautonomous_steps_match_scalar_transitions():
     # The batch-constructed transitions must be the scalar-op matrices.
     profile = profile_from_name("fig2")
