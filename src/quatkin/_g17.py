@@ -62,7 +62,7 @@ _VECTOR_MIN_ROWS = 48
 # Values per sub-block of the digit and text stages, which bounds their
 # temporaries.  A 4096x10 coning block peaks at 1.7, 2.2 and 4.6 MB
 # (tracemalloc) for 8192, 16384 and 40960 values; 8192 took ~1.1x the time
-# of 16384 (numpy's per-call cost) and 40960 ~0.96x.
+# of 16384 (numpy's per-call cost), 20480 and 40960 timed within noise of it.
 _SUB_BLOCK_VALUES = 16384
 
 _U64 = np.uint64
