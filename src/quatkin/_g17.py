@@ -38,12 +38,13 @@ Zeros of either sign are a class of their own; nan, ±inf, subnormals and
 ``|x|`` outside about ``[1e-16, 1e17)`` are rendered one at a time with
 ``"%.17g" % x`` and spliced in.
 
-The template was 48 bytes (a '.' slot after each of 16 digits, digits
-gathered eight bytes each); at 32 bytes ``tobytes`` and ``translate`` move
-two thirds of the bytes and the digit gather half.  A 24-byte layout (the
-exponent and ``X >= 0`` forms shifted 5 bytes to the front) cut ``translate``
-by a further quarter but measured slower overall: numpy gathers 24-byte rows
-at half the speed of 32-byte ones, and the shift adds five passes.
+The width, measured: a layout with a '.' slot after each of 16 digits needs
+48 bytes; opening the slot in ``D'`` needs 32, so ``tobytes`` and
+``translate`` (~1 ns a byte) move two thirds of the bytes and the digit
+gather half.  A 24-byte layout (the exponent and ``X >= 0`` forms shifted 5
+bytes to the front) cuts ``translate`` by a further quarter but measured
+slower overall: numpy gathers 24-byte rows at half the speed of 32-byte ones,
+and the shift adds five passes.
 Blocks are rendered in sub-blocks of ``_SUB_BLOCK_VALUES`` values, which
 bounds the temporaries of the digit and text stages.
 """

@@ -198,8 +198,8 @@ def coning_long_block():
 
 def test_render_rows_peak_memory_on_a_coning_block():
     # The digit and text stages run in sub-blocks: the traced peak of one
-    # 4096x10 block is ~2.2 MB for 0.87 MB of text, where rendering the
-    # whole block at once peaked at 8.4 MB.
+    # 4096x10 block is ~2.2 MB for 0.87 MB of text; running them on the
+    # whole block at once peaks at 4.6 MB (8.4 MB with a 48-byte template).
     block = coning_long_block()
     assert block.shape == (4096, 10)
     render_rows(block)
