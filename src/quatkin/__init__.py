@@ -16,8 +16,6 @@ from .diagnostics import (
     component_errors,
     convergence_order,
     euler_formula_gap,
-    norm_history,
-    orthogonality_defect,
     symplecticity_defect,
 )
 from .errors import (
@@ -52,7 +50,6 @@ from .model import (
     constant_oracle,
     constant_transition_series,
     midpoint_omega,
-    omega_at,
     right_matrix,
 )
 from .scenario import (
@@ -72,8 +69,6 @@ from .scenario import (
     run_sweep,
 )
 from .symplectic import (
-    AutonomousTransition,
-    NonAutonomousStepCoefficients,
     StepSizeWarning,
     autonomous_transition,
     b_matrix,

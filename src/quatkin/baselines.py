@@ -23,6 +23,7 @@ from .trajectory import (
     Trajectory,
     check_unit_quaternion,
     propagate,
+    require_finite,
     step_end_times,
     step_schedule,
 )
@@ -52,6 +53,7 @@ def baseline_steps(method: BaselineMethod, profile: AngularVelocityProfile, t, t
     t_k + tau_k, for broadcasting t and tau: each is the method's one step
     from e0, and the step map is q -> q (x) p_k.  L = A(w)/2 is the rate
     matrix; t_end is where the step-end rate is sampled (default t + tau).
+    Raises ConsistencyError naming the first step whose p_k is not finite.
     """
     t = np.asarray(t, dtype=float)
     tau = np.asarray(tau, dtype=float)
@@ -67,25 +69,30 @@ def baseline_steps(method: BaselineMethod, profile: AngularVelocityProfile, t, t
         k2 = np.einsum("...ij,...j->...i", l2, I4[0] + (h / 2.0) * k1)
         k3 = np.einsum("...ij,...j->...i", l2, I4[0] + (h / 2.0) * k2)
         k4 = np.einsum("...ij,...j->...i", l3, I4[0] + h * k3)
-        return I4[0] + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-    if method is BaselineMethod.EULER_BACKWARD:
+        p = I4[0] + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    elif method is BaselineMethod.EULER_BACKWARD:
         # (I - x A)^-1 e0 with x = tau/2 and A = A(w(t + tau)).  A^2 = -|w|^2 I
         # gives it in closed form, (1, x w) / (1 + x^2 |w|^2): no solve.
         w = profile.omega_at(t_end)
         x = h / 2.0
         p = np.concatenate([np.ones_like(w[..., :1]), x * w], axis=-1)
-        return p / (1.0 + x * x * np.sum(w * w, axis=-1, keepdims=True))
-    # Gauss-Legendre: k_i = L_i (e0 + tau sum_j a_ij k_j) with L_i at t + c_i tau
-    # is one 8x8 system per step, whose right-hand side is tau [L1 e0; L2 e0].
-    hl1 = h[..., None] * (0.5 * coefficient_matrix(profile.omega_at(t + GL2_NODES[0] * tau)))
-    hl2 = h[..., None] * (0.5 * coefficient_matrix(profile.omega_at(t + GL2_NODES[1] * tau)))
-    (a11, a12), (a21, a22) = GL2_MATRIX
-    m = np.eye(8) - np.block([[a11 * hl1, a12 * hl1], [a21 * hl2, a22 * hl2]])
-    try:
-        stages = np.linalg.solve(m, np.concatenate([hl1[..., :1], hl2[..., :1]], axis=-2))[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"stage system is singular: {exc}") from exc
-    return I4[0] + GL2_WEIGHTS[0] * stages[..., :4] + GL2_WEIGHTS[1] * stages[..., 4:]
+        p = p / (1.0 + x * x * np.sum(w * w, axis=-1, keepdims=True))
+    else:
+        # Gauss-Legendre: k_i = L_i (e0 + tau sum_j a_ij k_j) with L_i at
+        # t + c_i tau is one 8x8 system per step, whose right-hand side is
+        # tau [L1 e0; L2 e0].
+        hl1 = h[..., None] * (0.5 * coefficient_matrix(profile.omega_at(t + GL2_NODES[0] * tau)))
+        hl2 = h[..., None] * (0.5 * coefficient_matrix(profile.omega_at(t + GL2_NODES[1] * tau)))
+        (a11, a12), (a21, a22) = GL2_MATRIX
+        m = np.eye(8) - np.block([[a11 * hl1, a12 * hl1], [a21 * hl2, a22 * hl2]])
+        rhs = np.concatenate([hl1[..., :1], hl2[..., :1]], axis=-2)
+        try:
+            stages = np.linalg.solve(m, rhs)[..., 0]
+        except np.linalg.LinAlgError as exc:
+            raise SingularMatrixError(f"stage system is singular: {exc}") from exc
+        p = I4[0] + GL2_WEIGHTS[0] * stages[..., :4] + GL2_WEIGHTS[1] * stages[..., 4:]
+    require_finite(p, "step map")
+    return p
 
 
 def integrate_baseline(
@@ -101,4 +108,4 @@ def integrate_baseline(
     q = check_unit_quaternion(q0)
     times, tau_k = step_schedule(t0, tf, tau)
     p = baseline_steps(method, profile, times[:-1], tau_k, step_end_times(times, tau_k))
-    return Trajectory(t0=t0, tau=tau, times=times, states=propagate(p, q))
+    return Trajectory(times=times, states=propagate(p, q))

@@ -1,6 +1,6 @@
-"""Verification instruments: norm histories, orthogonality and
-symplecticity defects, oracle error reports, convergence-order estimates,
-and the closed-form-vs-exact-rotation gap function."""
+"""Verification instruments: symplecticity defects, oracle error reports,
+convergence-order estimates, and the closed-form-vs-exact-rotation gap
+function."""
 from __future__ import annotations
 
 import math
@@ -9,14 +9,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDataError
-from .linalg import I4, SYMPLECTIC_J4, frobenius_norm
+from .linalg import SYMPLECTIC_J4, frobenius_norm
 from .trajectory import Trajectory
 
 __all__ = [
     "ErrorReport",
     "DefectSeries",
-    "norm_history",
-    "orthogonality_defect",
     "symplecticity_defect",
     "component_errors",
     "convergence_order",
@@ -29,9 +27,6 @@ class ErrorReport:
     """Max absolute errors of a trajectory against an oracle."""
 
     max_component_error: np.ndarray  # (4,) per quaternion component
-    max_norm_deviation: float
-    t_max_error: float
-    samples: int
 
     @property
     def max_error(self) -> float:
@@ -54,26 +49,9 @@ class DefectSeries:
 
     @property
     def estimated_order(self) -> float:
-        if any(d <= 0.0 for d in self.defects):
-            raise DegenerateDataError("zero defect in ladder; order undefined")
-        ratios = [
-            math.log2(a / b) for a, b in zip(self.defects, self.defects[1:])
-        ]
-        return float(np.mean(ratios))
-
-    def halving_ratios(self) -> list[float]:
-        return [b / a for a, b in zip(self.defects, self.defects[1:])]
-
-
-def norm_history(traj: Trajectory) -> np.ndarray:
-    """(n, 2) array of (t, |q|) along a trajectory."""
-    return np.column_stack([traj.times, traj.norms()])
-
-
-def orthogonality_defect(g: np.ndarray) -> float:
-    """Frobenius norm of G.T @ G - I."""
-    g = np.asarray(g, dtype=float)
-    return frobenius_norm(g.T @ g - I4)
+        """:func:`convergence_order` of the ladder; DegenerateDataError when a
+        defect is zero."""
+        return convergence_order(zip(self.taus, self.defects))
 
 
 def symplecticity_defect(g: np.ndarray, structure: np.ndarray = SYMPLECTIC_J4) -> float:
@@ -96,8 +74,7 @@ def component_errors(traj: Trajectory, oracle) -> ErrorReport:
 
     The oracle is called with the trajectory's own time array (no
     interpolation of the numerical output).  Reports the per-component max
-    absolute error, the max norm deviation from 1, and the time at which
-    the overall max error occurs.
+    absolute error.
     """
     ref = np.asarray(oracle(traj.times), dtype=float)
     if ref.shape != traj.states.shape:
@@ -106,13 +83,7 @@ def component_errors(traj: Trajectory, oracle) -> ErrorReport:
     # (n, 4) array one at a time, ~10x slower than whole columns.
     abs_err = np.subtract(traj.states.T, ref.T, out=np.empty(ref.shape[::-1]))
     np.abs(abs_err, out=abs_err)
-    row_max = np.maximum(np.maximum(abs_err[0], abs_err[1]), np.maximum(abs_err[2], abs_err[3]))
-    return ErrorReport(
-        max_component_error=abs_err.max(axis=1),
-        max_norm_deviation=float(np.max(np.abs(traj.norms() - 1.0))),
-        t_max_error=float(traj.times[int(np.argmax(row_max))]),
-        samples=len(traj.states),
-    )
+    return ErrorReport(max_component_error=abs_err.max(axis=1))
 
 
 def convergence_order(errors) -> float:

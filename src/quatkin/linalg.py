@@ -11,7 +11,6 @@ from .errors import SingularMatrixError
 
 __all__ = [
     "I4",
-    "J2",
     "SYMPLECTIC_J4",
     "LEFT_I",
     "LEFT_J",
@@ -28,9 +27,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 I4 = _frozen(np.eye(4))
-
-# 2x2 rotation generator: J2 @ J2 = -I2, J2.T = -J2
-J2 = _frozen(np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
 # Block structure matrix [[0, I2], [-I2, 0]], pairing (e0, e2) with (e1, e3).
 # As a quaternion map it is the right multiplication q -> q (x) (-j), so it
@@ -52,8 +48,8 @@ SYMPLECTIC_J4 = _frozen(
 # Left multiplications q -> i (x) q, j (x) q, k (x) q.  They are skew, square
 # to -I and commute with every right multiplication, hence with every A(w)
 # and every step map built from it: these are the structure matrices the
-# quaternion flow preserves.  -LEFT_I = diag(J2, J2) is the canonical
-# structure matrix of the pairs (e0, e1) and (e2, e3).
+# quaternion flow preserves.  -LEFT_I = diag(J2, J2), J2 = [[0, 1], [-1, 0]],
+# is the canonical structure matrix of the pairs (e0, e1) and (e2, e3).
 LEFT_I = _frozen(
     np.array(
         [

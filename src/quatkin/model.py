@@ -31,7 +31,6 @@ __all__ = [
     "TabulatedProfile",
     "FormulaProfile",
     "MidpointSamplingMode",
-    "omega_at",
     "midpoint_omega",
     "analytic_constant_transition",
     "constant_transition_series",
@@ -170,11 +169,6 @@ class MidpointSamplingMode(enum.Enum):
 
     EXACT = "exact"
     LINEAR_INTERP = "interp"
-
-
-def omega_at(profile: AngularVelocityProfile, t):
-    """Evaluate a profile at time t (scalar or array)."""
-    return profile.omega_at(t)
 
 
 def midpoint_omega(profile, t_k, tau, mode=MidpointSamplingMode.EXACT, t_end=None):

@@ -40,12 +40,12 @@ from .model import (
     right_matrix,
 )
 from .symplectic import (
-    cayley_steps,
-    corrected_rate,
+    autonomous_transition,
     integrate_autonomous,
     integrate_nonautonomous,
+    nonautonomous_transition,
 )
-from .trajectory import Trajectory
+from .trajectory import UNIT_NORM_TOL, Trajectory
 
 __all__ = [
     "PROFILE_REGISTRY",
@@ -381,10 +381,9 @@ def parse_config(source) -> ScenarioConfig:
     if not isinstance(q0_raw, list) or len(q0_raw) != 4:
         raise ConfigError("field 'q0': expected a list of 4 numbers")
     q0 = np.array([parse_number(c, "q0") for c in q0_raw])
-    if abs(float(np.linalg.norm(q0)) - 1.0) > 1e-9:
-        raise ConfigError(
-            f"field 'q0': norm {float(np.linalg.norm(q0)):.12f} is not 1 within 1e-9"
-        )
+    q0_norm = float(np.linalg.norm(q0))
+    if abs(q0_norm - 1.0) > UNIT_NORM_TOL:
+        raise ConfigError(f"field 'q0': norm {q0_norm:.12f} is not 1 within 1e-9")
 
     default_method = "SGA-A" if isinstance(profile, ConstantProfile) else "SGA-NA"
     method = raw.get("method", default_method)
@@ -458,16 +457,17 @@ def one_step_matrix(cfg: ScenarioConfig, tau: float) -> np.ndarray:
     """4x4 matrix of one integration step taken at the scenario start,
     from the same step builder the method's integrator uses."""
     if cfg.method == "SGA-A":
-        return right_matrix(cayley_steps(cfg.profile.vector, tau))
+        return autonomous_transition(cfg.profile.vector, tau)
     if cfg.method == "SGA-NA":
         w = midpoint_omega(cfg.profile, cfg.t0, tau, cfg.sampling)
-        return right_matrix(cayley_steps(corrected_rate(w, tau), tau))
+        return nonautonomous_transition(w, tau)
     return right_matrix(baseline_steps(BaselineMethod(cfg.method), cfg.profile, cfg.t0, tau))
 
 
-def defect_ladder(cfg: ScenarioConfig, halvings: int = 4) -> DefectSeries:
-    """Symplecticity defects of the one-step map over a tau-halving ladder."""
-    taus = [cfg.tau / (2.0**i) for i in range(halvings)]
+def defect_ladder(cfg: ScenarioConfig) -> DefectSeries:
+    """Symplecticity defects of the one-step map on the ladder tau, tau/2,
+    tau/4, tau/8."""
+    taus = [cfg.tau / (2.0**i) for i in range(4)]
     defects = [symplecticity_defect(one_step_matrix(cfg, t)) for t in taus]
     return DefectSeries(taus=tuple(taus), defects=tuple(defects))
 
@@ -567,7 +567,7 @@ def emit_summary(artifacts, path) -> None:
     Per-run entries carry method, tau, steps, per-component max errors, max
     norm deviation, and wall-clock seconds.  When the runs form a
     tau-halving ladder with error reports, the estimated convergence order
-    is included.
+    is included.  A defect ladder's order is null when a defect is zero.
     """
     runs = artifacts if isinstance(artifacts, list) else [artifacts]
     doc = {"runs": [_run_entry(a) for a in runs]}
@@ -578,15 +578,18 @@ def emit_summary(artifacts, path) -> None:
             )
         except (ValueError, DegenerateDataError):
             pass
-    ladders = {
-        a.config.name: {
-            "taus": list(a.defect_ladder.taus),
-            "defects": list(a.defect_ladder.defects),
-            "estimated_order": a.defect_ladder.estimated_order,
-        }
-        for a in runs
-        if a.defect_ladder is not None
-    }
+    ladders = {}
+    for a in runs:
+        if a.defect_ladder is not None:
+            try:
+                order = a.defect_ladder.estimated_order
+            except DegenerateDataError:
+                order = None
+            ladders[a.config.name] = {
+                "taus": list(a.defect_ladder.taus),
+                "defects": list(a.defect_ladder.defects),
+                "estimated_order": order,
+            }
     if ladders:
         doc["defect_ladders"] = ladders
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -19,11 +19,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError
 from .linalg import SYMPLECTIC_J4
 from .model import (
     AngularVelocityProfile,
@@ -36,6 +34,7 @@ from .trajectory import (
     Trajectory,
     check_unit_quaternion,
     propagate,
+    require_finite,
     step_end_times,
     step_schedule,
 )
@@ -44,11 +43,9 @@ __all__ = [
     "StepSizeWarning",
     "cayley_steps",
     "corrected_rate",
-    "AutonomousTransition",
     "autonomous_transition",
     "integrate_autonomous",
     "b_matrix",
-    "NonAutonomousStepCoefficients",
     "nonautonomous_transition",
     "integrate_nonautonomous",
 ]
@@ -70,12 +67,6 @@ def _norm_sq(w: np.ndarray) -> np.ndarray:
     return w[..., 0] * w[..., 0] + w[..., 1] * w[..., 1] + w[..., 2] * w[..., 2]
 
 
-def _require_finite(ok, what: str) -> None:
-    if not np.all(ok):
-        step = int(np.argmin(np.reshape(ok, -1)))
-        raise ConsistencyError(f"{what} is not finite at step {step}")
-
-
 def cayley_steps(omega, tau):
     """Step quaternions p_k (..., 4) of the Cayley maps G_k = R(p_k) for rates
     omega (..., 3) and steps tau (...).
@@ -88,14 +79,14 @@ def cayley_steps(omega, tau):
     w = np.asarray(omega, dtype=float)
     tau = np.asarray(tau, dtype=float)
     n2 = _norm_sq(w)
-    _require_finite(np.isfinite(w).all(axis=-1), "rate")
+    require_finite(w, "rate")
     batch = np.broadcast_shapes(n2.shape, tau.shape)
     alpha = tau * tau * n2 / 16.0
     p = np.empty(batch + (4,))
     p[..., 0] = 1.0 - alpha
     np.multiply(w, (tau / 2.0)[..., None], out=p[..., 1:])
     p /= (1.0 + alpha)[..., None]
-    _require_finite(np.isfinite(p).all(axis=-1), "step map")
+    require_finite(p, "step map")
     step_rate = tau * np.sqrt(n2)
     over = np.abs(step_rate) * STEP_BOUND_FACTOR > 1.0
     if np.any(over):
@@ -109,26 +100,16 @@ def cayley_steps(omega, tau):
     return p
 
 
-@dataclass(frozen=True)
-class AutonomousTransition:
-    """One-step propagator for constant angular velocity."""
-
-    G: np.ndarray
-    tau: float
-    omega: np.ndarray
-
-
-def autonomous_transition(omega, tau: float) -> AutonomousTransition:
-    """Closed-form constant-rate transition matrix.
+def autonomous_transition(omega, tau: float) -> np.ndarray:
+    """Closed-form constant-rate transition matrix G (4x4).
 
     G = [(1 - a) I + (tau/2) A(w)] / (1 + a) with a = tau^2 |w|^2 / 16;
     orthogonal, and G(-tau) = G.T = G^-1.  Emits StepSizeWarning when tau
     exceeds the 1/(5 |w|) accuracy guideline.
     """
-    w = np.asarray(omega, dtype=float)
     if not math.isfinite(tau):
         raise ValueError("step size must be finite")
-    return AutonomousTransition(G=right_matrix(cayley_steps(w, tau)), tau=tau, omega=w)
+    return right_matrix(cayley_steps(omega, tau))
 
 
 def integrate_autonomous(omega, q0, t0: float, tf: float, tau: float) -> Trajectory:
@@ -136,7 +117,7 @@ def integrate_autonomous(omega, q0, t0: float, tf: float, tau: float) -> Traject
     a shortened final step included; states are never renormalized."""
     q = check_unit_quaternion(q0)
     times, tau_k = step_schedule(t0, tf, tau)
-    return Trajectory(t0=t0, tau=tau, times=times, states=propagate(cayley_steps(omega, tau_k), q))
+    return Trajectory(times=times, states=propagate(cayley_steps(omega, tau_k), q))
 
 
 def _beta(w: np.ndarray, tau) -> np.ndarray:
@@ -171,27 +152,17 @@ def b_matrix(omega_k, tau) -> np.ndarray:
     return 0.5 * coefficient_matrix(w) + beta[..., None, None] * SYMPLECTIC_J4
 
 
-@dataclass(frozen=True)
-class NonAutonomousStepCoefficients:
-    """One step of the time-varying scheme: the midpoint rate and its map."""
-
-    omega_k: np.ndarray
-    G_k: np.ndarray
-
-
-def nonautonomous_transition(omega_k, tau: float) -> NonAutonomousStepCoefficients:
-    """One-step transition for a midpoint angular-velocity sample.
+def nonautonomous_transition(omega_k, tau: float) -> np.ndarray:
+    """One-step transition matrix G_k (4x4) for a midpoint angular-velocity sample.
 
     G_k = [(1 - a_k) I + tau B_k] / (1 + a_k) with B_k from :func:`b_matrix`
     and a_k = tau^2 |w_k'|^2 / 16, built as the constant-rate map at
     w_k' = :func:`corrected_rate`: orthogonal, and identical to the
     constant-rate map at w_k whenever w2 = 0.
     """
-    w = np.asarray(omega_k, dtype=float)
     if not (math.isfinite(tau) and tau > 0.0):
         raise ValueError(f"step size must be positive, got {tau}")
-    g = right_matrix(cayley_steps(corrected_rate(w, tau), tau))
-    return NonAutonomousStepCoefficients(w, g)
+    return right_matrix(cayley_steps(corrected_rate(omega_k, tau), tau))
 
 
 def integrate_nonautonomous(
@@ -213,4 +184,4 @@ def integrate_nonautonomous(
     times, tau_k = step_schedule(t0, tf, tau)
     omegas = midpoint_omega(profile, times[:-1], tau_k, mode, step_end_times(times, tau_k))
     p = cayley_steps(corrected_rate(omegas, tau_k), tau_k)
-    return Trajectory(t0=t0, tau=tau, times=times, states=propagate(p, q))
+    return Trajectory(times=times, states=propagate(p, q))

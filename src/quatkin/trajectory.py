@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidHorizonError, NonUnitStateError
+from .errors import ConsistencyError, InvalidHorizonError, NonUnitStateError
 from .model import right_matrix
 
 __all__ = [
@@ -15,7 +15,9 @@ __all__ = [
     "step_schedule",
     "step_end_times",
     "propagate",
+    "require_finite",
     "check_unit_quaternion",
+    "UNIT_NORM_TOL",
 ]
 
 UNIT_NORM_TOL = 1e-9
@@ -33,8 +35,6 @@ class Trajectory:
     returns this same record, whatever its method.
     """
 
-    t0: float
-    tau: float
     times: np.ndarray
     states: np.ndarray
 
@@ -104,14 +104,24 @@ def propagate(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return states
 
 
-def check_unit_quaternion(q, tol: float = UNIT_NORM_TOL) -> np.ndarray:
+def require_finite(p: np.ndarray, what: str) -> None:
+    """Raise ConsistencyError naming the first step whose row of p (..., n)
+    holds a non-finite value; every step builder ends with this check.  The
+    whole-array test runs first: numpy reduces short rows one at a time,
+    ~10x slower."""
+    if not np.isfinite(p).all():
+        step = int(np.argmin(np.reshape(np.isfinite(p).all(axis=-1), -1)))
+        raise ConsistencyError(f"{what} is not finite at step {step}")
+
+
+def check_unit_quaternion(q) -> np.ndarray:
     """Validate and return a copy of a unit quaternion; never renormalizes."""
     q = np.array(q, dtype=float)
     if q.shape != (4,):
         raise NonUnitStateError(f"expected a 4-component quaternion, got {q.shape}")
     norm = float(np.linalg.norm(q))
-    if not np.all(np.isfinite(q)) or abs(norm - 1.0) > tol:
+    if not np.all(np.isfinite(q)) or abs(norm - 1.0) > UNIT_NORM_TOL:
         raise NonUnitStateError(
-            f"initial quaternion norm {norm:.12f} deviates from 1 by more than {tol}"
+            f"initial quaternion norm {norm:.12f} deviates from 1 by more than {UNIT_NORM_TOL}"
         )
     return q

@@ -135,8 +135,8 @@ def test_criterion_04_defect_order_ladders():
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", StepSizeWarning)  # coarse taus on purpose
-        g_auto = [autonomous_transition(W_REF, t).G for t in taus]
-        g_na = [nonautonomous_transition(W_REF, t).G_k for t in taus]
+        g_auto = [autonomous_transition(W_REF, t) for t in taus]
+        g_na = [nonautonomous_transition(W_REF, t) for t in taus]
         d_auto = [symplecticity_defect(g) for g in g_auto]
         d_na = [symplecticity_defect(g) for g in g_na]
         r_auto = [b / a for a, b in zip(d_auto, d_auto[1:])]
@@ -144,10 +144,10 @@ def test_criterion_04_defect_order_ladders():
         dl_na = max(worst_left_defect(g) for g in g_na)
         w_zero = np.array([2.0, 0.0, 3.0])
         d0_auto = max(
-            worst_left_defect(autonomous_transition(w_zero, t).G) for t in taus
+            worst_left_defect(autonomous_transition(w_zero, t)) for t in taus
         )
         d0_na = max(
-            worst_left_defect(nonautonomous_transition(w_zero, t).G_k) for t in taus
+            worst_left_defect(nonautonomous_transition(w_zero, t)) for t in taus
         )
     elapsed = time.perf_counter() - start
 
@@ -191,8 +191,8 @@ def test_criterion_05_reversal_and_orthogonality_identities():
         for _ in range(1000):
             w = rng.normal(0.0, 4.0, 3)
             tau = rng.uniform(1e-6, 1.0)
-            g = autonomous_transition(w, tau).G
-            g_rev = autonomous_transition(w, -tau).G
+            g = autonomous_transition(w, tau)
+            g_rev = autonomous_transition(w, -tau)
             worst_rev = max(worst_rev, frobenius_norm(g_rev - g.T))
             worst_orth = max(worst_orth, frobenius_norm(g.T @ g - I4))
     elapsed = time.perf_counter() - start
@@ -217,7 +217,7 @@ def test_criterion_06_closed_form_vs_implicit_assembly():
         for _ in range(1000):
             w = rng.normal(0.0, 4.0, 3)
             tau = rng.uniform(1e-6, 1.0)
-            g = autonomous_transition(w, tau).G
+            g = autonomous_transition(w, tau)
             a = coefficient_matrix(w)
             lhs = I4 - (tau / 4.0) * a
             rhs = I4 + (tau / 4.0) * a

@@ -13,9 +13,11 @@ from quatkin.baselines import (
     integrate_baseline,
 )
 from quatkin.diagnostics import convergence_order
+from quatkin.errors import ConsistencyError
 from quatkin.linalg import I4, solve_linear_4
 from quatkin.model import (
     ConstantProfile,
+    FormulaProfile,
     MidpointSamplingMode,
     analytic_constant_transition,
     coefficient_matrix,
@@ -49,6 +51,17 @@ def one_step(method, profile, q, t, tau):
 def test_zero_field_leaves_state_unchanged(method):
     q = np.array([0.5, 0.5, 0.5, 0.5])
     npt.assert_allclose(one_step(method, ZERO, q, 0.3, 0.25), q, atol=1e-15)
+
+
+def test_non_finite_step_is_named():
+    # Backward Euler samples the rate at each step end; a rate that is nan at
+    # t = 0.5 makes the step over [0.25, 0.5], step 1, non-finite.
+    def rate(t):
+        return np.where(t[..., None] == 0.5, np.nan, W_REF.vector)
+
+    profile = FormulaProfile("nan-at-half", rate)
+    with pytest.raises(ConsistencyError, match="step map is not finite at step 1"):
+        integrate_baseline(EUB, profile, E0, 0.0, 1.0, 0.25)
 
 
 # --- RK4 ------------------------------------------------------------------------

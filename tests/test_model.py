@@ -17,7 +17,6 @@ from quatkin.model import (
     constant_oracle,
     constant_transition_series,
     midpoint_omega,
-    omega_at,
     right_matrix,
 )
 from quatkin.scenario import profile_from_name
@@ -94,7 +93,7 @@ def test_coefficient_matrix_is_right_matrix_of_pure_quaternion():
 # --- profiles -----------------------------------------------------------------
 
 def test_coning_profile_at_zero():
-    w = omega_at(ConingProfile(W0, BETA), 0.0)
+    w = ConingProfile(W0, BETA).omega_at(0.0)
     npt.assert_allclose(
         w,
         [-W0 * (1.0 - math.cos(BETA)), 0.0, W0 * math.sin(BETA)],
@@ -104,11 +103,11 @@ def test_coning_profile_at_zero():
 
 
 def test_fig1b_profile_at_zero():
-    npt.assert_allclose(omega_at(profile_from_name("fig1b"), 0.0), [2.0, 0.0, 0.0])
+    npt.assert_allclose(profile_from_name("fig1b").omega_at(0.0), [2.0, 0.0, 0.0])
 
 
 def test_fig1d_profile_at_zero():
-    npt.assert_allclose(omega_at(profile_from_name("fig1d"), 0.0), [-2.0, 1.4, 3.8])
+    npt.assert_allclose(profile_from_name("fig1d").omega_at(0.0), [-2.0, 1.4, 3.8])
 
 
 def test_fig1c_profile_formula():
@@ -119,24 +118,24 @@ def test_fig1c_profile_formula():
         (-3.0 + t * t) * math.exp(-t / 3.0),
         (1.0 + t) * math.exp(-t),
     ]
-    npt.assert_allclose(omega_at(p, t), expected, rtol=1e-15)
+    npt.assert_allclose(p.omega_at(t), expected, rtol=1e-15)
 
 
 def test_constant_profile_broadcast():
     p = ConstantProfile((2.0, 10.0, 3.0))
-    out = omega_at(p, np.linspace(0.0, 1.0, 7))
+    out = p.omega_at(np.linspace(0.0, 1.0, 7))
     assert out.shape == (7, 3)
     npt.assert_array_equal(out[3], [2.0, 10.0, 3.0])
 
 
 def test_tabulated_profile_interpolates_and_checks_range():
     p = TabulatedProfile(np.array([0.0, 1.0, 2.0]), np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [4.0, 0.0, 0.0]]))
-    npt.assert_allclose(omega_at(p, 0.5), [0.5, 0.0, 0.0])
-    npt.assert_allclose(omega_at(p, 1.5), [2.5, 0.0, 0.0])
+    npt.assert_allclose(p.omega_at(0.5), [0.5, 0.0, 0.0])
+    npt.assert_allclose(p.omega_at(1.5), [2.5, 0.0, 0.0])
     with pytest.raises(ProfileDomainError):
-        omega_at(p, 2.5)
+        p.omega_at(2.5)
     with pytest.raises(ProfileDomainError):
-        omega_at(p, -0.1)
+        p.omega_at(-0.1)
 
 
 def test_tabulated_profile_requires_increasing_times():
@@ -167,7 +166,7 @@ def test_midpoint_linear_ramp_both_modes_exact(mode):
 def test_midpoint_interp_is_endpoint_average():
     p = profile_from_name("fig2")
     t_k, tau = 0.4, 0.2
-    expected = 0.5 * (omega_at(p, t_k) + omega_at(p, t_k + tau))
+    expected = 0.5 * (p.omega_at(t_k) + p.omega_at(t_k + tau))
     npt.assert_array_equal(
         midpoint_omega(p, t_k, tau, MidpointSamplingMode.LINEAR_INTERP), expected
     )
@@ -269,7 +268,7 @@ def test_coning_state_satisfies_rate_equation():
             coning_analytic_state(W0, BETA, t + h)
             - coning_analytic_state(W0, BETA, t - h)
         ) / (2.0 * h)
-        rhs = 0.5 * coefficient_matrix(omega_at(profile, t)) @ coning_analytic_state(
+        rhs = 0.5 * coefficient_matrix(profile.omega_at(t)) @ coning_analytic_state(
             W0, BETA, t
         )
         npt.assert_allclose(dq, rhs, atol=1e-6)

@@ -242,7 +242,7 @@ def test_one_step_matrix_matches_method_maps():
     cfg = parse_config(make_config())
     npt.assert_array_equal(
         one_step_matrix(cfg, 0.01),
-        autonomous_transition(np.array([2.0, 10.0, 3.0]), 0.01).G,
+        autonomous_transition(np.array([2.0, 10.0, 3.0]), 0.01),
     )
     cfg_rk4 = parse_config(make_config(method="RK4"))
     m = one_step_matrix(cfg_rk4, 0.01)
@@ -280,8 +280,8 @@ def test_every_step_is_a_right_multiplication(method, omega, tau, t0, varying):
 @pytest.mark.filterwarnings("ignore::quatkin.symplectic.StepSizeWarning")
 def test_defect_ladder_uses_scenario_tau():
     cfg = parse_config(make_config(tau=0.2))
-    ladder = defect_ladder(cfg, halvings=3)
-    npt.assert_allclose(ladder.taus, [0.2, 0.1, 0.05], rtol=1e-12)
+    ladder = defect_ladder(cfg)
+    npt.assert_allclose(ladder.taus, [0.2, 0.1, 0.05, 0.025], rtol=1e-12)
 
 
 def test_run_sweep_errors_decrease():
@@ -333,9 +333,7 @@ def special_values_artifacts(repeats=1):
         ]
     )
     times = np.array([-0.0, 5e-324, 1e308, 0.01])
-    tiled = Trajectory(
-        t0=0.0, tau=0.01, times=np.tile(times, repeats), states=np.tile(states, (repeats, 1))
-    )
+    tiled = Trajectory(times=np.tile(times, repeats), states=np.tile(states, (repeats, 1)))
     return dataclasses.replace(artifacts, trajectory=tiled)
 
 
@@ -404,12 +402,7 @@ def test_emit_series_single_state(tmp_path):
 
     cfg = parse_config(make_config(tf=0.5))
     artifacts = run_scenario(cfg)
-    single = Trajectory(
-        t0=0.0,
-        tau=0.01,
-        times=np.array([0.0]),
-        states=np.array([[1.0, 0.0, 0.0, 0.0]]),
-    )
+    single = Trajectory(times=np.array([0.0]), states=np.array([[1.0, 0.0, 0.0, 0.0]]))
     artifacts = dataclasses.replace(artifacts, trajectory=single)
     path = tmp_path / "one.csv"
     emit_series(artifacts, path)
@@ -554,6 +547,17 @@ def test_cli_sweep(tmp_path):
     assert [r["tau"] for r in doc["runs"]] == [0.1, 0.05]
 
 
+def test_cli_summary_keeps_a_ladder_with_undefined_order(tmp_path):
+    # A zero rate gives zero defects on every rung, so the order is undefined.
+    cfg_path, out_json = tmp_path / "still.json", tmp_path / "summary.json"
+    still = {"type": "constant", "omega": [0, 0, 0]}
+    cfg_path.write_text(make_config(profile=still, tau=0.1, outputs=["defect-ladder"]))
+    assert main(["run", str(cfg_path), "--summary", str(out_json)]) == 0
+    ladder = json.loads(out_json.read_text(encoding="utf-8"))["defect_ladders"]["scenario"]
+    assert ladder["defects"] == [0.0, 0.0, 0.0, 0.0]
+    assert ladder["estimated_order"] is None
+
+
 def test_cli_validation_error_exit_code(tmp_path, capsys):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(make_config(tf=-1.0), encoding="utf-8")
@@ -615,6 +619,11 @@ def test_cli_runtime_error_exit_code(tmp_path, capsys):
     cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
     assert main(["run", str(cfg_path)]) == 2
     assert "runtime error" in capsys.readouterr().err
+    # RK4's stage products overflow too: no NaN rows are written.
+    out = tmp_path / "huge.csv"
+    assert main(["run", str(cfg_path), "--method", "RK4", "--out", str(out)]) == 2
+    assert "runtime error: step map is not finite at step 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

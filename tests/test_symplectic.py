@@ -8,7 +8,7 @@ import pytest
 
 from quatkin.diagnostics import euler_formula_gap, symplecticity_defect
 from quatkin.errors import ConsistencyError, InvalidHorizonError, NonUnitStateError
-from quatkin.linalg import I4, J2, SYMPLECTIC_J4, frobenius_norm, solve_linear_4
+from quatkin.linalg import I4, SYMPLECTIC_J4, frobenius_norm, solve_linear_4
 from quatkin.model import (
     ConstantProfile,
     MidpointSamplingMode,
@@ -72,28 +72,26 @@ def test_cayley_orthogonal_and_matches_trig_branch():
 # --- constant-rate transition ----------------------------------------------------
 
 def test_autonomous_zero_rate():
-    tr = autonomous_transition(np.zeros(3), 0.5)
-    npt.assert_array_equal(tr.G, I4)
+    npt.assert_array_equal(autonomous_transition(np.zeros(3), 0.5), I4)
 
 
 def test_autonomous_alpha_value():
     # a = tau^2 |w|^2 / 16 = 1e-4 * 113 / 16 sets the diagonal (1 - a)/(1 + a).
     a = 7.0625e-4
-    g = autonomous_transition(W_REF, 0.01).G
+    g = autonomous_transition(W_REF, 0.01)
     npt.assert_allclose(g[0, 0], (1.0 - a) / (1.0 + a), rtol=1e-12)
 
 
 def test_autonomous_matches_cayley_closed_form():
     # (1/(1 + a)) [(1 - a) I + (tau/2) A] with a = tau^2 |w|^2 / 16.
-    tr = autonomous_transition(W_REF, 0.01)
     a = 0.01**2 * 113.0 / 16.0
     g = ((1.0 - a) * I4 + 0.005 * coefficient_matrix(W_REF)) / (1.0 + a)
-    npt.assert_allclose(tr.G, g, atol=1e-15)
+    npt.assert_allclose(autonomous_transition(W_REF, 0.01), g, atol=1e-15)
 
 
 def test_autonomous_close_to_analytic_flow():
-    tr = autonomous_transition(W_REF, 0.01)
-    gap = np.max(np.abs(tr.G - analytic_constant_transition(W_REF, 0.01)))
+    g = autonomous_transition(W_REF, 0.01)
+    gap = np.max(np.abs(g - analytic_constant_transition(W_REF, 0.01)))
     assert gap <= 1.25e-4  # |w| tau ~ 0.106 <= 0.2
     assert gap <= euler_formula_gap(float(np.linalg.norm(W_REF)) * 0.01) * (1 + 1e-12)
 
@@ -105,7 +103,7 @@ def test_autonomous_one_step_gap_bounded_by_gap_function():
         tau = rng.uniform(0.0, 0.2 / max(np.linalg.norm(w), 1e-9))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", StepSizeWarning)
-            g = autonomous_transition(w, tau).G
+            g = autonomous_transition(w, tau)
         gap = np.max(np.abs(g - analytic_constant_transition(w, tau)))
         assert gap <= euler_formula_gap(float(np.linalg.norm(w)) * tau) * (1 + 1e-9) + 1e-17
 
@@ -117,8 +115,8 @@ def test_autonomous_reversal_transpose_inverse():
         tau = rng.uniform(1e-4, 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", StepSizeWarning)
-            g = autonomous_transition(w, tau).G
-            g_rev = autonomous_transition(w, -tau).G
+            g = autonomous_transition(w, tau)
+            g_rev = autonomous_transition(w, -tau)
         assert frobenius_norm(g_rev - g.T) <= 1e-13
         assert frobenius_norm(g.T @ g - I4) <= 1e-13
 
@@ -140,7 +138,7 @@ def test_autonomous_equals_direct_cayley_assembly():
         tau = rng.uniform(1e-4, 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", StepSizeWarning)
-            g = autonomous_transition(w, tau).G
+            g = autonomous_transition(w, tau)
         a = coefficient_matrix(w)
         lhs = I4 - (tau / 4.0) * a
         rhs = I4 + (tau / 4.0) * a
@@ -269,7 +267,7 @@ def test_nonautonomous_coefficients_reference_values():
     npt.assert_allclose(gamma_sq, 28.261772218858507, rtol=1e-12)
     # the map's diagonal is (1 - a)/(1 + a) with a = tau^2 gamma^2 / 4
     a = tau * tau / 4.0 * gamma_sq
-    g = nonautonomous_transition(W_REF, tau).G_k
+    g = nonautonomous_transition(W_REF, tau)
     npt.assert_allclose(np.diag(g), (1.0 - a) / (1.0 + a), rtol=1e-15)
     # generator identity backing the closed form
     b = b_matrix(W_REF, tau)
@@ -280,17 +278,17 @@ def test_nonautonomous_coefficients_reference_values():
 def test_nonautonomous_equals_autonomous_when_second_component_zero():
     w = np.array([2.0, 0.0, 3.0])
     for tau in [0.3, 0.01]:
-        g_na = nonautonomous_transition(w, tau).G_k
-        g_a = autonomous_transition(w, tau).G
+        g_na = nonautonomous_transition(w, tau)
+        g_a = autonomous_transition(w, tau)
         npt.assert_array_equal(g_na, g_a)
 
 
 def test_nonautonomous_small_step_limit():
     # |G - I| ~ tau |B|_F = tau |w| for small tau.
     tau = 1e-6
-    co = nonautonomous_transition(W_REF, tau)
-    assert frobenius_norm(co.G_k - I4) <= 1.1 * tau * float(np.linalg.norm(W_REF))
-    assert frobenius_norm((co.G_k - I4) / tau - b_matrix(W_REF, tau)) <= 1e-4
+    g = nonautonomous_transition(W_REF, tau)
+    assert frobenius_norm(g - I4) <= 1.1 * tau * float(np.linalg.norm(W_REF))
+    assert frobenius_norm((g - I4) / tau - b_matrix(W_REF, tau)) <= 1e-4
 
 
 @pytest.mark.filterwarnings("ignore::quatkin.symplectic.StepSizeWarning")
@@ -299,8 +297,8 @@ def test_nonautonomous_orthogonality_random():
     for _ in range(200):
         w = rng.normal(0.0, 5.0, 3)
         tau = rng.uniform(1e-4, 1.0)
-        co = nonautonomous_transition(w, tau)
-        assert frobenius_norm(co.G_k.T @ co.G_k - I4) <= 1e-13
+        g = nonautonomous_transition(w, tau)
+        assert frobenius_norm(g.T @ g - I4) <= 1e-13
 
 
 # --- time-varying integration loop -------------------------------------------------
@@ -322,7 +320,7 @@ def test_integrate_nonautonomous_steps_match_scalar_transitions():
     q = E0.copy()
     for k in range(traj.steps):
         w_k = profile.omega_at(traj.times[k] + tau / 2.0)
-        q = nonautonomous_transition(w_k, tau).G_k @ q
+        q = nonautonomous_transition(w_k, tau) @ q
         npt.assert_array_equal(traj.states[k + 1], q)
 
 
@@ -358,7 +356,8 @@ def test_reduced_2x2_matches_upper_block_of_full_map():
     # For rates along the first axis the full map decouples into two planes,
     # each turned by the rotation cos(theta) I2 - sin(theta) J2.
     omega1, tau = 1.7, 0.05
-    g4 = autonomous_transition(np.array([omega1, 0.0, 0.0]), tau).G
+    J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    g4 = autonomous_transition(np.array([omega1, 0.0, 0.0]), tau)
     theta = 2.0 * math.atan(omega1 * tau / 4.0)
     npt.assert_allclose(g4[:2, :2], math.cos(theta) * np.eye(2) - math.sin(theta) * J2, atol=1e-15)
     npt.assert_array_equal(g4[:2, 2:], np.zeros((2, 2)))
@@ -370,7 +369,7 @@ def test_reduced_2x2_matches_upper_block_of_full_map():
 def test_defect_first_order_autonomous_ladder():
     # d(tau/2)/d(tau) ~ 1/2 for the constant-rate map.
     taus = [0.1, 0.05, 0.025, 0.0125]
-    defects = [symplecticity_defect(autonomous_transition(W_REF, t).G) for t in taus]
+    defects = [symplecticity_defect(autonomous_transition(W_REF, t)) for t in taus]
     ratios = [b / a for a, b in zip(defects, defects[1:])]
     assert all(0.4 <= r <= 0.6 for r in ratios), ratios
 
@@ -384,7 +383,7 @@ def test_defect_first_order_autonomous_ladder():
 )
 def test_defect_second_order_nonautonomous_ladder():
     taus = [0.1, 0.05, 0.025, 0.0125]
-    defects = [symplecticity_defect(nonautonomous_transition(W_REF, t).G_k) for t in taus]
+    defects = [symplecticity_defect(nonautonomous_transition(W_REF, t)) for t in taus]
     ratios = [b / a for a, b in zip(defects, defects[1:])]
     assert all(0.2 <= r <= 0.3 for r in ratios), ratios
 
@@ -399,8 +398,8 @@ def test_defect_second_order_nonautonomous_ladder():
 def test_defect_vanishes_when_second_component_zero():
     w = np.array([2.0, 0.0, 3.0])
     for tau in [0.1, 0.0125]:
-        assert symplecticity_defect(autonomous_transition(w, tau).G) <= 1e-14
-        assert symplecticity_defect(nonautonomous_transition(w, tau).G_k) <= 1e-14
+        assert symplecticity_defect(autonomous_transition(w, tau)) <= 1e-14
+        assert symplecticity_defect(nonautonomous_transition(w, tau)) <= 1e-14
 
 
 def test_consistency_check_is_enforced():
@@ -432,7 +431,7 @@ def test_consistency_error_on_overflowing_rates(scale):
 @pytest.mark.filterwarnings("ignore::quatkin.symplectic.StepSizeWarning")
 def test_large_finite_rate_gives_orthogonal_map():
     # Near the top of the range the map is still finite and orthogonal.
-    g = nonautonomous_transition(1e45 * np.ones(3) / math.sqrt(3.0), 1.0).G_k
+    g = nonautonomous_transition(1e45 * np.ones(3) / math.sqrt(3.0), 1.0)
     assert np.all(np.isfinite(g))
     assert frobenius_norm(g.T @ g - I4) <= 1e-13
 
@@ -457,7 +456,7 @@ def test_cayley_steps_batch_matches_single_steps():
     g = right_matrix(cayley_steps(w, tau))
     assert g.shape == (50, 4, 4)
     for k in range(50):
-        npt.assert_array_equal(g[k], autonomous_transition(w[k], float(tau[k])).G)
+        npt.assert_array_equal(g[k], autonomous_transition(w[k], float(tau[k])))
 
 
 # --- one step-size rule for both maps ------------------------------------------------
