@@ -48,12 +48,24 @@ GL2_MATRIX = ((0.25, 0.25 - _GL_SQRT3_6), (0.25 + _GL_SQRT3_6, 0.25))
 GL2_WEIGHTS = (0.5, 0.5)
 
 
+def _stage_rates(profile: AngularVelocityProfile, *times):
+    """One omega_at sample per stage time, checked together so that a
+    ConsistencyError names the lowest step with a non-finite rate in any stage.
+    Each stage is tested whole first: joining (K, 3) arrays along the last
+    axis costs ~8x as much, so it is done only to find the step."""
+    rates = [profile.omega_at(s) for s in times]
+    if not all(np.isfinite(w).all() for w in rates):
+        require_finite(np.concatenate(np.broadcast_arrays(*rates), axis=-1), "rate")
+    return rates
+
+
 def baseline_steps(method: BaselineMethod, profile: AngularVelocityProfile, t, tau, t_end=None):
     """Step quaternions p_k (..., 4) of `method` taking the state from t_k to
     t_k + tau_k, for broadcasting t and tau: each is the method's one step
     from e0, and the step map is q -> q (x) p_k.  L = A(w)/2 is the rate
     matrix; t_end is where the step-end rate is sampled (default t + tau).
-    Raises ConsistencyError naming the first step whose p_k is not finite.
+    Raises ConsistencyError naming the first step whose stage rate (RK4,
+    GL2) or p_k is not finite.
     """
     t = np.asarray(t, dtype=float)
     tau = np.asarray(tau, dtype=float)
@@ -62,9 +74,10 @@ def baseline_steps(method: BaselineMethod, profile: AngularVelocityProfile, t, t
     if method is BaselineMethod.RK4:
         # Stage times t, t + tau/2, t + tau/2, t + tau, applied to e0; einsum's
         # batched matrix-vector product beats matmul's at this size.
-        l1 = 0.5 * coefficient_matrix(profile.omega_at(t))
-        l2 = 0.5 * coefficient_matrix(profile.omega_at(t + tau / 2.0))
-        l3 = 0.5 * coefficient_matrix(profile.omega_at(t_end))
+        w1, w2, w3 = _stage_rates(profile, t, t + tau / 2.0, t_end)
+        l1 = 0.5 * coefficient_matrix(w1)
+        l2 = 0.5 * coefficient_matrix(w2)
+        l3 = 0.5 * coefficient_matrix(w3)
         k1 = l1[..., 0]
         k2 = np.einsum("...ij,...j->...i", l2, I4[0] + (h / 2.0) * k1)
         k3 = np.einsum("...ij,...j->...i", l2, I4[0] + (h / 2.0) * k2)
@@ -81,8 +94,9 @@ def baseline_steps(method: BaselineMethod, profile: AngularVelocityProfile, t, t
         # Gauss-Legendre: k_i = L_i (e0 + tau sum_j a_ij k_j) with L_i at
         # t + c_i tau is one 8x8 system per step, whose right-hand side is
         # tau [L1 e0; L2 e0].
-        hl1 = h[..., None] * (0.5 * coefficient_matrix(profile.omega_at(t + GL2_NODES[0] * tau)))
-        hl2 = h[..., None] * (0.5 * coefficient_matrix(profile.omega_at(t + GL2_NODES[1] * tau)))
+        w1, w2 = _stage_rates(profile, t + GL2_NODES[0] * tau, t + GL2_NODES[1] * tau)
+        hl1 = h[..., None] * (0.5 * coefficient_matrix(w1))
+        hl2 = h[..., None] * (0.5 * coefficient_matrix(w2))
         (a11, a12), (a21, a22) = GL2_MATRIX
         m = np.eye(8) - np.block([[a11 * hl1, a12 * hl1], [a21 * hl2, a22 * hl2]])
         rhs = np.concatenate([hl1[..., :1], hl2[..., :1]], axis=-2)

@@ -18,6 +18,8 @@ norm and the structures LEFT_I, LEFT_J and LEFT_K to rounding.
 from __future__ import annotations
 
 import math
+import os
+import sys
 import warnings
 
 import numpy as np
@@ -60,6 +62,20 @@ class StepSizeWarning(UserWarning):
     """Step size exceeds the accuracy guideline tau <= 1/(5 |omega|)."""
 
 
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
+
+
+def _caller_stacklevel() -> int:
+    """warnings.warn stacklevel, counted from the function that calls this one,
+    of the first frame outside this package: a warning names the caller's
+    line whichever public entry reached the step builder.  (warn's
+    skip_file_prefixes does this too, but only from Python 3.12 on.)"""
+    frame, level = sys._getframe(1), 1
+    while frame.f_back is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        frame, level = frame.f_back, level + 1
+    return level
+
+
 def _norm_sq(w: np.ndarray) -> np.ndarray:
     """|w|^2 over the last axis, which must hold the three rate components."""
     if w.shape[-1:] != (3,):
@@ -74,7 +90,8 @@ def cayley_steps(omega, tau):
     Broadcasts over the leading axes; a negative step gives the conjugate,
     whose map is G.T.  Raises ConsistencyError naming the first step whose
     rate or map is not finite; emits one StepSizeWarning counting the steps
-    beyond the 1/(5 |w|) guideline.
+    beyond the 1/(5 |w|) guideline, attributed to the first caller outside
+    the package.
     """
     w = np.asarray(omega, dtype=float)
     tau = np.asarray(tau, dtype=float)
@@ -95,7 +112,7 @@ def cayley_steps(omega, tau):
             f"guideline tau <= 1/(5|omega|); worst tau|omega| = "
             f"{float(np.max(np.abs(step_rate))):.4g}",
             StepSizeWarning,
-            stacklevel=3,
+            stacklevel=_caller_stacklevel(),
         )
     return p
 

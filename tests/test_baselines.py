@@ -64,6 +64,20 @@ def test_non_finite_step_is_named():
         integrate_baseline(EUB, profile, E0, 0.0, 1.0, 0.25)
 
 
+def nan_from_half(t):
+    return np.where(t[..., None] >= 0.5, np.nan, W_REF.vector)
+
+
+@pytest.mark.parametrize("method, step", [(RK4, 1), (EUB, 1), (GL2, 2)])
+def test_non_finite_rate_names_the_lowest_step_of_any_stage(method, step):
+    # The rate is nan from t = 0.5 on (tau 0.25): RK4's last stage and EUB's
+    # step end reach it in step 1, over [0.25, 0.5]; GL2's interior nodes
+    # only in step 2.
+    profile = FormulaProfile("nan-from-half", nan_from_half)
+    with pytest.raises(ConsistencyError, match=f"not finite at step {step}$"):
+        integrate_baseline(method, profile, E0, 0.0, 1.0, 0.25)
+
+
 # --- RK4 ------------------------------------------------------------------------
 
 def test_rk4_one_step_error_follows_series_remainder():

@@ -13,7 +13,13 @@ from quatkin._g17 import _VECTOR_MIN_ROWS
 from quatkin.cli import main
 from quatkin.errors import ConfigError
 from quatkin.linalg import I4, LEFT_I, LEFT_J, LEFT_K, frobenius_norm
-from quatkin.model import ConingProfile, ConstantProfile, MidpointSamplingMode, right_matrix
+from quatkin.model import (
+    ConingProfile,
+    ConstantProfile,
+    FormulaProfile,
+    MidpointSamplingMode,
+    right_matrix,
+)
 from quatkin.scenario import (
     DEFAULT_SWEEP_TAUS,
     MAX_STEPS,
@@ -29,7 +35,7 @@ from quatkin.scenario import (
     run_scenario,
     run_sweep,
 )
-from quatkin.symplectic import StepSizeWarning, autonomous_transition
+from quatkin.symplectic import StepSizeWarning, autonomous_transition, integrate_nonautonomous
 
 CONING_Q0 = [
     math.cos(math.pi / 160.0),
@@ -624,6 +630,38 @@ def test_cli_runtime_error_exit_code(tmp_path, capsys):
     assert main(["run", str(cfg_path), "--method", "RK4", "--out", str(out)]) == 2
     assert "runtime error: step map is not finite at step 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("method, step", [("RK4", 1), ("EUB", 1), ("GL2", 2)])
+def test_cli_non_finite_rate_exit_code(method, step, tmp_path, capsys, monkeypatch):
+    # A profile that is nan from t = 0.5 on fails at run time, naming the step.
+    def rate(t):
+        return np.where(t[..., None] >= 0.5, np.nan, [1.0, 2.0, 3.0])
+
+    monkeypatch.setitem(PROFILE_REGISTRY, "nan-from-half", lambda: FormulaProfile("nan", rate))
+    cfg_path = tmp_path / "nan.json"
+    cfg_path.write_text(make_config(profile="nan-from-half", tau=0.25, method=method))
+    assert main(["run", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.endswith(f"not finite at step {step}\n")
+
+
+@pytest.mark.parametrize(
+    "call", ["integrate_nonautonomous", "run_scenario", "defect_ladder", "autonomous_transition"]
+)
+def test_step_size_warning_names_the_caller(call):
+    # fig1a at tau 0.1 is past the 1/(5|w|) guideline on every path.
+    cfg = parse_config(make_config(tau=0.1))
+    calls = {
+        "integrate_nonautonomous": lambda: integrate_nonautonomous(
+            cfg.profile, cfg.q0, 0.0, 1.0, 0.1
+        ),
+        "run_scenario": lambda: run_scenario(cfg),
+        "defect_ladder": lambda: defect_ladder(cfg),
+        "autonomous_transition": lambda: autonomous_transition(cfg.profile.vector, 0.1),
+    }
+    with pytest.warns(StepSizeWarning) as record:
+        calls[call]()
+    assert [w.filename for w in record] == [__file__] * len(record)
 
 
 @pytest.mark.parametrize(

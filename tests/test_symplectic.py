@@ -6,6 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from quatkin.baselines import BaselineMethod, baseline_steps, integrate_baseline
 from quatkin.diagnostics import euler_formula_gap, symplecticity_defect
 from quatkin.errors import ConsistencyError, InvalidHorizonError, NonUnitStateError
 from quatkin.linalg import I4, SYMPLECTIC_J4, frobenius_norm, solve_linear_4
@@ -17,6 +18,7 @@ from quatkin.model import (
     coning_analytic_state,
     coning_oracle,
     constant_oracle,
+    midpoint_omega,
     right_matrix,
 )
 from quatkin.scenario import profile_from_name
@@ -30,7 +32,7 @@ from quatkin.symplectic import (
     integrate_nonautonomous,
     nonautonomous_transition,
 )
-from quatkin.trajectory import _BLOCK_STEPS, propagate, step_schedule
+from quatkin.trajectory import _BLOCK_STEPS, propagate, step_end_times, step_schedule
 
 W_REF = np.array([2.0, 10.0, 3.0])
 E0 = np.array([1.0, 0.0, 0.0, 0.0])
@@ -194,15 +196,49 @@ def test_integrate_autonomous_matches_one_map_per_step(tf):
     npt.assert_array_equal(traj.states, propagate(cayley_steps(W_REF, tau_k), E0))
 
 
-def test_propagate_matches_sequential_products_across_blocks():
+@pytest.mark.parametrize("norm", [1e-3, 1.0, 1e3], ids=["norm-1e-3", "norm-1", "norm-1e3"])
+def test_propagate_matches_sequential_products_across_blocks(norm):
+    # Step norms alternate norm and 1/norm (the scale of EUB's damping and
+    # RK4's drift): every product runs at that scale, and the states stay
+    # finite, so no row compares an overflowed or underflowed value.
     rng = np.random.default_rng(8)
     p = rng.normal(size=(2 * _BLOCK_STEPS + 5, 4))
     p /= np.linalg.norm(p, axis=1, keepdims=True)
+    p[0::2] *= norm
+    p[1::2] /= norm
     q, expected = E0, [E0]
     for pk in p:
         q = right_matrix(pk) @ q
         expected.append(q)
+    assert np.all(np.abs(expected) < 10.0 * max(norm, 1.0))
     assert propagate(p, E0).tobytes() == np.array(expected).tobytes()
+
+
+@pytest.mark.parametrize("method", ["SGA-A", "SGA-NA", "RK4", "EUB", "GL2"])
+def test_integrator_states_are_sequential_products_of_its_steps(method):
+    # Across a block seam and a shortened final step, every integrator's
+    # states are its own builder's R(p_k) applied in turn with `@`.
+    profile = profile_from_name("coning")
+    tau = 0.01
+    tf = (_BLOCK_STEPS + 2.5) * tau
+    times, tau_k = step_schedule(0.0, tf, tau)
+    assert len(tau_k) == _BLOCK_STEPS + 3
+    t_end = step_end_times(times, tau_k)
+    if method == "SGA-A":
+        traj = integrate_autonomous(W_REF, E0, 0.0, tf, tau)
+        p = cayley_steps(W_REF, tau_k)
+    elif method == "SGA-NA":
+        traj = integrate_nonautonomous(profile, E0, 0.0, tf, tau)
+        w = midpoint_omega(profile, times[:-1], tau_k, MidpointSamplingMode.EXACT, t_end)
+        p = cayley_steps(corrected_rate(w, tau_k), tau_k)
+    else:
+        traj = integrate_baseline(BaselineMethod(method), profile, E0, 0.0, tf, tau)
+        p = baseline_steps(BaselineMethod(method), profile, times[:-1], tau_k, t_end)
+    q, expected = E0, [E0]
+    for pk in p:
+        q = right_matrix(pk) @ q
+        expected.append(q)
+    assert traj.states.tobytes() == np.array(expected).tobytes()
 
 
 def test_integrate_autonomous_builds_only_distinct_maps():
