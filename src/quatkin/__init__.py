@@ -34,7 +34,6 @@ from .linalg import (
     LEFT_K,
     SYMPLECTIC_J4,
     frobenius_norm,
-    solve_linear_4,
 )
 from .model import (
     AngularVelocityProfile,
@@ -48,7 +47,6 @@ from .model import (
     coning_analytic_state,
     coning_oracle,
     constant_oracle,
-    constant_transition_series,
     midpoint_omega,
     right_matrix,
 )

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ProfileDomainError
-from .linalg import I4, frobenius_norm
+from .linalg import I4
 
 __all__ = [
     "right_matrix",
@@ -33,7 +33,6 @@ __all__ = [
     "MidpointSamplingMode",
     "midpoint_omega",
     "analytic_constant_transition",
-    "constant_transition_series",
     "coning_analytic_state",
     "constant_oracle",
     "coning_oracle",
@@ -204,24 +203,6 @@ def analytic_constant_transition(omega: np.ndarray, tau: float) -> np.ndarray:
         return I4.copy()
     half = 0.5 * n * tau
     return math.cos(half) * I4 + (math.sin(half) / n) * coefficient_matrix(w)
-
-
-def constant_transition_series(omega, tau, tol: float = 1e-18) -> np.ndarray:
-    """Truncated power series of exp(A(w) tau / 2); independent cross-check
-    oracle for :func:`analytic_constant_transition`.
-
-    Terms are accumulated until the next term's Frobenius norm drops below
-    tol.
-    """
-    m = 0.5 * tau * coefficient_matrix(omega)
-    out = I4.copy()
-    term = I4.copy()
-    for k in range(1, 300):
-        term = term @ m / k
-        out += term
-        if frobenius_norm(term) < tol:
-            return out
-    raise ArithmeticError("matrix exponential series failed to converge")
 
 
 def coning_analytic_state(omega0: float, beta: float, t):

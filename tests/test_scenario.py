@@ -486,6 +486,19 @@ def test_emit_summary_sweep_estimates_order(tmp_path):
     assert 1.8 <= doc["estimated_order"] <= 2.3
 
 
+def test_emit_summary_rejects_non_finite_and_keeps_the_old_file(tmp_path):
+    # Strict JSON: a nan fails before the file is opened, so the summary
+    # already at that path is left byte for byte.
+    artifacts = run_scenario(parse_config(make_config(tf=0.1)))
+    path = tmp_path / "summary.json"
+    emit_summary(artifacts, path)
+    before = path.read_bytes()
+    broken = dataclasses.replace(artifacts, max_norm_deviation=float("nan"))
+    with pytest.raises(ValueError, match="JSON compliant"):
+        emit_summary(broken, path)
+    assert path.read_bytes() == before
+
+
 # --- CLI ----------------------------------------------------------------------------
 
 def test_cli_gap_prints_value(capsys):
@@ -643,6 +656,30 @@ def test_cli_non_finite_rate_exit_code(method, step, tmp_path, capsys, monkeypat
     cfg_path.write_text(make_config(profile="nan-from-half", tau=0.25, method=method))
     assert main(["run", str(cfg_path)]) == 2
     assert capsys.readouterr().err.endswith(f"not finite at step {step}\n")
+
+
+@pytest.mark.filterwarnings("ignore::quatkin.symplectic.StepSizeWarning")
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("tf, code", [(100.0, 2), (10.0, 0)], ids=["diverges", "large-finite"])
+def test_cli_rk4_past_its_stability_bound(tf, code, tmp_path, capsys):
+    # tau |w| = 10: every RK4 step multiplies the norm by ~21.5.  Over 1000
+    # steps the state overflows at step 232 and the run stops there, writing
+    # nothing; over 100 it reaches ~1e133, still finite, and the run writes
+    # a strict-JSON summary.
+    profile = {"type": "constant", "omega": [100, 0, 0]}
+    cfg = {"profile": profile, "method": "RK4", "tau": 0.1, "tf": tf}
+    cfg_path, out, summary = tmp_path / "rk4.json", tmp_path / "rk4.csv", tmp_path / "summary.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["run", str(cfg_path), "--out", str(out), "--summary", str(summary)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == "runtime error: state is not finite at step 232\n"
+        assert not out.exists() and not summary.exists()
+    else:
+        doc = json.loads(summary.read_text(encoding="utf-8"), parse_constant=pytest.fail)
+        assert 1e133 < doc["runs"][0]["max_norm_deviation"] < 1e134
+        text = out.read_text(encoding="utf-8")
+        assert "nan" not in text and "inf" not in text
 
 
 @pytest.mark.parametrize(

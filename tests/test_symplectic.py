@@ -9,7 +9,7 @@ import pytest
 from quatkin.baselines import BaselineMethod, baseline_steps, integrate_baseline
 from quatkin.diagnostics import euler_formula_gap, symplecticity_defect
 from quatkin.errors import ConsistencyError, InvalidHorizonError, NonUnitStateError
-from quatkin.linalg import I4, SYMPLECTIC_J4, frobenius_norm, solve_linear_4
+from quatkin.linalg import I4, SYMPLECTIC_J4, frobenius_norm
 from quatkin.model import (
     ConstantProfile,
     MidpointSamplingMode,
@@ -33,6 +33,7 @@ from quatkin.symplectic import (
     nonautonomous_transition,
 )
 from quatkin.trajectory import _BLOCK_STEPS, propagate, step_end_times, step_schedule
+from reference_impl import solve_linear_4
 
 W_REF = np.array([2.0, 10.0, 3.0])
 E0 = np.array([1.0, 0.0, 0.0, 0.0])
@@ -212,6 +213,69 @@ def test_propagate_matches_sequential_products_across_blocks(norm):
         expected.append(q)
     assert np.all(np.abs(expected) < 10.0 * max(norm, 1.0))
     assert propagate(p, E0).tobytes() == np.array(expected).tobytes()
+
+
+def sequential_products(p, q):
+    """States of q_{k+1} = R(p_k) @ q_k, one `@` product per step."""
+    states = [q]
+    for pk in p:
+        q = right_matrix(pk) @ q
+        states.append(q)
+    return np.array(states)
+
+
+@pytest.mark.parametrize(
+    "steps",
+    [1, _BLOCK_STEPS - 1, _BLOCK_STEPS, _BLOCK_STEPS + 1, 2 * _BLOCK_STEPS + 5],
+    ids=["1", "block-1", "block", "block+1", "2block+5"],
+)
+def test_propagate_matches_sequential_products_at_block_edges(steps):
+    # Unit step quaternions at a random start: a partial block, an exact
+    # block and one step either side of a seam.
+    rng = np.random.default_rng(steps)
+    p = rng.normal(size=(steps, 4))
+    p /= np.linalg.norm(p, axis=1, keepdims=True)
+    q = rng.normal(size=4)
+    assert propagate(p, q).tobytes() == sequential_products(p, q).tobytes()
+
+
+def test_propagate_calls_do_not_share_buffers():
+    # A long call then a short one: the second reuses nothing the first
+    # returned, and neither call writes to its inputs.
+    rng = np.random.default_rng(21)
+    p_long = rng.normal(size=(_BLOCK_STEPS + 7, 4))
+    p_long /= np.linalg.norm(p_long, axis=1, keepdims=True)
+    p_short = p_long[:5][::-1].copy()
+    q = rng.normal(size=4)
+    p_before, q_before = p_long.copy(), q.copy()
+    first = propagate(p_long, q)
+    second = propagate(p_short, -q)
+    assert not np.shares_memory(first, second)
+    assert first.tobytes() == sequential_products(p_long, q).tobytes()
+    assert second.tobytes() == sequential_products(p_short, -q).tobytes()
+    assert p_long.tobytes() == p_before.tobytes() and q.tobytes() == q_before.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("first_bad", [3, _BLOCK_STEPS - 1, _BLOCK_STEPS, _BLOCK_STEPS + 40])
+def test_propagate_names_the_first_non_finite_state(first_bad):
+    # Unit steps, then one of norm 1e300 and one of 1e10: the state
+    # overflows at step first_bad, inside a block or at its last row, in the
+    # first block or the second; the error names that step.
+    p = np.tile([0.6, 0.8, 0.0, 0.0], (2 * _BLOCK_STEPS + 3, 1))
+    p[first_bad - 2] *= 1e300
+    p[first_bad - 1] *= 1e10
+    with pytest.raises(ConsistencyError, match=f"state is not finite at step {first_bad}$"):
+        propagate(p, E0)
+
+
+def test_propagate_keeps_large_finite_states():
+    # RK4 past its stability bound grows the norm 21.5x a step; 200 steps
+    # reach ~1e266, still finite, so the run is not an error.
+    p = np.tile([0.0, 21.5, 0.0, 0.0], (200, 1))
+    states = propagate(p, E0)
+    assert np.all(np.isfinite(states))
+    assert 1e266 < np.max(np.abs(states[-1])) < 1e267
 
 
 @pytest.mark.parametrize("method", ["SGA-A", "SGA-NA", "RK4", "EUB", "GL2"])
