@@ -129,26 +129,17 @@ def main(argv=None) -> int:
             for name in registry_names():
                 print(f"{name}: {REGISTRY_DESCRIPTIONS[name]}")
             return 0
-        if args.verb == "run":
-            cfg = _load_config(args)
-            _check_output_dirs(args)
-            artifacts = run_scenario(cfg)
-            _print_run(artifacts)
-            if args.out:
-                emit_series(artifacts, args.out)
-            if args.summary:
-                emit_summary(artifacts, args.summary)
-            return 0
-        if args.verb == "sweep":
-            cfg = _load_config(args)
-            _check_output_dirs(args)
-            runs = run_sweep(cfg, args.taus)
-            for a in runs:
-                _print_run(a)
-            if args.summary:
-                emit_summary(runs, args.summary)
-            return 0
-        raise AssertionError(f"unhandled verb {args.verb}")
+        # run and sweep: a run is a sweep of one; only run takes --out.
+        cfg = _load_config(args)
+        _check_output_dirs(args)
+        runs = run_sweep(cfg, args.taus) if args.verb == "sweep" else [run_scenario(cfg)]
+        for a in runs:
+            _print_run(a)
+        if getattr(args, "out", None):
+            emit_series(runs[0], args.out)
+        if args.summary:
+            emit_summary(runs, args.summary)
+        return 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -17,7 +17,7 @@ class QuatkinError(Exception):
 
 
 class SingularMatrixError(QuatkinError):
-    """A direct linear solve hit a pivot below the singularity floor."""
+    """GL2's stage system is singular: np.linalg.solve raised LinAlgError."""
 
 
 class ProfileDomainError(QuatkinError):

@@ -1,4 +1,4 @@
-"""Dense fixed-size linear algebra (2x2 and 4x4) backing the transition maps.
+"""The 4x4 structure matrices and the Frobenius norm behind the transition maps.
 
 Vectors and matrices are plain float64 numpy arrays; everything here is a
 pure function over immutable values.

@@ -17,7 +17,6 @@ norm and the structures LEFT_I, LEFT_J and LEFT_K to rounding.
 """
 from __future__ import annotations
 
-import math
 import os
 import sys
 import warnings
@@ -117,14 +116,15 @@ def cayley_steps(omega, tau):
     return p
 
 
-def autonomous_transition(omega, tau: float) -> np.ndarray:
-    """Closed-form constant-rate transition matrix G (4x4).
+def autonomous_transition(omega, tau) -> np.ndarray:
+    """Closed-form constant-rate transition matrix G (4x4), or (..., 4, 4)
+    for a step array tau (...), broadcast like :func:`cayley_steps`.
 
     G = [(1 - a) I + (tau/2) A(w)] / (1 + a) with a = tau^2 |w|^2 / 16;
     orthogonal, and G(-tau) = G.T = G^-1.  Emits StepSizeWarning when tau
     exceeds the 1/(5 |w|) accuracy guideline.
     """
-    if not math.isfinite(tau):
+    if not np.isfinite(tau).all():
         raise ValueError("step size must be finite")
     return right_matrix(cayley_steps(omega, tau))
 
@@ -169,15 +169,17 @@ def b_matrix(omega_k, tau) -> np.ndarray:
     return 0.5 * coefficient_matrix(w) + beta[..., None, None] * SYMPLECTIC_J4
 
 
-def nonautonomous_transition(omega_k, tau: float) -> np.ndarray:
-    """One-step transition matrix G_k (4x4) for a midpoint angular-velocity sample.
+def nonautonomous_transition(omega_k, tau) -> np.ndarray:
+    """One-step transition matrix G_k (4x4) for a midpoint angular-velocity
+    sample, or (..., 4, 4) for rates (..., 3) and steps tau (...).
 
     G_k = [(1 - a_k) I + tau B_k] / (1 + a_k) with B_k from :func:`b_matrix`
     and a_k = tau^2 |w_k'|^2 / 16, built as the constant-rate map at
     w_k' = :func:`corrected_rate`: orthogonal, and identical to the
     constant-rate map at w_k whenever w2 = 0.
     """
-    if not (math.isfinite(tau) and tau > 0.0):
+    t = np.asarray(tau, dtype=float)
+    if not (np.isfinite(t) & (t > 0.0)).all():
         raise ValueError(f"step size must be positive, got {tau}")
     return right_matrix(cayley_steps(corrected_rate(omega_k, tau), tau))
 

@@ -53,7 +53,8 @@ class Trajectory:
         the report, the summary, the printout and the CSV all use it."""
         norms = self.__dict__.get("_norms")
         if norms is None:
-            norms = np.linalg.norm(self.states, axis=1)
+            with np.errstate(over="ignore", invalid="ignore"):  # run_scenario names it
+                norms = np.linalg.norm(self.states, axis=1)
             norms.flags.writeable = False
             object.__setattr__(self, "_norms", norms)
         return norms
@@ -116,15 +117,16 @@ def propagate(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     g = np.empty((n, 4, 4))
     outs, gs = list(buf[1:]), list(g)
     ins = [buf[0], *outs[:-1]]  # step k + 1 reads the row view step k wrote
-    for start in range(0, k, _BLOCK_STEPS):
-        m = min(n, k - start)
-        g[:m] = right_matrix(p[start:start + m])
-        buf[0] = states[start]
-        for _ in map(np.ndarray.dot, gs[:m], ins, outs):
-            pass
-        states[start + 1:start + 1 + m] = buf[1:m + 1]
-        if not np.isfinite(buf[m]).all():
-            require_finite(states[:start + 1 + m], "state")
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below names it
+        for start in range(0, k, _BLOCK_STEPS):
+            m = min(n, k - start)
+            g[:m] = right_matrix(p[start:start + m])
+            buf[0] = states[start]
+            for _ in map(np.ndarray.dot, gs[:m], ins, outs):
+                pass
+            states[start + 1:start + 1 + m] = buf[1:m + 1]
+            if not np.isfinite(buf[m]).all():
+                require_finite(states[:start + 1 + m], "state")
     return states
 
 

@@ -13,7 +13,9 @@ from quatkin._g17 import _VECTOR_MIN_ROWS
 from quatkin.cli import main
 from quatkin.errors import ConfigError
 from quatkin.linalg import I4, LEFT_I, LEFT_J, LEFT_K, frobenius_norm
+from quatkin.diagnostics import symplecticity_defect
 from quatkin.model import (
+    AngularVelocityProfile,
     ConingProfile,
     ConstantProfile,
     FormulaProfile,
@@ -31,6 +33,7 @@ from quatkin.scenario import (
     one_step_matrix,
     parse_config,
     parse_number,
+    profile_from_name,
     registry_names,
     run_scenario,
     run_sweep,
@@ -197,6 +200,82 @@ def test_parse_rejects_unknown_method_sampling_outputs():
         parse_config(make_config(outputs=["series", "plots"]))
 
 
+_BASE = {"profile": "fig1a", "tau": 0.01, "tf": 1.0}
+_CONING = {"type": "coning", "omega0": "2pi", "beta": "pi/80"}
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({**_BASE, "bogus": 1, "extra": 2}, "unknown config keys: ['bogus', 'extra']"),
+        ({"tau": 0.01, "tf": 1.0}, "field 'profile' is required"),
+        ({"profile": "fig1a", "tf": 1.0}, "field 'tau' is required"),
+        ({"profile": "fig1a", "tau": 0.01}, "field 'tf' is required"),
+        ({}, "field 'profile' is required"),
+        (
+            {**_BASE, "profile": {"type": "constant", "omega": [1, 2, 3], "x": 1}},
+            "field 'profile': unknown keys ['x']",
+        ),
+        ({**_BASE, "profile": {**_CONING, "omega": 1}}, "field 'profile': unknown keys ['omega']"),
+        (
+            {**_BASE, "profile": {"type": "tabulated", "samples": [], "beta": 1}},
+            "field 'profile': unknown keys ['beta']",
+        ),
+        ({**_BASE, "oracle": {**_CONING, "samples": 1}}, "field 'oracle': unknown keys ['samples']"),
+        (
+            {**_BASE, "profile": {"type": "spiral", "x": 1}},
+            "field 'profile.type': expected one of constant/coning/tabulated, got 'spiral'",
+        ),
+        (
+            {**_BASE, "profile": {"omega": [1, 2, 3]}},
+            "field 'profile.type': expected one of constant/coning/tabulated, got None",
+        ),
+        (
+            {**_BASE, "profile": {"type": ["constant"]}},
+            "field 'profile.type': expected one of constant/coning/tabulated, got ['constant']",
+        ),
+        (
+            {**_BASE, "profile": {**_CONING, "omega0": "nan"}},
+            "field 'profile': field 'profile.omega0': expected a finite number, got 'nan'",
+        ),
+        (
+            {**_BASE, "profile": {**_CONING, "omega0": 0}},
+            "field 'profile': coning profile requires omega0 != 0",
+        ),
+        (
+            {**_BASE, "profile": {"type": "coning", "omega0": "2pi"}},
+            "field 'profile': field 'profile.beta': expected a number, got NoneType",
+        ),
+        (
+            {**_BASE, "profile": {**_CONING, "beta": "pi/x"}},
+            "field 'profile': field 'profile.beta': cannot parse 'pi/x' as a number or pi literal",
+        ),
+        (
+            {**_BASE, "oracle": {**_CONING, "omega0": "inf"}},
+            "field 'oracle.omega0': expected a finite number, got 'inf'",
+        ),
+        (
+            {**_BASE, "oracle": {**_CONING, "omega0": True}},
+            "field 'oracle.omega0': expected a number, got True",
+        ),
+        (
+            {**_BASE, "oracle": {"type": "coning", "omega0": 1.0}},
+            "field 'oracle.beta': expected a number, got NoneType",
+        ),
+        (
+            {**_BASE, "oracle": {**_CONING, "beta": [1]}},
+            "field 'oracle.beta': expected a number, got list",
+        ),
+    ],
+)
+def test_config_object_messages(config, message):
+    # The full text of each message, pinned: unknown and missing keys, every
+    # profile kind, the coning oracle, and the coning parameters of both.
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(config)
+    assert str(excinfo.value) == message
+
+
 def test_parse_tabulated_profile():
     cfg = parse_config(
         make_config(
@@ -288,6 +367,57 @@ def test_defect_ladder_uses_scenario_tau():
     cfg = parse_config(make_config(tau=0.2))
     ladder = defect_ladder(cfg)
     npt.assert_allclose(ladder.taus, [0.2, 0.1, 0.05, 0.025], rtol=1e-12)
+
+
+class CountingProfile(AngularVelocityProfile):
+    """fig2, counting omega_at calls."""
+
+    def __init__(self):
+        self.inner, self.calls = profile_from_name("fig2"), 0
+
+    def omega_at(self, t):
+        self.calls += 1
+        return self.inner.omega_at(t)
+
+
+@pytest.mark.parametrize(
+    "method, sampling, calls",
+    [("RK4", "exact", 3), ("GL2", "exact", 2), ("EUB", "exact", 1), ("SGA-NA", "exact", 1),
+     ("SGA-NA", "interp", 2)],
+)
+def test_defect_ladder_samples_each_stage_once(method, sampling, calls):
+    # The four rungs come from one builder call: one omega_at call per stage.
+    cfg = parse_config(make_config(profile="fig2", tau=0.1, method=method, sampling=sampling))
+    cfg = dataclasses.replace(cfg, profile=CountingProfile())
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        defect_ladder(cfg)
+    assert cfg.profile.calls == calls
+    assert len(record) <= 1
+
+
+def test_defect_ladder_warns_once_counting_rungs():
+    # fig1a at tau 0.1: tau|w| = 1.06, 0.53, 0.27 and 0.13 on the four rungs.
+    cfg = parse_config(make_config(tau=0.1, outputs=["defect-ladder"]))
+    with pytest.warns(StepSizeWarning) as record:
+        defect_ladder(cfg)
+    assert [str(w.message)[:20] for w in record] == ["3 of 4 steps exceed "]
+
+
+@pytest.mark.filterwarnings("ignore::quatkin.symplectic.StepSizeWarning")
+@pytest.mark.parametrize(
+    "profile, method, sampling",
+    [("fig1a", "SGA-A", "exact"), ("fig2", "SGA-NA", "exact"), ("fig2", "SGA-NA", "interp"),
+     ("fig1c", "RK4", "exact"), ("fig1c", "EUB", "exact"), ("fig1c", "GL2", "exact")],
+)
+def test_defect_ladder_matches_per_rung_maps(profile, method, sampling):
+    cfg = parse_config(
+        make_config(profile=profile, t0=0.3, tau=0.1, method=method, sampling=sampling)
+    )
+    ladder = defect_ladder(cfg)
+    assert ladder.taus == (0.1, 0.05, 0.025, 0.0125)
+    per_rung = [symplecticity_defect(one_step_matrix(cfg, t)) for t in ladder.taus]
+    assert list(ladder.defects) == per_rung  # bitwise
 
 
 def test_run_sweep_errors_decrease():
@@ -566,6 +696,24 @@ def test_cli_sweep(tmp_path):
     assert [r["tau"] for r in doc["runs"]] == [0.1, 0.05]
 
 
+def test_cli_run_and_one_step_sweep_write_the_same_summary(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(
+        make_config(profile="coning", q0=CONING_Q0, tf=2.0, tau=0.05, outputs=["defect-ladder"]),
+        encoding="utf-8",
+    )
+    docs, lines = [], []
+    for extra in (["run"], ["sweep", "--taus", "0.05"]):
+        summary = tmp_path / f"{extra[0]}.json"
+        assert main([extra[0], str(cfg_path), *extra[1:], "--summary", str(summary)]) == 0
+        doc = json.loads(summary.read_text(encoding="utf-8"))
+        assert doc["runs"][0].pop("wall_clock_s") > 0.0
+        docs.append(doc)
+        lines.append(capsys.readouterr().out.split(" wall=")[0])
+    assert docs[0] == docs[1]
+    assert lines[0] == lines[1] == "coning: method=SGA-NA tau=0.05 steps=40"
+
+
 def test_cli_summary_keeps_a_ladder_with_undefined_order(tmp_path):
     # A zero rate gives zero defects on every rung, so the order is undefined.
     cfg_path, out_json = tmp_path / "still.json", tmp_path / "summary.json"
@@ -680,6 +828,26 @@ def test_cli_rk4_past_its_stability_bound(tf, code, tmp_path, capsys):
         assert 1e133 < doc["runs"][0]["max_norm_deviation"] < 1e134
         text = out.read_text(encoding="utf-8")
         assert "nan" not in text and "inf" not in text
+
+
+@pytest.mark.parametrize(
+    "tf, message",
+    [(100.0, "state is not finite at step 232"), (20.0, "state norm is not finite at step 116")],
+    ids=["state-overflow", "norm-overflow"],
+)
+def test_cli_diverging_rk4_prints_only_the_named_error(tf, message, tmp_path, capsys):
+    # At tf = 20 the states stay finite (~2.4e266) but their norms overflow.
+    # Neither run lets a numpy RuntimeWarning out, and neither writes a file.
+    profile = {"type": "constant", "omega": [100, 0, 0]}
+    cfg = {"profile": profile, "method": "RK4", "tau": 0.1, "tf": tf}
+    cfg_path, out, summary = tmp_path / "rk4.json", tmp_path / "rk4.csv", tmp_path / "summary.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["run", str(cfg_path), "--out", str(out), "--summary", str(summary)])
+    assert code == 2
+    assert capsys.readouterr() == ("", f"runtime error: {message}\n")
+    assert not out.exists() and not summary.exists()
 
 
 @pytest.mark.parametrize(

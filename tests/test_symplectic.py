@@ -502,6 +502,33 @@ def test_defect_vanishes_when_second_component_zero():
         assert symplecticity_defect(nonautonomous_transition(w, tau)) <= 1e-14
 
 
+@pytest.mark.filterwarnings("ignore::quatkin.symplectic.StepSizeWarning")
+def test_transitions_broadcast_over_step_arrays():
+    taus = np.array([0.1, 0.05, 0.025, 0.0125])
+    npt.assert_array_equal(
+        autonomous_transition(W_REF, taus), [autonomous_transition(W_REF, t) for t in taus]
+    )
+    w = np.array([[2.0, 10.0, 3.0], [1.0, -2.0, 0.5], [0.0, 4.0, 0.0], [3.0, 0.0, 1.0]])
+    npt.assert_array_equal(
+        nonautonomous_transition(w, taus),
+        [nonautonomous_transition(wk, t) for wk, t in zip(w, taus)],
+    )
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_autonomous_transition_rejects_any_non_finite_step(bad):
+    with pytest.raises(ValueError, match="step size must be finite"):
+        autonomous_transition(W_REF, np.array([0.1, bad, 0.1]))
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.1, math.nan])
+def test_nonautonomous_transition_rejects_any_non_positive_step(bad):
+    with pytest.raises(ValueError, match="step size must be positive"):
+        nonautonomous_transition(W_REF, np.array([0.1, bad]))
+    with pytest.raises(ValueError, match=f"step size must be positive, got {bad}$"):
+        nonautonomous_transition(W_REF, bad)
+
+
 def test_consistency_check_is_enforced():
     with pytest.raises(ValueError):
         nonautonomous_transition(np.array([1.0, 2.0]), 0.1)
