@@ -16,6 +16,7 @@ from .diagnostics import (
     component_errors,
     convergence_order,
     euler_formula_gap,
+    frobenius_norm,
     symplecticity_defect,
 )
 from .errors import (
@@ -28,14 +29,11 @@ from .errors import (
     QuatkinError,
     SingularMatrixError,
 )
-from .linalg import (
+from .model import (
     LEFT_I,
     LEFT_J,
     LEFT_K,
     SYMPLECTIC_J4,
-    frobenius_norm,
-)
-from .model import (
     AngularVelocityProfile,
     ConingProfile,
     ConstantProfile,

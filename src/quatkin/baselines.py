@@ -5,28 +5,21 @@ The field is linear in q and commutes with left multiplications, so every
 step of every method is a right multiplication q -> q (x) p_k by its one
 step p_k from e0.  :func:`baseline_steps` builds a whole run's p_k at once,
 sampling the profile with one omega_at call per stage on the array of stage
-times, and :func:`quatkin.trajectory.propagate` applies them.  None of these
+times, and :func:`quatkin.trajectory.integrate` applies them.  None of these
 keep |p_k| = 1 (backward Euler damps the norm strictly), which is what the
 structure-preserving maps are measured against.
 """
 from __future__ import annotations
 
 import enum
+import functools
 import math
 
 import numpy as np
 
 from .errors import SingularMatrixError
-from .linalg import I4
-from .model import AngularVelocityProfile, coefficient_matrix
-from .trajectory import (
-    Trajectory,
-    check_unit_quaternion,
-    propagate,
-    require_finite,
-    step_end_times,
-    step_schedule,
-)
+from .model import I4, AngularVelocityProfile, coefficient_matrix
+from .trajectory import Trajectory, integrate, require_finite
 
 __all__ = [
     "BaselineMethod",
@@ -119,7 +112,4 @@ def integrate_baseline(
 ) -> Trajectory:
     """Build the chosen method's step quaternions over the shared horizon
     convention and propagate them."""
-    q = check_unit_quaternion(q0)
-    times, tau_k = step_schedule(t0, tf, tau)
-    p = baseline_steps(method, profile, times[:-1], tau_k, step_end_times(times, tau_k))
-    return Trajectory(times=times, states=propagate(p, q))
+    return integrate(functools.partial(baseline_steps, method, profile), q0, t0, tf, tau)

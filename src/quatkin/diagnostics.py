@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDataError
-from .linalg import SYMPLECTIC_J4, frobenius_norm
+from .model import SYMPLECTIC_J4
 from .trajectory import Trajectory
 
 __all__ = [
@@ -19,6 +19,7 @@ __all__ = [
     "component_errors",
     "convergence_order",
     "euler_formula_gap",
+    "frobenius_norm",
 ]
 
 
@@ -52,6 +53,12 @@ class DefectSeries:
         """:func:`convergence_order` of the ladder; DegenerateDataError when a
         defect is zero."""
         return convergence_order(zip(self.taus, self.defects))
+
+
+def frobenius_norm(a: np.ndarray) -> float:
+    """Square root of the sum of squared entries."""
+    a = np.asarray(a, dtype=float)
+    return float(np.sqrt(np.sum(a * a)))
 
 
 def symplecticity_defect(g: np.ndarray, structure: np.ndarray = SYMPLECTIC_J4) -> float:

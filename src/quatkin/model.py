@@ -6,7 +6,8 @@ The state is a unit quaternion q = [e0, e1, e2, e3] evolving under
 
 where w(t) is the body angular-velocity vector and A is the skew-symmetric
 coefficient matrix built by :func:`coefficient_matrix`.  This module holds
-that matrix, the catalogue of angular-velocity profiles used by the scenario
+that matrix, the Hamilton product tables and the structure matrices built
+from them, the catalogue of angular-velocity profiles used by the scenario
 runner, midpoint-sampling helpers, and the closed-form reference solutions
 used as oracles in tests and error reports.
 """
@@ -20,9 +21,13 @@ from typing import Callable
 import numpy as np
 
 from .errors import ProfileDomainError
-from .linalg import I4
 
 __all__ = [
+    "I4",
+    "SYMPLECTIC_J4",
+    "LEFT_I",
+    "LEFT_J",
+    "LEFT_K",
     "right_matrix",
     "coefficient_matrix",
     "AngularVelocityProfile",
@@ -39,16 +44,49 @@ __all__ = [
 ]
 
 
-# Entry (i, j) of R(p) is entry _RIGHT_TAKE[i, j] of (p, -p): 4 + k takes -p_k.
+# The Hamilton product as two sign tables.  Entry (i, j) of R(p), the matrix
+# of q -> q (x) p, is entry _RIGHT_TAKE[i, j] of (p, -p): 4 + k takes -p_k.
+# _LEFT_TAKE does the same for L(p), the matrix of q -> p (x) q.
 _RIGHT_TAKE = np.array([[0, 5, 6, 7], [1, 0, 3, 6], [2, 7, 0, 1], [3, 2, 5, 0]])
+_LEFT_TAKE = np.array([[0, 5, 6, 7], [1, 0, 7, 2], [2, 3, 0, 5], [3, 6, 1, 0]])
+
+
+def _product_matrix(p, take: np.ndarray) -> np.ndarray:
+    """R(p) for take = _RIGHT_TAKE, L(p) for take = _LEFT_TAKE; (..., 4)
+    yields (..., 4, 4)."""
+    p = np.asarray(p, dtype=float)
+    return np.take(np.concatenate([p, -p], axis=-1), take, axis=-1)
 
 
 def right_matrix(p) -> np.ndarray:
     """Matrix R(p) = p0 I + A(p1, p2, p3) of the right multiplication
     q -> q (x) p, whose first column is p; every step map is one of these.
     Broadcasts: (..., 4) yields (..., 4, 4).  No input check."""
-    p = np.asarray(p, dtype=float)
-    return np.take(np.concatenate([p, -p], axis=-1), _RIGHT_TAKE, axis=-1)
+    return _product_matrix(p, _RIGHT_TAKE)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """Read-only copy of a with no -0.0 entry."""
+    a = a + 0.0
+    a.setflags(write=False)
+    return a
+
+
+I4 = _frozen(np.eye(4))
+
+# Block structure matrix [[0, I2], [-I2, 0]], pairing (e0, e2) with (e1, e3):
+# the right multiplication q -> q (x) (-j).  It does not commute with the rate
+# matrix A(w) (itself the right multiplication q -> q (x) (0, w)) unless w is
+# parallel to e2: the exact flow exp(tau A/2) does not preserve it.  It is
+# kept because the time-varying map's correction term beta_k J is built on it.
+SYMPLECTIC_J4 = _frozen(right_matrix((0.0, 0.0, -1.0, 0.0)))
+
+# Left multiplications q -> i (x) q, j (x) q, k (x) q.  They are skew, square
+# to -I and commute with every right multiplication, hence with every A(w)
+# and every step map built from it: these are the structure matrices the
+# quaternion flow preserves.  -LEFT_I = diag(J2, J2), J2 = [[0, 1], [-1, 0]],
+# is the canonical structure matrix of the pairs (e0, e1) and (e2, e3).
+LEFT_I, LEFT_J, LEFT_K = (_frozen(_product_matrix(u, _LEFT_TAKE)) for u in I4[1:])
 
 
 def coefficient_matrix(omega: np.ndarray) -> np.ndarray:

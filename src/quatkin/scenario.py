@@ -7,6 +7,7 @@ artifacts to produce.  Configs are JSON documents; see parse_config.
 """
 from __future__ import annotations
 
+import collections
 import dataclasses
 import json
 import math
@@ -261,8 +262,10 @@ def _parse_profile(value) -> AngularVelocityProfile:
             raise ConfigError("field 'profile.omega': expected a list of 3 numbers")
         return ConstantProfile(tuple(parse_number(c, "profile.omega") for c in omega))
     if kind == "coning":
+        # Parsed first: a parameter's ConfigError (a ValueError) names its own field.
+        params = _coning_params(value, "profile")
         try:
-            return ConingProfile(*_coning_params(value, "profile"))
+            return ConingProfile(*params)
         except ValueError as exc:
             raise ConfigError(f"field 'profile': {exc}") from None
     samples = value.get("samples")
@@ -568,7 +571,9 @@ def emit_summary(artifacts, path) -> None:
     Per-run entries carry method, tau, steps, per-component max errors, max
     norm deviation, and wall-clock seconds.  When the runs form a
     tau-halving ladder with error reports, the estimated convergence order
-    is included.  A defect ladder's order is null when a defect is zero.
+    is included.  Defect ladders are keyed by run name, or by
+    "<name>@tau=<repr(tau)>" for runs whose name another run shares (a
+    sweep's); a ladder's order is null when a defect is zero.
     The text is strict JSON: a non-finite value raises ValueError before
     the file is opened, so an existing file at path is left as it was.
     """
@@ -582,13 +587,17 @@ def emit_summary(artifacts, path) -> None:
         except (ValueError, DegenerateDataError):
             pass
     ladders = {}
+    names = collections.Counter(a.config.name for a in runs)
     for a in runs:
         if a.defect_ladder is not None:
             try:
                 order = a.defect_ladder.estimated_order
             except DegenerateDataError:
                 order = None
-            ladders[a.config.name] = {
+            key = a.config.name
+            if names[key] > 1:
+                key = f"{key}@tau={a.config.tau!r}"
+            ladders[key] = {
                 "taus": list(a.defect_ladder.taus),
                 "defects": list(a.defect_ladder.defects),
                 "estimated_order": order,

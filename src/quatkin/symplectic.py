@@ -23,22 +23,15 @@ import warnings
 
 import numpy as np
 
-from .linalg import SYMPLECTIC_J4
 from .model import (
+    SYMPLECTIC_J4,
     AngularVelocityProfile,
     MidpointSamplingMode,
     coefficient_matrix,
     midpoint_omega,
     right_matrix,
 )
-from .trajectory import (
-    Trajectory,
-    check_unit_quaternion,
-    propagate,
-    require_finite,
-    step_end_times,
-    step_schedule,
-)
+from .trajectory import Trajectory, integrate, require_finite
 
 __all__ = [
     "StepSizeWarning",
@@ -132,9 +125,7 @@ def autonomous_transition(omega, tau) -> np.ndarray:
 def integrate_autonomous(omega, q0, t0: float, tf: float, tau: float) -> Trajectory:
     """Propagate a constant-rate run over the steps of :func:`step_schedule`,
     a shortened final step included; states are never renormalized."""
-    q = check_unit_quaternion(q0)
-    times, tau_k = step_schedule(t0, tf, tau)
-    return Trajectory(times=times, states=propagate(cayley_steps(omega, tau_k), q))
+    return integrate(lambda t, tau_k, t_end: cayley_steps(omega, tau_k), q0, t0, tf, tau)
 
 
 def _beta(w: np.ndarray, tau) -> np.ndarray:
@@ -199,8 +190,11 @@ def integrate_nonautonomous(
     :func:`nonautonomous_transition` for that sample.  All maps are built in
     one batch; the arithmetic is identical to per-step scalar construction.
     """
-    q = check_unit_quaternion(q0)
-    times, tau_k = step_schedule(t0, tf, tau)
-    omegas = midpoint_omega(profile, times[:-1], tau_k, mode, step_end_times(times, tau_k))
-    p = cayley_steps(corrected_rate(omegas, tau_k), tau_k)
-    return Trajectory(times=times, states=propagate(p, q))
+
+    def steps(t, tau_k, t_end):
+        # The midpoint samples are dropped before the Cayley build, the
+        # run's memory peak.
+        w = corrected_rate(midpoint_omega(profile, t, tau_k, mode, t_end), tau_k)
+        return cayley_steps(w, tau_k)
+
+    return integrate(steps, q0, t0, tf, tau)

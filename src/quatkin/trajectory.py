@@ -1,5 +1,6 @@
-"""Trajectory container, the shared fixed-step horizon convention, and the
-one loop that applies every integrator's step quaternions p_k to a state."""
+"""Trajectory container, the shared fixed-step horizon convention, the one
+run body every integrator goes through, and the one loop that applies its
+step quaternions p_k to a state."""
 from __future__ import annotations
 
 import math
@@ -14,6 +15,7 @@ __all__ = [
     "Trajectory",
     "step_schedule",
     "step_end_times",
+    "integrate",
     "propagate",
     "require_finite",
     "check_unit_quaternion",
@@ -87,6 +89,17 @@ def step_end_times(times: np.ndarray, tau_k: np.ndarray) -> np.ndarray:
     end times[-1]: the sum can round one ulp past tf, outside a profile whose
     samples end exactly there."""
     return np.minimum(times[:-1] + tau_k, times[-1])
+
+
+def integrate(steps, q0, t0: float, tf: float, tau: float) -> Trajectory:
+    """Run a fixed-step method over [t0, tf]: check q0, take the steps of
+    :func:`step_schedule`, get the run's step quaternions (K, 4) from one
+    call steps(t_k, tau_k, t_end) with t_end from :func:`step_end_times`,
+    and :func:`propagate` q0 through them.  States are never renormalized."""
+    q = check_unit_quaternion(q0)
+    times, tau_k = step_schedule(t0, tf, tau)
+    p = steps(times[:-1], tau_k, step_end_times(times, tau_k))
+    return Trajectory(times=times, states=propagate(p, q))
 
 
 def propagate(p: np.ndarray, q: np.ndarray) -> np.ndarray:

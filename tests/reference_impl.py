@@ -4,9 +4,9 @@ against) and the truncated power series of exp(A(w) tau / 2) (a cross-check
 of the closed-form constant-rate transition)."""
 import numpy as np
 
+from quatkin.diagnostics import frobenius_norm
 from quatkin.errors import SingularMatrixError
-from quatkin.linalg import I4, frobenius_norm
-from quatkin.model import coefficient_matrix
+from quatkin.model import I4, coefficient_matrix
 
 # Pivot magnitudes below this floor are treated as singular.
 PIVOT_FLOOR = 1e-14

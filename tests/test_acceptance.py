@@ -22,9 +22,15 @@ from quatkin.diagnostics import (
     component_errors,
     convergence_order,
     euler_formula_gap,
+    frobenius_norm,
     symplecticity_defect,
 )
 from quatkin.model import (
+    I4,
+    LEFT_I,
+    LEFT_J,
+    LEFT_K,
+    coefficient_matrix,
     coning_analytic_state,
     coning_oracle,
     constant_oracle,
@@ -37,8 +43,6 @@ from quatkin.symplectic import (
     integrate_nonautonomous,
     nonautonomous_transition,
 )
-from quatkin.linalg import I4, LEFT_I, LEFT_J, LEFT_K, frobenius_norm
-from quatkin.model import coefficient_matrix
 from reference_impl import solve_linear_4
 
 E0 = np.array([1.0, 0.0, 0.0, 0.0])

@@ -14,8 +14,8 @@ from quatkin.baselines import (
 )
 from quatkin.diagnostics import convergence_order
 from quatkin.errors import ConsistencyError
-from quatkin.linalg import I4
 from quatkin.model import (
+    I4,
     ConstantProfile,
     FormulaProfile,
     MidpointSamplingMode,

@@ -11,11 +11,11 @@ from quatkin.diagnostics import (
     component_errors,
     convergence_order,
     euler_formula_gap,
+    frobenius_norm,
     symplecticity_defect,
 )
 from quatkin.errors import DegenerateDataError
-from quatkin.linalg import I4, LEFT_J, SYMPLECTIC_J4, frobenius_norm
-from quatkin.model import ConstantProfile, constant_oracle
+from quatkin.model import I4, LEFT_J, SYMPLECTIC_J4, ConstantProfile, constant_oracle
 from quatkin.scenario import one_step_matrix, parse_config, profile_from_name
 from quatkin.symplectic import autonomous_transition, integrate_autonomous
 from quatkin.trajectory import Trajectory

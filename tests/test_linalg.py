@@ -2,16 +2,16 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from quatkin.diagnostics import frobenius_norm
 from quatkin.errors import SingularMatrixError
-from quatkin.linalg import (
+from quatkin.model import (
     I4,
     LEFT_I,
     LEFT_J,
     LEFT_K,
     SYMPLECTIC_J4,
-    frobenius_norm,
+    coefficient_matrix,
 )
-from quatkin.model import coefficient_matrix
 from reference_impl import solve_linear_4
 
 # 2x2 rotation generator: J2 @ J2 = -I2, J2.T = -J2

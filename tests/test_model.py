@@ -4,9 +4,15 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from quatkin.diagnostics import frobenius_norm
 from quatkin.errors import ProfileDomainError
-from quatkin.linalg import I4, frobenius_norm
 from quatkin.model import (
+    _LEFT_TAKE,
+    I4,
+    LEFT_I,
+    LEFT_J,
+    LEFT_K,
+    SYMPLECTIC_J4,
     ConingProfile,
     ConstantProfile,
     MidpointSamplingMode,
@@ -16,6 +22,7 @@ from quatkin.model import (
     coning_analytic_state,
     constant_oracle,
     midpoint_omega,
+    _product_matrix,
     right_matrix,
 )
 from quatkin.scenario import profile_from_name
@@ -88,6 +95,60 @@ def test_coefficient_matrix_is_right_matrix_of_pure_quaternion():
     ws[::3, 1] = 0.0
     pure = np.concatenate([np.zeros((50, 1)), ws], axis=1)
     assert coefficient_matrix(ws).tobytes() == right_matrix(pure).tobytes()
+
+
+def left_matrix(p):
+    return _product_matrix(p, _LEFT_TAKE)
+
+
+def hamilton_product(p, q):
+    """p (x) q written out component by component; broadcasts over leading axes."""
+    (p0, p1, p2, p3), (q0, q1, q2, q3) = np.moveaxis(p, -1, 0), np.moveaxis(q, -1, 0)
+    return np.stack(
+        [
+            p0 * q0 - p1 * q1 - p2 * q2 - p3 * q3,
+            p0 * q1 + p1 * q0 + p2 * q3 - p3 * q2,
+            p0 * q2 - p1 * q3 + p2 * q0 + p3 * q1,
+            p0 * q3 + p1 * q2 - p2 * q1 + p3 * q0,
+        ],
+        axis=-1,
+    )
+
+
+def test_structure_matrices_are_the_product_tables_at_unit_quaternions():
+    npt.assert_array_equal(SYMPLECTIC_J4, right_matrix([0.0, 0.0, -1.0, 0.0]))
+    npt.assert_array_equal(LEFT_I, left_matrix([0.0, 1.0, 0.0, 0.0]))
+    npt.assert_array_equal(LEFT_J, left_matrix([0.0, 0.0, 1.0, 0.0]))
+    npt.assert_array_equal(LEFT_K, left_matrix([0.0, 0.0, 0.0, 1.0]))
+    npt.assert_array_equal(I4, right_matrix([1.0, 0.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize(
+    "s", [I4, SYMPLECTIC_J4, LEFT_I, LEFT_J, LEFT_K], ids=["I4", "J4", "LEFT_I", "LEFT_J", "LEFT_K"]
+)
+def test_structure_matrices_are_read_only_without_negative_zero(s):
+    assert not s.flags.writeable
+    with pytest.raises(ValueError):
+        s[0, 0] = 1.0
+    assert not np.signbit(s[s == 0.0]).any()
+
+
+def test_left_table_is_the_hamilton_left_product():
+    rng = np.random.default_rng(7)
+    p, q = rng.normal(size=(5, 1, 4)), rng.normal(size=(3, 4))
+    got = (left_matrix(p) @ q[..., None])[..., 0]
+    assert got.shape == (5, 3, 4)
+    npt.assert_allclose(got, hamilton_product(p, q), rtol=0.0, atol=1e-14)
+
+
+def test_left_and_right_products_commute():
+    # (a (x) q) (x) b = a (x) (q (x) b): associativity of the product.
+    rng = np.random.default_rng(8)
+    a, b = rng.normal(size=(2, 50, 4))
+    a /= np.linalg.norm(a, axis=1, keepdims=True)
+    b /= np.linalg.norm(b, axis=1, keepdims=True)
+    la, rb = left_matrix(a), right_matrix(b)
+    npt.assert_allclose(la @ rb, rb @ la, rtol=0.0, atol=1e-15)
 
 
 # --- profiles -----------------------------------------------------------------

@@ -12,9 +12,12 @@ from hypothesis import given, settings, strategies as st
 from quatkin._g17 import _VECTOR_MIN_ROWS
 from quatkin.cli import main
 from quatkin.errors import ConfigError
-from quatkin.linalg import I4, LEFT_I, LEFT_J, LEFT_K, frobenius_norm
-from quatkin.diagnostics import symplecticity_defect
+from quatkin.diagnostics import frobenius_norm, symplecticity_defect
 from quatkin.model import (
+    I4,
+    LEFT_I,
+    LEFT_J,
+    LEFT_K,
     AngularVelocityProfile,
     ConingProfile,
     ConstantProfile,
@@ -236,7 +239,7 @@ _CONING = {"type": "coning", "omega0": "2pi", "beta": "pi/80"}
         ),
         (
             {**_BASE, "profile": {**_CONING, "omega0": "nan"}},
-            "field 'profile': field 'profile.omega0': expected a finite number, got 'nan'",
+            "field 'profile.omega0': expected a finite number, got 'nan'",
         ),
         (
             {**_BASE, "profile": {**_CONING, "omega0": 0}},
@@ -244,11 +247,11 @@ _CONING = {"type": "coning", "omega0": "2pi", "beta": "pi/80"}
         ),
         (
             {**_BASE, "profile": {"type": "coning", "omega0": "2pi"}},
-            "field 'profile': field 'profile.beta': expected a number, got NoneType",
+            "field 'profile.beta': expected a number, got NoneType",
         ),
         (
             {**_BASE, "profile": {**_CONING, "beta": "pi/x"}},
-            "field 'profile': field 'profile.beta': cannot parse 'pi/x' as a number or pi literal",
+            "field 'profile.beta': cannot parse 'pi/x' as a number or pi literal",
         ),
         (
             {**_BASE, "oracle": {**_CONING, "omega0": "inf"}},
@@ -712,6 +715,25 @@ def test_cli_run_and_one_step_sweep_write_the_same_summary(tmp_path, capsys):
         lines.append(capsys.readouterr().out.split(" wall=")[0])
     assert docs[0] == docs[1]
     assert lines[0] == lines[1] == "coning: method=SGA-NA tau=0.05 steps=40"
+
+
+@pytest.mark.filterwarnings("ignore::quatkin.symplectic.StepSizeWarning")
+def test_summary_keeps_every_defect_ladder_of_a_sweep(tmp_path):
+    # Every run of a sweep has the config's name, so each ladder is keyed by
+    # its tau as well; runs with names of their own keep the plain name.
+    cfg = {"profile": "fig2", "tau": 0.1, "tf": 1, "method": "SGA-NA", "outputs": ["defect-ladder"]}
+    cfg_path, out_json = tmp_path / "cfg.json", tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["sweep", str(cfg_path), "--taus", "0.1", "0.05", "--summary", str(out_json)]) == 0
+    ladders = json.loads(out_json.read_text(encoding="utf-8"))["defect_ladders"]
+    assert list(ladders) == ["fig2@tau=0.1", "fig2@tau=0.05"]
+    for tau in (0.1, 0.05):
+        expected = defect_ladder(parse_config({**cfg, "tau": tau}))
+        assert ladders[f"fig2@tau={tau!r}"]["taus"] == list(expected.taus)
+        assert ladders[f"fig2@tau={tau!r}"]["defects"] == list(expected.defects)
+    runs = [run_scenario(parse_config({**cfg, "name": name})) for name in ("a", "b")]
+    emit_summary(runs, out_json)
+    assert list(json.loads(out_json.read_text(encoding="utf-8"))["defect_ladders"]) == ["a", "b"]
 
 
 def test_cli_summary_keeps_a_ladder_with_undefined_order(tmp_path):

@@ -7,10 +7,11 @@ import numpy.testing as npt
 import pytest
 
 from quatkin.baselines import BaselineMethod, baseline_steps, integrate_baseline
-from quatkin.diagnostics import euler_formula_gap, symplecticity_defect
+from quatkin.diagnostics import euler_formula_gap, frobenius_norm, symplecticity_defect
 from quatkin.errors import ConsistencyError, InvalidHorizonError, NonUnitStateError
-from quatkin.linalg import I4, SYMPLECTIC_J4, frobenius_norm
 from quatkin.model import (
+    I4,
+    SYMPLECTIC_J4,
     ConstantProfile,
     MidpointSamplingMode,
     analytic_constant_transition,
@@ -32,7 +33,13 @@ from quatkin.symplectic import (
     integrate_nonautonomous,
     nonautonomous_transition,
 )
-from quatkin.trajectory import _BLOCK_STEPS, propagate, step_end_times, step_schedule
+from quatkin.trajectory import (
+    _BLOCK_STEPS,
+    integrate,
+    propagate,
+    step_end_times,
+    step_schedule,
+)
 from reference_impl import solve_linear_4
 
 W_REF = np.array([2.0, 10.0, 3.0])
@@ -303,6 +310,39 @@ def test_integrator_states_are_sequential_products_of_its_steps(method):
         q = right_matrix(pk) @ q
         expected.append(q)
     assert traj.states.tobytes() == np.array(expected).tobytes()
+
+
+@pytest.mark.parametrize(
+    "tf, tau", [(0.7, 0.1), (1.0, 0.3)], ids=["end-rounds-past-tf", "short-last-step"]
+)
+def test_integrate_hands_one_builder_call_the_schedule(tf, tau):
+    # The builder gets the step start times, the step sizes and the step end
+    # times capped at tf (at tf = 0.7, tau = 0.1 the last t_k + tau_k rounds
+    # past tf); its step quaternions are propagated from q0.
+    times, tau_k = step_schedule(0.0, tf, tau)
+    p = np.random.default_rng(9).normal(size=(len(tau_k), 4))
+    calls = []
+
+    def steps(t, h, t_end):
+        calls.append((t.copy(), h.copy(), t_end.copy()))
+        return p
+
+    traj = integrate(steps, E0, 0.0, tf, tau)
+    [(t, h, t_end)] = calls
+    assert t.tobytes() == times[:-1].tobytes()
+    assert h.tobytes() == tau_k.tobytes()
+    assert t_end.tobytes() == np.minimum(times[:-1] + tau_k, tf).tobytes()
+    assert t_end[-1] == tf
+    assert traj.times.tobytes() == times.tobytes()
+    assert traj.states.tobytes() == propagate(p, E0).tobytes()
+
+
+def test_integrate_checks_q0_before_building_steps():
+    def steps(t, h, t_end):
+        raise AssertionError("builder called")
+
+    with pytest.raises(NonUnitStateError):
+        integrate(steps, [2.0, 0.0, 0.0, 0.0], 0.0, 1.0, 0.1)
 
 
 def test_integrate_autonomous_builds_only_distinct_maps():
