@@ -45,26 +45,17 @@ gather half.  A 24-byte layout (the exponent and ``X >= 0`` forms shifted 5
 bytes to the front) cuts ``translate`` by a further quarter but measured
 slower overall: numpy gathers 24-byte rows at half the speed of 32-byte ones,
 and the shift adds five passes.
-Blocks are rendered in sub-blocks of ``_SUB_BLOCK_VALUES`` values, which
-bounds the temporaries of the digit and text stages.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# Below this many rows one C-level %-format beats the vectorised path, whose
-# fixed cost is ~0.15-0.2 ms a block (about 100 numpy calls).  Measured on
-# coning trajectory blocks (2-vCPU VM, min of 15): the two break even near 28
-# rows of 10 columns and 50 rows of 6; at 64 rows the vectorised path is
-# 1.9x (10 columns) faster.
-_VECTOR_MIN_ROWS = 48
-
-# Values per sub-block of the digit and text stages, which bounds their
-# temporaries.  A 4096x10 coning block peaks at 1.7, 2.2 and 4.6 MB
-# (tracemalloc) for 8192, 16384 and 40960 values; 8192 took ~1.1x the time
-# of 16384 (numpy's per-call cost), 20480 and 40960 timed within noise of it.
-_SUB_BLOCK_VALUES = 16384
+# Below this many values one C-level %-format beats the vectorised path, whose
+# fixed cost is ~0.1-0.2 ms a block (about 100 numpy calls).  On coning blocks
+# (2-vCPU VM, min of 15) the two break even at 240-290 values for 6 and 10
+# columns; at 470 values of 10 columns the vectorised path is 1.8x faster.
+_VECTOR_MIN_VALUES = 256
 
 _U64 = np.uint64
 _MASK32 = _U64(0xFFFFFFFF)
@@ -357,11 +348,12 @@ def _render(block):
 
 
 def render_rows(block: np.ndarray) -> bytes:
-    """The rows of a 2-D float64 block as '%.17g' CSV lines, LF-terminated."""
+    """The rows of a 2-D float64 block as '%.17g' CSV lines, LF-terminated.
+
+    The block is rendered whole: ~112 bytes a value at the traced peak."""
     block = np.ascontiguousarray(block, dtype=np.float64)
     rows, ncols = block.shape
-    if rows < _VECTOR_MIN_ROWS:
+    if block.size < _VECTOR_MIN_VALUES:
         row_fmt = ",".join(["%.17g"] * ncols) + "\n"
         return ((row_fmt * rows) % tuple(block.ravel().tolist())).encode("ascii")
-    step = max(_SUB_BLOCK_VALUES // ncols, 1)
-    return b"".join([_render(block[r:r + step]) for r in range(0, rows, step)])
+    return _render(block)

@@ -49,11 +49,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run one scenario config")
     run_p.add_argument("config", help="path to a JSON scenario config")
+    run_p.add_argument("--tau", type=float, help="override the config step size")
     _add_overrides(run_p)
     run_p.add_argument("--out", help="write the trajectory series CSV here")
     run_p.add_argument("--summary", help="write the JSON summary here")
 
-    sweep_p = sub.add_parser("sweep", help="run a scenario across step sizes")
+    # No abbreviations: a --tau (moot, --taus sets every step) is rejected, not read as --taus.
+    sweep_p = sub.add_parser("sweep", help="run a scenario across step sizes", allow_abbrev=False)
     sweep_p.add_argument("config", help="path to a JSON scenario config")
     sweep_p.add_argument(
         "--taus",
@@ -73,7 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _add_overrides(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tau", type=float, help="override the config step size")
     p.add_argument("--t0", type=float, help="override the start time")
     p.add_argument("--tf", type=float, help="override the end time")
     p.add_argument("--method", help="override the integration method")

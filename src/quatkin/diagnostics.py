@@ -34,6 +34,12 @@ class ErrorReport:
         return float(np.max(self.max_component_error))
 
 
+def _require_halving(taus) -> None:
+    for a, b in zip(taus, taus[1:]):
+        if abs(a / b - 2.0) > 1e-9:
+            raise ValueError(f"taus must halve: got {a} -> {b}")
+
+
 @dataclass(frozen=True)
 class DefectSeries:
     """Defects on a step-halving ladder plus the implied order estimate."""
@@ -44,9 +50,7 @@ class DefectSeries:
     def __post_init__(self):
         if len(self.taus) < 2 or len(self.taus) != len(self.defects):
             raise ValueError("need matching taus/defects with at least two rungs")
-        for a, b in zip(self.taus, self.taus[1:]):
-            if abs(a / b - 2.0) > 1e-9:
-                raise ValueError(f"taus must halve: got {a} -> {b}")
+        _require_halving(self.taus)
 
     @property
     def estimated_order(self) -> float:
@@ -102,9 +106,7 @@ def convergence_order(errors) -> float:
     pairs = [(float(t), float(e)) for t, e in errors]
     if len(pairs) < 2:
         raise ValueError("need at least two (tau, error) entries")
-    for (t0, _), (t1, _) in zip(pairs, pairs[1:]):
-        if abs(t0 / t1 - 2.0) > 1e-9:
-            raise ValueError(f"taus must halve: got {t0} -> {t1}")
+    _require_halving([t for t, _ in pairs])
     if any(e == 0.0 for _, e in pairs):
         raise DegenerateDataError("zero error in ladder; order undefined")
     ratios = [math.log2(e0 / e1) for (_, e0), (_, e1) in zip(pairs, pairs[1:])]

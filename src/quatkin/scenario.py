@@ -83,9 +83,11 @@ _BENCH_MIN_REPEATS = 3
 # exceeds it (1e7 steps hold ~0.8 GB of step quaternions, states and times).
 MAX_STEPS = 10_000_000
 
-# Rows per formatted block in emit_series: bounds the temporaries and text
-# held at once, so memory stays flat however long the run.
-_SERIES_BLOCK_ROWS = 4096
+# Values per block that emit_series renders, which bounds the memory it holds
+# however long the run: coning blocks of 8192, 16384 and 40960 values peak at
+# 0.92, 1.84 and 4.59 MB in render_rows (tracemalloc), and 8192 and 40960
+# took ~1.05x the time a value of 16384.
+_SERIES_BLOCK_VALUES = 16384
 
 
 def _fig1b(t):
@@ -529,19 +531,20 @@ def emit_series(artifacts: RunArtifacts, path) -> None:
 
     Absolute per-component errors against the oracle are appended when the
     scenario has one.  Every value is written as format(x, ".17g") writes
-    it, LF line endings.  Rows are rendered in blocks of _SERIES_BLOCK_ROWS
-    by _g17.render_rows, which produces that text byte for byte; the error
-    columns are computed per block too and the norm column is sliced from
-    the trajectory's norms, so no new column of the whole run is built.
+    it, LF line endings.  _g17.render_rows renders blocks of about
+    _SERIES_BLOCK_VALUES values and produces that text byte for byte; the
+    error columns are computed per block too and the norm column is sliced
+    from the trajectory's norms, so no new column of the whole run is built.
     """
     traj = artifacts.trajectory
     norms = traj.norms()
     oracle = artifacts.config.oracle
     header = "t,e0,e1,e2,e3,norm" + ("" if oracle is None else ",err0,err1,err2,err3")
+    step = _SERIES_BLOCK_VALUES // (header.count(",") + 1)
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii") + b"\n")
-        for start in range(0, len(traj.states), _SERIES_BLOCK_ROWS):
-            rows = slice(start, start + _SERIES_BLOCK_ROWS)
+        for start in range(0, len(traj.states), step):
+            rows = slice(start, start + step)
             t, q = traj.times[rows], traj.states[rows]
             columns = [t[:, None], q, norms[rows, None]]
             if oracle is not None:

@@ -188,8 +188,8 @@ def test_convergence_order_synthetic():
 def test_convergence_order_validation():
     with pytest.raises(ValueError):
         convergence_order([(0.1, 1.0)])
-    with pytest.raises(ValueError):
-        convergence_order([(0.1, 1.0), (0.03, 0.5)])  # not halving
+    with pytest.raises(ValueError, match=r"^taus must halve: got 0\.1 -> 0\.03$"):
+        convergence_order([(0.1, 1.0), (0.03, 0.5)])
     with pytest.raises(DegenerateDataError):
         convergence_order([(0.1, 1.0), (0.05, 0.0)])
 
@@ -240,7 +240,7 @@ def test_cosine_fit_sga_component_at_map_frequency():
 def test_defect_series_validation_and_order():
     series = DefectSeries(taus=(0.1, 0.05, 0.025), defects=(0.4, 0.2, 0.1))
     npt.assert_allclose(series.estimated_order, 1.0, atol=1e-12)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^taus must halve: got 0\.1 -> 0\.04$"):
         DefectSeries(taus=(0.1, 0.04), defects=(0.4, 0.2))
     with pytest.raises(DegenerateDataError):
         DefectSeries(taus=(0.1, 0.05), defects=(0.0, 0.0)).estimated_order

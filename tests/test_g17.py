@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quatkin._g17 import _VECTOR_MIN_ROWS, render_rows
-from quatkin.scenario import parse_config, run_scenario
+from quatkin._g17 import _VECTOR_MIN_VALUES, render_rows
+from quatkin.scenario import _SERIES_BLOCK_VALUES, parse_config, run_scenario
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -21,16 +21,16 @@ def reference_rows(block) -> bytes:
     ).encode("ascii")
 
 
-def tiled(values, ncols=10, rows=_VECTOR_MIN_ROWS):
+def tiled(values, ncols=10):
     """values repeated to fill a (rows, ncols) block, big enough to vectorise."""
     values = np.asarray(values, dtype=np.float64).ravel()
-    rows = max(rows, -(-values.size // ncols))
+    rows = -(-max(values.size, _VECTOR_MIN_VALUES) // ncols)
     return np.resize(values, (rows, ncols))
 
 
 def assert_renders(values, ncols=10):
     block = tiled(values, ncols)
-    assert block.shape[0] >= _VECTOR_MIN_ROWS
+    assert block.size >= _VECTOR_MIN_VALUES
     assert render_rows(block) == reference_rows(block)
 
 
@@ -128,8 +128,12 @@ def test_render_rows_random_scales_and_time_grid():
     assert_renders(0.01 * np.arange(20_000), ncols=1)
 
 
-@pytest.mark.parametrize("rows", [1, _VECTOR_MIN_ROWS - 1, _VECTOR_MIN_ROWS, 4096])
+@pytest.mark.parametrize(
+    "rows", [1, _VECTOR_MIN_VALUES // 6, _VECTOR_MIN_VALUES // 6 + 1, _SERIES_BLOCK_VALUES // 6]
+)
 def test_render_rows_both_paths_match(rows):
+    # Of 6-column blocks, 42 rows (252 values) is the largest on the
+    # %-format path and 43 (258) the smallest on the vectorised one.
     rng = np.random.default_rng(rows)
     block = rng.standard_normal((rows, 6)) * np.array([1e3, 1, 1, 1e-3, 1e-9, 1e-14])
     block[0, 0] = -0.0
@@ -189,19 +193,20 @@ def test_render_rows_covers_every_layout():
 
 
 def coning_long_block():
-    """Rows 0..4095 of the coning-long CSV, built as emit_series builds them."""
+    """The first block emit_series renders of the coning-long CSV: rows
+    0..1637 of 10 columns, built as emit_series builds them."""
     cfg = parse_config((CONFIGS / "coning-long.json").read_text(encoding="utf-8"))
-    traj = run_scenario(dataclasses.replace(cfg, tf=40.95)).trajectory
+    traj = run_scenario(dataclasses.replace(cfg, tf=16.37)).trajectory
     t, q = traj.times, traj.states
     return np.hstack([t[:, None], q, traj.norms()[:, None], np.abs(q - cfg.oracle(t))])
 
 
 def test_render_rows_peak_memory_on_a_coning_block():
-    # The digit and text stages run in sub-blocks: the traced peak of one
-    # 4096x10 block is ~2.2 MB for 0.87 MB of text; running them on the
-    # whole block at once peaks at 4.6 MB (8.4 MB with a 48-byte template).
+    # The traced peak of one 1638x10 block is ~1.84 MB for 0.35 MB of text;
+    # a 4096x10 block rendered at once peaks at 4.6 MB (8.4 MB with a 48-byte
+    # template).
     block = coning_long_block()
-    assert block.shape == (4096, 10)
+    assert block.shape == (_SERIES_BLOCK_VALUES // 10, 10)
     render_rows(block)
     tracemalloc.start()
     try:

@@ -9,7 +9,8 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quatkin._g17 import _VECTOR_MIN_ROWS
+from quatkin import scenario
+from quatkin._g17 import _VECTOR_MIN_VALUES
 from quatkin.cli import main
 from quatkin.errors import ConfigError
 from quatkin.diagnostics import frobenius_norm, symplecticity_defect
@@ -29,7 +30,7 @@ from quatkin.scenario import (
     DEFAULT_SWEEP_TAUS,
     MAX_STEPS,
     PROFILE_REGISTRY,
-    _SERIES_BLOCK_ROWS,
+    _SERIES_BLOCK_VALUES,
     defect_ladder,
     emit_series,
     emit_summary,
@@ -270,10 +271,33 @@ _CONING = {"type": "coning", "omega0": "2pi", "beta": "pi/80"}
             "field 'oracle.beta': expected a number, got list",
         ),
     ],
+    ids=[
+        "unknown-config-keys",
+        "missing-profile",
+        "missing-tau",
+        "missing-tf",
+        "empty-config",
+        "constant-unknown-key",
+        "coning-unknown-key",
+        "tabulated-unknown-key",
+        "oracle-unknown-key",
+        "unknown-profile-type",
+        "missing-profile-type",
+        "unhashable-profile-type",
+        "profile-omega0-nan",
+        "profile-omega0-zero",
+        "profile-beta-missing",
+        "profile-beta-unparsable",
+        "oracle-omega0-inf",
+        "oracle-omega0-bool",
+        "oracle-beta-missing",
+        "oracle-beta-list",
+    ],
 )
 def test_config_object_messages(config, message):
     # The full text of each message, pinned: unknown and missing keys, every
     # profile kind, the coning oracle, and the coning parameters of both.
+    # The ids name the cases, so correcting a message renames no test.
     with pytest.raises(ConfigError) as excinfo:
         parse_config(config)
     assert str(excinfo.value) == message
@@ -476,28 +500,51 @@ def special_values_artifacts(repeats=1):
     return dataclasses.replace(artifacts, trajectory=tiled)
 
 
+def coning_artifacts(oracle):
+    """A 10001-row coning run, with or without its analytic oracle."""
+    extra = {} if oracle else {"oracle": "none"}
+    cfg = make_config(profile="coning", q0=CONING_Q0, tf=100.0, method="SGA-NA", **extra)
+    artifacts = run_scenario(parse_config(cfg))
+    assert (artifacts.config.oracle is not None) == oracle
+    return artifacts
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize(
     "case", ["coning-oracle", "coning-no-oracle", "special-values", "special-values-tiled"]
 )
 def test_emit_series_bytes_match_per_value_format(tmp_path, case):
-    # The special-value tables sit on either side of the renderer's
-    # crossover: the small one takes the %-format, the tiled one the
-    # vectorised path; the coning tables span several row blocks.
+    # The special-value tables (6 columns) sit on either side of the
+    # renderer's crossover: the small one takes the %-format, the tiled one
+    # the vectorised path; the coning tables span several blocks.
     if case == "special-values":
         artifacts = special_values_artifacts()
-        assert len(artifacts.trajectory.states) < _VECTOR_MIN_ROWS
+        assert 6 * len(artifacts.trajectory.states) < _VECTOR_MIN_VALUES
     elif case == "special-values-tiled":
         artifacts = special_values_artifacts(repeats=50)
-        assert len(artifacts.trajectory.states) > _VECTOR_MIN_ROWS
+        assert 6 * len(artifacts.trajectory.states) > _VECTOR_MIN_VALUES
     else:
-        oracle = {} if case == "coning-oracle" else {"oracle": "none"}
-        cfg = make_config(profile="coning", q0=CONING_Q0, tf=100.0, method="SGA-NA", **oracle)
-        artifacts = run_scenario(parse_config(cfg))
-        assert (artifacts.config.oracle is None) == (case == "coning-no-oracle")
-        # Two full row blocks and a partial third.
+        artifacts = coning_artifacts(oracle=case == "coning-oracle")
+        # Two full blocks and a partial third, at least.
         rows = len(artifacts.trajectory.states)
-        assert rows > 2 * _SERIES_BLOCK_ROWS and rows % _SERIES_BLOCK_ROWS
+        block_rows = _SERIES_BLOCK_VALUES // (6 if case == "coning-no-oracle" else 10)
+        assert rows > 2 * block_rows and rows % block_rows
+    path = tmp_path / "series.csv"
+    emit_series(artifacts, path)
+    assert path.read_bytes() == reference_series_csv(artifacts)
+
+
+@pytest.mark.parametrize(
+    "block_values",
+    [_VECTOR_MIN_VALUES - 1, 4099, _SERIES_BLOCK_VALUES],
+    ids=["percent-format", "prime", "default"],
+)
+def test_emit_series_bytes_do_not_depend_on_block_size(tmp_path, monkeypatch, block_values):
+    # 255 values make blocks of 25 rows of 10 columns, each on the %-format
+    # path; 4099 values (409 rows) share no block boundary with the default's
+    # 1638 rows in this run.
+    monkeypatch.setattr(scenario, "_SERIES_BLOCK_VALUES", block_values)
+    artifacts = coning_artifacts(oracle=True)
     path = tmp_path / "series.csv"
     emit_series(artifacts, path)
     assert path.read_bytes() == reference_series_csv(artifacts)
@@ -697,6 +744,18 @@ def test_cli_sweep(tmp_path):
     assert code == 0
     doc = json.loads(out_json.read_text(encoding="utf-8"))
     assert [r["tau"] for r in doc["runs"]] == [0.1, 0.05]
+
+
+def test_cli_sweep_takes_no_tau(tmp_path, capsys):
+    # --taus sets every run's step, so a --tau could only reject a valid
+    # sweep (here with the step budget); argparse rejects it instead, and
+    # does not read it as an abbreviation of --taus.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(make_config(tf=2.0), encoding="utf-8")
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sweep", str(cfg_path), "--taus", "0.1", "--tau", "1e-12"])
+    assert excinfo.value.code == 1
+    assert "error: unrecognized arguments: --tau 1e-12" in capsys.readouterr().err
 
 
 def test_cli_run_and_one_step_sweep_write_the_same_summary(tmp_path, capsys):
