@@ -97,13 +97,21 @@ def _load_config(args) -> ScenarioConfig:
     return parse_config(raw)
 
 
-def _check_output_dirs(args) -> None:
-    """Reject --out/--summary paths whose directory is missing, before any
-    integration runs."""
-    for flag in ("out", "summary"):
-        path = getattr(args, flag, None)
+def _check_output_paths(args) -> None:
+    """Reject, before any integration runs, a --out/--summary path that is a
+    directory or whose directory is missing, and a --out and --summary that
+    name one file."""
+    out, summary = getattr(args, "out", None), args.summary
+    for flag, path in (("out", out), ("summary", summary)):
+        if path and os.path.isdir(path):
+            raise ConfigError(f"--{flag}: {path!r} is a directory")
         if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
             raise ConfigError(f"--{flag}: directory of {path!r} does not exist")
+    # The summary would replace the CSV in a regular file (or one yet to be
+    # made); a special file such as /dev/null takes both.
+    if out and summary and os.path.realpath(out) == os.path.realpath(summary):
+        if os.path.isfile(out) or not os.path.exists(out):
+            raise ConfigError(f"--out {out!r} and --summary {summary!r} name the same file")
 
 
 def _print_run(a) -> None:
@@ -132,7 +140,7 @@ def main(argv=None) -> int:
             return 0
         # run and sweep: a run is a sweep of one; only run takes --out.
         cfg = _load_config(args)
-        _check_output_dirs(args)
+        _check_output_paths(args)
         runs = run_sweep(cfg, args.taus) if args.verb == "sweep" else [run_scenario(cfg)]
         for a in runs:
             _print_run(a)

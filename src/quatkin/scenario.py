@@ -8,10 +8,13 @@ artifacts to produce.  Configs are JSON documents; see parse_config.
 from __future__ import annotations
 
 import collections
+import contextlib
 import dataclasses
 import json
 import math
+import os
 import re
+import stat
 import time
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
@@ -526,6 +529,25 @@ def run_sweep(base: ScenarioConfig, taus: Sequence[float]) -> list[RunArtifacts]
     return [run_scenario(dataclasses.replace(base, tau=t)) for t in taus]
 
 
+@contextlib.contextmanager
+def _overwrite(path):
+    """Binary file handle that writes over the file at path from its start,
+    creating it (mode 0o666 & ~umask) if missing, and cuts a regular file at
+    the last byte written, even when the writing raises.
+
+    Opened without O_TRUNC: on ext4, truncating a file that holds blocks
+    frees them and makes close start writeback, which cost more than
+    writing a short file.  A special file (/dev/null, a FIFO, a terminal)
+    is written without the cut, which ftruncate refuses there.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        try:
+            yield fh
+        finally:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
+
+
 def emit_series(artifacts: RunArtifacts, path) -> None:
     """Write the trajectory as CSV: t,e0,e1,e2,e3,norm[,err0,err1,err2,err3].
 
@@ -541,7 +563,7 @@ def emit_series(artifacts: RunArtifacts, path) -> None:
     oracle = artifacts.config.oracle
     header = "t,e0,e1,e2,e3,norm" + ("" if oracle is None else ",err0,err1,err2,err3")
     step = _SERIES_BLOCK_VALUES // (header.count(",") + 1)
-    with open(path, "wb") as fh:
+    with _overwrite(path) as fh:
         fh.write(header.encode("ascii") + b"\n")
         for start in range(0, len(traj.states), step):
             rows = slice(start, start + step)
@@ -608,5 +630,5 @@ def emit_summary(artifacts, path) -> None:
     if ladders:
         doc["defect_ladders"] = ladders
     text = json.dumps(doc, indent=2, allow_nan=False)  # fails before the file opens
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text + "\n")
+    with _overwrite(path) as fh:
+        fh.write(text.encode() + b"\n")  # ASCII: json.dumps escapes the rest

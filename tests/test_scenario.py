@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import os
 import tracemalloc
 import warnings
 
@@ -668,15 +669,72 @@ def test_emit_summary_sweep_estimates_order(tmp_path):
 
 def test_emit_summary_rejects_non_finite_and_keeps_the_old_file(tmp_path):
     # Strict JSON: a nan fails before the file is opened, so the summary
-    # already at that path is left byte for byte.
+    # already at that path is left byte for byte, and unmodified.
     artifacts = run_scenario(parse_config(make_config(tf=0.1)))
     path = tmp_path / "summary.json"
     emit_summary(artifacts, path)
-    before = path.read_bytes()
+    before, stat_before = path.read_bytes(), path.stat()
     broken = dataclasses.replace(artifacts, max_norm_deviation=float("nan"))
     with pytest.raises(ValueError, match="JSON compliant"):
         emit_summary(broken, path)
     assert path.read_bytes() == before
+    assert path.stat().st_mtime_ns == stat_before.st_mtime_ns
+
+
+def test_emitters_over_a_longer_file_write_what_a_fresh_path_gets(tmp_path):
+    # Files are written over in place, then cut: no byte of the longer file
+    # they replace survives after the new output.
+    long_run = coning_artifacts(oracle=True)
+    short_run = run_scenario(parse_config(make_config(tf=0.05)))
+    for emit, longer, shorter in [
+        (emit_series, long_run, short_run),
+        (emit_summary, [long_run, long_run], short_run),
+    ]:
+        fresh, over = tmp_path / "fresh", tmp_path / "over"
+        emit(shorter, fresh)
+        emit(longer, over)
+        assert over.stat().st_size > fresh.stat().st_size
+        emit(shorter, over)
+        assert over.read_bytes() == fresh.read_bytes()
+
+
+def test_emit_series_stops_where_a_failing_block_stops_it(tmp_path):
+    # An oracle that fails on the second block: the error propagates and the
+    # file ends after the header and the first block, with no old bytes after.
+    artifacts = coning_artifacts(oracle=True)
+    full = reference_series_csv(artifacts)
+    calls = []
+
+    def failing_oracle(t):
+        calls.append(len(t))
+        if len(calls) == 2:
+            raise RuntimeError("oracle failed")
+        return artifacts.config.oracle(t)
+
+    broken = dataclasses.replace(
+        artifacts, config=dataclasses.replace(artifacts.config, oracle=failing_oracle)
+    )
+    path = tmp_path / "series.csv"
+    path.write_bytes(full + b"old tail")
+    with pytest.raises(RuntimeError, match="oracle failed"):
+        emit_series(broken, path)
+    first_block = _SERIES_BLOCK_VALUES // 10
+    assert calls[0] == first_block
+    assert path.read_bytes() == b"".join(full.splitlines(keepends=True)[: 1 + first_block])
+
+
+def test_emitters_create_files_with_the_mode_open_gives(tmp_path):
+    artifacts = run_scenario(parse_config(make_config(tf=0.05)))
+    old_umask = os.umask(0o027)
+    try:
+        with open(tmp_path / "by-open", "wb"):
+            pass
+        emit_series(artifacts, tmp_path / "series.csv")
+        emit_summary(artifacts, tmp_path / "summary.json")
+    finally:
+        os.umask(old_umask)
+    modes = {p.name: p.stat().st_mode & 0o777 for p in tmp_path.iterdir()}
+    assert modes == {"by-open": 0o640, "series.csv": 0o640, "summary.json": 0o640}
 
 
 # --- CLI ----------------------------------------------------------------------------
@@ -813,20 +871,25 @@ def test_cli_validation_error_exit_code(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "verb, flag",
-    [("run", "--out"), ("run", "--summary"), ("sweep", "--summary")],
-)
-def test_cli_rejects_missing_output_directory_before_running(
-    tmp_path, capsys, monkeypatch, verb, flag
-):
+@pytest.fixture
+def no_integration(monkeypatch):
+    """Make the CLI fail the test if it integrates."""
     import quatkin.cli
 
     def must_not_run(*args, **kwargs):
-        raise AssertionError("integrated before checking the output directory")
+        raise AssertionError("integrated before checking the output paths")
 
     monkeypatch.setattr(quatkin.cli, "run_scenario", must_not_run)
     monkeypatch.setattr(quatkin.cli, "run_sweep", must_not_run)
+
+
+OUTPUT_FLAGS = [("run", "--out"), ("run", "--summary"), ("sweep", "--summary")]
+
+
+@pytest.mark.parametrize("verb, flag", OUTPUT_FLAGS)
+def test_cli_rejects_missing_output_directory_before_running(
+    tmp_path, capsys, no_integration, verb, flag
+):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(make_config(), encoding="utf-8")
     target = tmp_path / "missing-dir" / "out.file"
@@ -835,20 +898,63 @@ def test_cli_rejects_missing_output_directory_before_running(
     assert err.startswith("error:") and flag in err and "missing-dir" in err
 
 
+@pytest.mark.parametrize("verb, flag", OUTPUT_FLAGS)
+def test_cli_rejects_a_directory_as_output_before_running(
+    tmp_path, capsys, no_integration, verb, flag
+):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(make_config(), encoding="utf-8")
+    target = tmp_path / "a-dir"
+    target.mkdir()
+    assert main([verb, str(cfg_path), flag, str(target)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {flag}: {str(target)!r} is a directory\n"
+
+
+@pytest.mark.parametrize("same", ["new-file", "existing-file", "symlink"])
+def test_cli_rejects_out_and_summary_naming_one_file(tmp_path, capsys, no_integration, same):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(make_config(), encoding="utf-8")
+    out = summary = tmp_path / "both"
+    if same != "new-file":
+        out.write_bytes(b"kept")
+    if same == "symlink":
+        summary = tmp_path / "link"
+        summary.symlink_to(out)
+    assert main(["run", str(cfg_path), "--out", str(out), "--summary", str(summary)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out") and "--summary" in err and "same file" in err
+    assert out.exists() == (same != "new-file")
+    if out.exists():
+        assert out.read_bytes() == b"kept"
+
+
+def test_cli_writes_both_outputs_to_devnull(tmp_path):
+    # /dev/null is no regular file: both flags may name it, and it is
+    # written without the cut that ftruncate refuses there.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(make_config(profile="coning", q0=CONING_Q0, tf=1.0), encoding="utf-8")
+    assert main(["run", str(cfg_path), "--out", os.devnull, "--summary", os.devnull]) == 0
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("flag", ["--out", "--summary"])
+def test_cli_failed_output_write_is_a_runtime_error(tmp_path, capsys, flag):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(make_config(tf=0.1), encoding="utf-8")
+    assert main(["run", str(cfg_path), flag, "/dev/full"]) == 2
+    assert capsys.readouterr().err.startswith("runtime error: [Errno 28]")
+
+
 def test_cli_missing_file_exit_code(capsys):
     assert main(["run", "/nonexistent/config.json"]) == 1
 
 
 def test_cli_unreadable_config_is_a_config_error(tmp_path, capsys):
-    # A directory given as the config is a config error naming the path;
-    # a failed output write stays a runtime error.
+    # A directory given as the config is a config error naming the path.
     assert main(["run", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: config") and str(tmp_path) in err
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(make_config(tf=0.1), encoding="utf-8")
-    assert main(["run", str(cfg_path), "--out", str(tmp_path)]) == 2
-    assert capsys.readouterr().err.startswith("runtime error:")
 
 
 def test_cli_malformed_json_exit_code(tmp_path, capsys):
