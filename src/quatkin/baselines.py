@@ -3,9 +3,10 @@ Gauss-Legendre, all applied to dq/dt = (1/2) A(w(t)) q.
 
 The field is linear in q and commutes with left multiplications, so every
 step of every method is a right multiplication q -> q (x) p_k by its one
-step p_k from e0.  :func:`baseline_steps` builds a whole run's p_k at once,
-sampling the profile with one omega_at call per stage on the array of stage
-times, and :func:`quatkin.trajectory.integrate` applies them.  None of these
+step p_k from e0.  :func:`baseline_steps` builds the p_k of a batch of
+steps at once, sampling the profile with one omega_at call per stage on the
+array of stage times; :func:`quatkin.trajectory.integrate` hands it one
+block of a run's steps at a time and applies them.  None of these
 keep |p_k| = 1 (backward Euler damps the norm strictly), which is what the
 structure-preserving maps are measured against.
 """
@@ -111,5 +112,5 @@ def integrate_baseline(
     tau: float,
 ) -> Trajectory:
     """Build the chosen method's step quaternions over the shared horizon
-    convention and propagate them."""
+    convention, one block of steps at a time, and propagate them."""
     return integrate(functools.partial(baseline_steps, method, profile), q0, t0, tf, tau)

@@ -152,8 +152,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (QuatkinError, OSError, ValueError) as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
+    except (QuatkinError, OSError, ValueError, MemoryError) as exc:
+        reason = "out of memory" if isinstance(exc, MemoryError) else exc
+        print(f"runtime error: {reason}", file=sys.stderr)
         return 2
 
 

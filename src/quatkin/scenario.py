@@ -83,7 +83,11 @@ _BENCH_MIN_SECONDS = 0.2
 _BENCH_MIN_REPEATS = 3
 
 # Most steps one run may take; parse_config and run_sweep reject a tau that
-# exceeds it (1e7 steps hold ~0.8 GB of step quaternions, states and times).
+# exceeds it.  A whole run_scenario peaks (tracemalloc, 1e6 steps) at 112
+# bytes a step for every method with the coning oracle, 136 with the
+# constant-analytic oracle and 88 with none, so 1e7 steps take ~0.9-1.4 GB;
+# component_errors' whole-run oracle and error arrays set that peak, since
+# the integrators build their steps a block at a time.
 MAX_STEPS = 10_000_000
 
 # Values per block that emit_series renders, which bounds the memory it holds

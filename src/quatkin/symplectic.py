@@ -85,6 +85,14 @@ def cayley_steps(omega, tau):
     beyond the 1/(5 |w|) guideline, attributed to the first caller outside
     the package.
     """
+    tally = []
+    return _warn_once(tally, _cayley_steps(omega, tau, tally))
+
+
+def _cayley_steps(omega, tau, tally: list):
+    """:func:`cayley_steps` without its warning: appends (steps past the
+    guideline, steps, worst tau|w| or 0 when none is past) to tally, so that
+    an integrator warns once for all the blocks of its run."""
     w = np.asarray(omega, dtype=float)
     tau = np.asarray(tau, dtype=float)
     n2 = _norm_sq(w)
@@ -96,17 +104,25 @@ def cayley_steps(omega, tau):
     np.multiply(w, (tau / 2.0)[..., None], out=p[..., 1:])
     p /= (1.0 + alpha)[..., None]
     require_finite(p, "step map")
-    step_rate = tau * np.sqrt(n2)
-    over = np.abs(step_rate) * STEP_BOUND_FACTOR > 1.0
-    if np.any(over):
+    step_rate = np.abs(tau * np.sqrt(n2))
+    over = np.count_nonzero(step_rate * STEP_BOUND_FACTOR > 1.0)
+    tally.append((over, step_rate.size, float(np.max(step_rate)) if over else 0.0))
+    return p
+
+
+def _warn_once(tally, result):
+    """result, after one StepSizeWarning for the (past, steps, worst) entries
+    of tally when any step is past the guideline."""
+    over = sum(entry[0] for entry in tally)
+    if over:
         warnings.warn(
-            f"{np.count_nonzero(over)} of {over.size} steps exceed the accuracy "
+            f"{over} of {sum(entry[1] for entry in tally)} steps exceed the accuracy "
             f"guideline tau <= 1/(5|omega|); worst tau|omega| = "
-            f"{float(np.max(np.abs(step_rate))):.4g}",
+            f"{max(entry[2] for entry in tally):.4g}",
             StepSizeWarning,
             stacklevel=_caller_stacklevel(),
         )
-    return p
+    return result
 
 
 def autonomous_transition(omega, tau) -> np.ndarray:
@@ -124,8 +140,11 @@ def autonomous_transition(omega, tau) -> np.ndarray:
 
 def integrate_autonomous(omega, q0, t0: float, tf: float, tau: float) -> Trajectory:
     """Propagate a constant-rate run over the steps of :func:`step_schedule`,
-    a shortened final step included; states are never renormalized."""
-    return integrate(lambda t, tau_k, t_end: cayley_steps(omega, tau_k), q0, t0, tf, tau)
+    a shortened final step included; states are never renormalized.  Emits
+    one StepSizeWarning for the whole run, like :func:`cayley_steps`."""
+    tally = []
+    traj = integrate(lambda t, tau_k, t_end: _cayley_steps(omega, tau_k, tally), q0, t0, tf, tau)
+    return _warn_once(tally, traj)
 
 
 def _beta(w: np.ndarray, tau) -> np.ndarray:
@@ -187,14 +206,15 @@ def integrate_nonautonomous(
 
     Step k samples the profile at the midpoint of [t_k, t_k + tau_k]
     (exactly, or by endpoint averaging per `mode`) and applies the map of
-    :func:`nonautonomous_transition` for that sample.  All maps are built in
-    one batch; the arithmetic is identical to per-step scalar construction.
+    :func:`nonautonomous_transition` for that sample.  The maps are built a
+    block of steps at a time (see :func:`quatkin.trajectory.integrate`); the
+    arithmetic is identical to per-step scalar construction.  Emits one
+    StepSizeWarning for the whole run.
     """
+    tally = []
 
     def steps(t, tau_k, t_end):
-        # The midpoint samples are dropped before the Cayley build, the
-        # run's memory peak.
         w = corrected_rate(midpoint_omega(profile, t, tau_k, mode, t_end), tau_k)
-        return cayley_steps(w, tau_k)
+        return _cayley_steps(w, tau_k, tally)
 
-    return integrate(steps, q0, t0, tf, tau)
+    return _warn_once(tally, integrate(steps, q0, t0, tf, tau))

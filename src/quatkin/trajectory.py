@@ -1,6 +1,6 @@
 """Trajectory container, the shared fixed-step horizon convention, the one
 run body every integrator goes through, and the one loop that applies its
-step quaternions p_k to a state."""
+step quaternions p_k to a state, one block of steps at a time."""
 from __future__ import annotations
 
 import math
@@ -24,7 +24,14 @@ __all__ = [
 
 UNIT_NORM_TOL = 1e-9
 
-_BLOCK_STEPS = 1024  # steps whose 4x4 matrices propagate holds at once
+# Steps a builder is handed and propagation holds at once.  Chosen by
+# measurement on 1e5 coning steps: at 4096 SGA-NA's integration takes the
+# time a whole-run build took (1024: ~1.1x, from per-block call overhead),
+# and each method's traced peak is 8-15 MB, which an 8192 block would push
+# past test_integrate_autonomous_builds_only_distinct_maps' 10 MB bound.
+# Runs of a few thousand steps pay for it: their row-view lists and R(p)
+# temporaries grow with the block (up to ~1.4x a whole-run build's time).
+_BLOCK_STEPS = 4096
 
 
 @dataclass(frozen=True)
@@ -93,36 +100,54 @@ def step_end_times(times: np.ndarray, tau_k: np.ndarray) -> np.ndarray:
 
 def integrate(steps, q0, t0: float, tf: float, tau: float) -> Trajectory:
     """Run a fixed-step method over [t0, tf]: check q0, take the steps of
-    :func:`step_schedule`, get the run's step quaternions (K, 4) from one
-    call steps(t_k, tau_k, t_end) with t_end from :func:`step_end_times`,
-    and :func:`propagate` q0 through them.  States are never renormalized."""
+    :func:`step_schedule`, and propagate q0 through them one block of
+    _BLOCK_STEPS steps at a time.  Each block's step quaternions (n, 4) come
+    from one call steps(t_k, tau_k, t_end) on that block's slice of the
+    schedule, with t_end from :func:`step_end_times`, and go straight into
+    the kernel of :func:`propagate`; so a builder is handed one block, never
+    the whole run, and its temporaries do not grow with the run.  A
+    ConsistencyError a builder raises names the run's step, not the
+    block's.  States are never renormalized."""
     q = check_unit_quaternion(q0)
     times, tau_k = step_schedule(t0, tf, tau)
-    p = steps(times[:-1], tau_k, step_end_times(times, tau_k))
-    return Trajectory(times=times, states=propagate(p, q))
+    t_end = step_end_times(times, tau_k)
+
+    def block(start, stop):
+        try:
+            return steps(times[start:stop], tau_k[start:stop], t_end[start:stop])
+        except _NotFinite as exc:
+            raise _NotFinite(exc.args[0], start + exc.args[1]) from None
+
+    return Trajectory(times=times, states=_propagate(block, q, len(tau_k)))
 
 
 def propagate(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """The (K + 1, 4) states of q_{k+1} = q_k (x) p_k for step quaternions p (K, 4).
+    """The (K + 1, 4) states of q_{k+1} = q_k (x) p_k for step quaternions p (K, 4):
+    the kernel that :func:`integrate` feeds one builder block at a time (see
+    :func:`_propagate`), here fed blocks of p."""
+    return _propagate(lambda start, stop: p[start:stop], q, len(p))
 
-    A run's step quaternions become matrices R(p_k) only here, _BLOCK_STEPS
-    (1024) steps at a time, written into one (n, 4, 4) matrix buffer,
-    n = min(_BLOCK_STEPS, K), that every block reuses.  A block's states are
-    taken in step order in an (n + 1, 4) state buffer, each product
-    ndarray.dot(R(p_k), q_k, q_{k+1}) on row views listed once per call
-    (n + 1 state rows, n matrices), so no step makes a Python object; the
-    block is then copied into the result.  The method skips numpy's
-    __array_function__ dispatch and calls BLAS dgemv directly (~0.42 against
-    ~0.73 us a step for np.dot on fresh views, ~1.4 for matmul's gufunc).
-    For a C-contiguous 4x4 matrix and 4-vector np.dot and matmul run the
-    same dgemv kernel (matmul as the transposed column-major product), so
-    every state is bitwise R(p_k) @ q_k.
+
+def _propagate(block, q: np.ndarray, k: int) -> np.ndarray:
+    """The (k + 1, 4) states from q through k steps, whose step quaternions
+    (stop - start, 4) come from block(start, stop), _BLOCK_STEPS at a time.
+
+    A block's step quaternions become matrices R(p_k) only here, written
+    into one (n, 4, 4) matrix buffer, n = min(_BLOCK_STEPS, k), that every
+    block reuses.  A block's states are taken in step order in an
+    (n + 1, 4) state buffer, each product ndarray.dot(R(p_k), q_k, q_{k+1})
+    on row views listed once per call (n + 1 state rows, n matrices), so no
+    step makes a Python object; the block is then copied into the result.
+    The method skips numpy's __array_function__ dispatch and calls BLAS
+    dgemv directly (~0.42 against ~0.73 us a step for np.dot on fresh
+    views, ~1.4 for matmul's gufunc).  For a C-contiguous 4x4 matrix and
+    4-vector np.dot and matmul run the same dgemv kernel (matmul as the
+    transposed column-major product), so every state is bitwise R(p_k) @ q_k.
 
     A non-finite state stays non-finite under every finite R(p_k), so only
     the last state of each block is tested; when it is not finite,
     ConsistencyError names the first non-finite state's step.
     """
-    k = len(p)
     states = np.empty((k + 1, 4))
     states[0] = q
     n = min(_BLOCK_STEPS, k)
@@ -130,17 +155,24 @@ def propagate(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     g = np.empty((n, 4, 4))
     outs, gs = list(buf[1:]), list(g)
     ins = [buf[0], *outs[:-1]]  # step k + 1 reads the row view step k wrote
-    with np.errstate(over="ignore", invalid="ignore"):  # the check below names it
-        for start in range(0, k, _BLOCK_STEPS):
-            m = min(n, k - start)
-            g[:m] = right_matrix(p[start:start + m])
-            buf[0] = states[start]
+    for start in range(0, k, _BLOCK_STEPS):
+        m = min(n, k - start)
+        g[:m] = right_matrix(block(start, start + m))
+        buf[0] = states[start]
+        with np.errstate(over="ignore", invalid="ignore"):  # the check below names it
             for _ in map(np.ndarray.dot, gs[:m], ins, outs):
                 pass
-            states[start + 1:start + 1 + m] = buf[1:m + 1]
-            if not np.isfinite(buf[m]).all():
-                require_finite(states[:start + 1 + m], "state")
+        states[start + 1:start + 1 + m] = buf[1:m + 1]
+        if not np.isfinite(buf[m]).all():
+            require_finite(states[:start + 1 + m], "state")
     return states
+
+
+class _NotFinite(ConsistencyError):
+    """What :func:`require_finite` raises, with args (what, step)."""
+
+    def __str__(self):
+        return "%s is not finite at step %d" % self.args
 
 
 def require_finite(p: np.ndarray, what: str) -> None:
@@ -151,7 +183,7 @@ def require_finite(p: np.ndarray, what: str) -> None:
     ~10x slower."""
     if not np.isfinite(p).all():
         step = int(np.argmin(np.reshape(np.isfinite(p).all(axis=-1), -1)))
-        raise ConsistencyError(f"{what} is not finite at step {step}")
+        raise _NotFinite(what, step)
 
 
 def check_unit_quaternion(q) -> np.ndarray:

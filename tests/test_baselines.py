@@ -13,7 +13,7 @@ from quatkin.baselines import (
     integrate_baseline,
 )
 from quatkin.diagnostics import convergence_order
-from quatkin.errors import ConsistencyError
+from quatkin.errors import ConsistencyError, SingularMatrixError
 from quatkin.model import (
     I4,
     ConstantProfile,
@@ -77,6 +77,15 @@ def test_non_finite_rate_names_the_lowest_step_of_any_stage(method, step):
     profile = FormulaProfile("nan-from-half", nan_from_half)
     with pytest.raises(ConsistencyError, match=f"not finite at step {step}$"):
         integrate_baseline(method, profile, E0, 0.0, 1.0, 0.25)
+
+
+def test_singular_stage_system_is_named(monkeypatch):
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(SingularMatrixError, match="^stage system is singular: Singular matrix$"):
+        baseline_steps(GL2, W_REF, 0.0, 0.1)
 
 
 # --- RK4 ------------------------------------------------------------------------

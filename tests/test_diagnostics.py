@@ -140,6 +140,12 @@ def test_component_errors_bitwise_equal_to_row_wise_formulation(with_nan):
         assert np.all(per_component == 0.5)
 
 
+def test_component_errors_rejects_an_oracle_of_the_wrong_shape():
+    traj = Trajectory(times=np.arange(3.0), states=np.tile(E0, (3, 1)))
+    with pytest.raises(ValueError, match=r"oracle returned shape \(3, 3\), expected \(3, 4\)"):
+        component_errors(traj, lambda t: np.zeros((len(t), 3)))
+
+
 def test_component_errors_self_oracle_is_zero():
     traj = integrate_autonomous(W_REF, E0, 0.0, 1.0, 0.01)
 
@@ -244,6 +250,8 @@ def test_defect_series_validation_and_order():
         DefectSeries(taus=(0.1, 0.04), defects=(0.4, 0.2))
     with pytest.raises(DegenerateDataError):
         DefectSeries(taus=(0.1, 0.05), defects=(0.0, 0.0)).estimated_order
+    with pytest.raises(ValueError, match="at least two rungs"):
+        DefectSeries(taus=(0.1,), defects=(0.4,))
 
 
 def test_subnorm_pair_history_conserved_for_planar_profile():

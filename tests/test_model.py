@@ -349,3 +349,10 @@ def test_constant_oracle_matches_transition_powers():
     for k in range(1, 11):
         q = g @ q
         npt.assert_allclose(q, oracle(0.1 * k), atol=1e-13)
+
+
+def test_constant_oracle_at_zero_rate_holds_q0():
+    q0 = np.array([0.5, 0.5, 0.5, 0.5])
+    oracle = constant_oracle(np.zeros(3), q0, t0=2.0)
+    assert oracle(np.array([[0.0, 2.0, 7.5]])).tobytes() == np.tile(q0, (1, 3, 1)).tobytes()
+    assert oracle(3.0).tobytes() == q0.tobytes()

@@ -871,6 +871,26 @@ def test_cli_validation_error_exit_code(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_cli_config_root_not_an_object_exit_code(tmp_path, capsys):
+    cfg_path = tmp_path / "list.json"
+    cfg_path.write_text("[1, 2]", encoding="utf-8")
+    assert main(["run", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == "error: config root must be a JSON object\n"
+
+
+def test_cli_out_of_memory_is_a_runtime_error(tmp_path, capsys, monkeypatch):
+    import quatkin.cli
+
+    def out_of_memory(cfg):
+        raise MemoryError
+
+    monkeypatch.setattr(quatkin.cli, "run_scenario", out_of_memory)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(make_config(), encoding="utf-8")
+    assert main(["run", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == "runtime error: out of memory\n"
+
+
 @pytest.fixture
 def no_integration(monkeypatch):
     """Make the CLI fail the test if it integrates."""

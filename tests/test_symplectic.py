@@ -13,6 +13,7 @@ from quatkin.model import (
     I4,
     SYMPLECTIC_J4,
     ConstantProfile,
+    FormulaProfile,
     MidpointSamplingMode,
     analytic_constant_transition,
     coefficient_matrix,
@@ -35,6 +36,8 @@ from quatkin.symplectic import (
 )
 from quatkin.trajectory import (
     _BLOCK_STEPS,
+    Trajectory,
+    check_unit_quaternion,
     integrate,
     propagate,
     step_end_times,
@@ -337,6 +340,88 @@ def test_integrate_hands_one_builder_call_the_schedule(tf, tau):
     assert traj.states.tobytes() == propagate(p, E0).tobytes()
 
 
+def test_integrate_hands_the_builder_one_block_at_a_time():
+    # Two whole blocks and a partial one: one builder call per block, on
+    # consecutive slices of the schedule, none longer than _BLOCK_STEPS.
+    tau = 0.01
+    tf = (2 * _BLOCK_STEPS + 0.5) * tau
+    times, tau_k = step_schedule(0.0, tf, tau)
+    assert len(tau_k) == 2 * _BLOCK_STEPS + 1
+    p = np.random.default_rng(10).normal(size=(len(tau_k), 4))
+    p /= np.linalg.norm(p, axis=1, keepdims=True)
+    calls = []
+
+    def steps(t, h, t_end):
+        calls.append((t.copy(), h.copy(), t_end.copy()))
+        done = sum(len(c[0]) for c in calls[:-1])
+        return p[done:done + len(t)]
+
+    traj = integrate(steps, E0, 0.0, tf, tau)
+    assert [len(t) for t, _, _ in calls] == [_BLOCK_STEPS, _BLOCK_STEPS, 1]
+    t, h, t_end = (np.concatenate(parts) for parts in zip(*calls))
+    assert t.tobytes() == times[:-1].tobytes()
+    assert h.tobytes() == tau_k.tobytes()
+    assert t_end.tobytes() == step_end_times(times, tau_k).tobytes()
+    assert traj.states.tobytes() == propagate(p, E0).tobytes()
+
+
+INTEGRATORS = {
+    "SGA-A": lambda profile, tf: integrate_autonomous(profile.omega_at(0.0), E0, 0.0, tf, 0.01),
+    "SGA-NA": lambda profile, tf: integrate_nonautonomous(profile, E0, 0.0, tf, 0.01),
+    **{
+        m.value: (lambda profile, tf, m=m: integrate_baseline(m, profile, E0, 0.0, tf, 0.01))
+        for m in BaselineMethod
+    },
+}
+
+
+@pytest.mark.parametrize("method", list(INTEGRATORS))
+def test_integration_memory_grows_only_by_the_run_arrays(method):
+    # K = 4 blocks of coning steps against 2K: the peak grows by the run's
+    # own arrays (times, steps, step ends and states: 56 bytes a step), not
+    # by the builder's temporaries, which a block bounds.
+    profile, k = profile_from_name("coning"), 4 * _BLOCK_STEPS
+    run = INTEGRATORS[method]
+    run(profile, 1.0)  # first-call allocations out of the way
+    peaks = []
+    for steps in (k, 2 * k):
+        tracemalloc.start()
+        try:
+            traj = run(profile, steps * 0.01)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert traj.steps == steps
+    assert peaks[1] - peaks[0] <= 100 * k
+
+
+def nan_from_50(t):
+    return np.where(t[..., None] >= 50.0, np.nan, [1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize(
+    "method, sampling, message",
+    [
+        ("SGA-NA", MidpointSamplingMode.EXACT, "rate is not finite at step 5000"),
+        ("SGA-NA", MidpointSamplingMode.LINEAR_INTERP, "rate is not finite at step 4999"),
+        ("RK4", None, "rate is not finite at step 4999"),
+        ("EUB", None, "step map is not finite at step 4999"),
+        ("GL2", None, "rate is not finite at step 5000"),
+    ],
+    ids=["SGA-NA-exact", "SGA-NA-interp", "RK4", "EUB", "GL2"],
+)
+def test_builder_error_past_the_first_block_names_the_run_step(method, sampling, message):
+    # The rate is nan from t = 50 on (tau 0.01), past the first block; the
+    # step sampling it first is named by its place in the run.
+    assert _BLOCK_STEPS <= 4999
+    profile = FormulaProfile("nan-from-50", nan_from_50)
+    with pytest.raises(ConsistencyError, match=f"^{message}$"):
+        if method == "SGA-NA":
+            integrate_nonautonomous(profile, E0, 0.0, 60.0, 0.01, sampling)
+        else:
+            integrate_baseline(BaselineMethod(method), profile, E0, 0.0, 60.0, 0.01)
+
+
 def test_integrate_checks_q0_before_building_steps():
     def steps(t, h, t_end):
         raise AssertionError("builder called")
@@ -355,6 +440,21 @@ def test_integrate_autonomous_builds_only_distinct_maps():
     assert traj.steps == 100_001
     # (K, 4, 4) step matrices alone would take 128 bytes a step.
     assert peak < 100 * traj.steps
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: check_unit_quaternion([1.0, 0.0, 0.0]), r"4-component quaternion, got \(3,\)"),
+        (lambda: Trajectory(times=np.zeros(2), states=np.zeros((2, 3))), r"non-empty \(n, 4\)"),
+        (lambda: Trajectory(times=np.zeros(0), states=np.zeros((0, 4))), r"non-empty \(n, 4\)"),
+        (lambda: Trajectory(times=np.zeros(3), states=np.zeros((2, 4))), "lengths differ"),
+    ],
+    ids=["q0-shape", "states-shape", "states-empty", "times-length"],
+)
+def test_state_shapes_are_checked(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 def test_integrate_autonomous_norm_preservation_long_run():
@@ -656,3 +756,23 @@ def test_integrate_autonomous_partial_step_warns_once():
     caught = _step_size_warnings(integrate_autonomous, W_REF, E0, 0.0, 1.01, 0.025)
     assert len(caught) == 1
     assert caught[0].startswith("40 of 41 steps exceed")
+
+
+@pytest.mark.parametrize(
+    "method, tau, tf, expected",
+    [
+        ("SGA-A", 0.025, (2 * _BLOCK_STEPS + 100.4) * 0.025, 2 * _BLOCK_STEPS + 100),
+        ("SGA-NA", 0.25, (2 * _BLOCK_STEPS + 101) * 0.25, 2 * _BLOCK_STEPS + 101),
+    ],
+)
+def test_run_of_several_blocks_warns_once_with_whole_run_counts(method, tau, tf, expected):
+    # Two whole blocks and a partial one, every full step past the guideline
+    # (tau |w| = 0.266 for W_REF, at least 0.95 on fig2); the constant-rate
+    # run's shortened last step is within it.
+    if method == "SGA-A":
+        caught = _step_size_warnings(integrate_autonomous, W_REF, E0, 0.0, tf, tau)
+    else:
+        fig2 = profile_from_name("fig2")
+        caught = _step_size_warnings(integrate_nonautonomous, fig2, E0, 0.0, tf, tau)
+    assert len(caught) == 1
+    assert caught[0].startswith(f"{expected} of {2 * _BLOCK_STEPS + 101} steps exceed")
