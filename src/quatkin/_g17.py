@@ -183,9 +183,11 @@ _CLASS_WORDS, _SLOT_UNIT, _MASK_WORDS, _TEXT_LEN = _layout_tables()
 _NEWLINE = _U64((ord(",") ^ ord("\n")) << 32)
 
 
-# Every np.take below uses mode="clip": the indices are in range by
+# Every take below uses mode="clip": the indices are in range by
 # construction (or clipped on purpose), and it skips numpy's bounds check and
-# output buffering, ~1.5x faster than the default.
+# output buffering, ~1.5x faster than the default.  Gathers and index lists
+# call the ndarray methods (table.take, mask.nonzero()[0]): np.take and
+# np.flatnonzero add ~0.8 and ~1.6 us of wrapper dispatch a call.
 
 
 def _round17(m, biased, xi):
@@ -196,10 +198,10 @@ def _round17(m, biased, xi):
     """
     m0 = m & _MASK32
     m1 = m >> _U64(32)
-    a = np.take(_F_LOW, xi, mode="clip")
+    a = _F_LOW.take(xi, mode="clip")
     c = m1 * a
     a *= m0
-    f2 = np.take(_F_HIGH, xi, mode="clip")
+    f2 = _F_HIGH.take(xi, mode="clip")
     b = f2 & _MASK32
     b *= m0
     t1 = a >> _U64(32)
@@ -219,7 +221,7 @@ def _round17(m, biased, xi):
     f2 *= m0
     hi += f2
     del m0, m1, f2
-    below = np.take(_SHIFT_BASE, xi, mode="clip")
+    below = _SHIFT_BASE.take(xi, mode="clip")
     below -= biased
     q2 = hi >> below  # 2·floor + the half bit
     low_nonzero |= hi != (q2 << below)  # sticky
@@ -240,7 +242,7 @@ def _fast_digits(m, biased, xi):
     ok = xi.view(_U64) <= _U64(16 - _X_MIN)
     q, d = _round17(m, biased, xi)
     q -= _U64(10**16)  # wraps below 10^16
-    redo = np.flatnonzero((q >= _U64(9 * 10**16)) & ok)
+    redo = ((q >= _U64(9 * 10**16)) & ok).nonzero()[0]
     if redo.size:
         q = q[redo] + _U64(10**16)
         xi_new = xi[redo] + (q >= _U64(10**17)) - (q < _U64(10**16))
@@ -250,7 +252,7 @@ def _fast_digits(m, biased, xi):
         xi[redo] = xi_new
         q, d[redo] = _round17(m[redo], biased[redo], xi_new)
         ok[redo[(q < _U64(10**16)) | (q >= _U64(10**17))]] = False
-    carry = np.flatnonzero(d == _U64(10**17))
+    carry = (d == _U64(10**17)).nonzero()[0]
     d[carry] = _U64(10**16)
     xi[carry] += 1
     return d, xi, ok
@@ -265,14 +267,14 @@ def _classify(values):
     """
     bits = values.view(_U64)
     biased = (bits >> _U64(52)) & _U64(0x7FF)
-    xi = np.take(_XI_EST, biased.view(np.intp), mode="clip")
-    xi += np.abs(values) >= np.take(_X_NEXT, biased.view(np.intp), mode="clip")
+    xi = _XI_EST.take(biased.view(np.intp), mode="clip")
+    xi += np.abs(values) >= _X_NEXT.take(biased.view(np.intp), mode="clip")
     m = bits & _U64((1 << 52) - 1)
     m |= _U64(1 << 52)
     d, cls, ok = _fast_digits(m, biased, xi)
     cls *= 2
     cls += (bits >> _U64(63)).view(np.intp)
-    rest = np.flatnonzero(~ok)
+    rest = (~ok).nonzero()[0]
     d[rest] = 0
     zero = values[rest] == 0
     cls[rest] = (cls[rest] & 1) + np.where(zero, 2 * _ZERO, 2 * _OTHER)
@@ -285,7 +287,7 @@ def _text_words(d, cls, ncols):
     d is overwritten.
     """
     # D' = D + 9p·floor(D/p): the '.' slot opened.
-    unit = np.take(_SLOT_UNIT, cls, mode="clip")
+    unit = _SLOT_UNIT.take(cls, mode="clip")
     slot = d // unit
     unit *= _U64(9)
     slot *= unit
@@ -303,27 +305,27 @@ def _text_words(d, cls, ncols):
 
     # Trailing zeros of D': the last four digits, then the next four where
     # those are all zero.
-    tz = np.take(_TZ4, eight[1].view(np.intp), mode="clip")
-    zeros = np.flatnonzero(tz == 4)
+    tz = _TZ4.take(eight[1].view(np.intp), mode="clip")
+    zeros = (tz == 4).nonzero()[0]
     for chunk, table in ((upper[1], _TZ4), (eight[0], _TZ4), (upper[0], _TZ4), (lead, _TZ2)):
         if not zeros.size:
             break
-        more = np.take(table, chunk[zeros].view(np.intp), mode="clip")
+        more = table.take(chunk[zeros].view(np.intp), mode="clip")
         tz[zeros] += more
         zeros = zeros[more == 4]
     key = cls * 18
     key += tz
     del tz
 
-    text = np.take(_DIG4_HIGH, eight.view(np.intp), mode="clip")
-    text |= np.take(_DIG4_LOW, upper.view(np.intp), mode="clip")
+    text = _DIG4_HIGH.take(eight.view(np.intp), mode="clip")
+    text |= _DIG4_LOW.take(upper.view(np.intp), mode="clip")
     del upper, eight
 
-    words = np.take(_CLASS_WORDS, cls, axis=0, mode="clip")
-    words[:, 0] ^= np.take(_DIG2, lead.view(np.intp), mode="clip")
+    words = _CLASS_WORDS.take(cls, axis=0, mode="clip")
+    words[:, 0] ^= _DIG2.take(lead.view(np.intp), mode="clip")
     words.T[1:3] ^= text
     words.reshape(-1, ncols, 4)[:, -1, 3] ^= _NEWLINE
-    words &= np.take(_MASK_WORDS, key, axis=0, mode="clip")
+    words &= _MASK_WORDS.take(key, axis=0, mode="clip")
     return words, key
 
 

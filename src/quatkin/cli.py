@@ -107,11 +107,18 @@ def _check_output_paths(args) -> None:
             raise ConfigError(f"--{flag}: {path!r} is a directory")
         if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
             raise ConfigError(f"--{flag}: directory of {path!r} does not exist")
-    # The summary would replace the CSV in a regular file (or one yet to be
-    # made); a special file such as /dev/null takes both.
-    if out and summary and os.path.realpath(out) == os.path.realpath(summary):
-        if os.path.isfile(out) or not os.path.exists(out):
-            raise ConfigError(f"--out {out!r} and --summary {summary!r} name the same file")
+    if out and summary and _same_regular_file(out, summary):
+        raise ConfigError(f"--out {out!r} and --summary {summary!r} name the same file")
+
+
+def _same_regular_file(a: str, b: str) -> bool:
+    """Whether paths a and b name one regular file, or one yet to be made:
+    the second output written would replace the first.  Existing paths are
+    compared by device and inode, so a symlink or hard link to the other
+    counts; a special file such as /dev/null takes both outputs."""
+    if os.path.exists(a) and os.path.exists(b):
+        return os.path.isfile(a) and os.path.samefile(a, b)
+    return os.path.realpath(a) == os.path.realpath(b)
 
 
 def _print_run(a) -> None:

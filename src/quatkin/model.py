@@ -51,18 +51,21 @@ _RIGHT_TAKE = np.array([[0, 5, 6, 7], [1, 0, 3, 6], [2, 7, 0, 1], [3, 2, 5, 0]])
 _LEFT_TAKE = np.array([[0, 5, 6, 7], [1, 0, 7, 2], [2, 3, 0, 5], [3, 6, 1, 0]])
 
 
-def _product_matrix(p, take: np.ndarray) -> np.ndarray:
+def _product_matrix(p, take: np.ndarray, out=None) -> np.ndarray:
     """R(p) for take = _RIGHT_TAKE, L(p) for take = _LEFT_TAKE; (..., 4)
-    yields (..., 4, 4)."""
+    yields (..., 4, 4), written into out when given.  The indices are in
+    range by construction: mode="clip" skips the bounds check and lets the
+    gather write straight into out, with no buffer."""
     p = np.asarray(p, dtype=float)
-    return np.take(np.concatenate([p, -p], axis=-1), take, axis=-1)
+    return np.concatenate([p, -p], axis=-1).take(take, axis=-1, out=out, mode="clip")
 
 
-def right_matrix(p) -> np.ndarray:
+def right_matrix(p, out=None) -> np.ndarray:
     """Matrix R(p) = p0 I + A(p1, p2, p3) of the right multiplication
     q -> q (x) p, whose first column is p; every step map is one of these.
-    Broadcasts: (..., 4) yields (..., 4, 4).  No input check."""
-    return _product_matrix(p, _RIGHT_TAKE)
+    Broadcasts: (..., 4) yields (..., 4, 4), written into out (a float
+    array of that shape) when given.  No input check."""
+    return _product_matrix(p, _RIGHT_TAKE, out)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

@@ -4,7 +4,9 @@ step quaternions p_k to a state, one block of steps at a time."""
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -29,9 +31,13 @@ UNIT_NORM_TOL = 1e-9
 # time a whole-run build took (1024: ~1.1x, from per-block call overhead),
 # and each method's traced peak is 8-15 MB, which an 8192 block would push
 # past test_integrate_autonomous_builds_only_distinct_maps' 10 MB bound.
-# Runs of a few thousand steps pay for it: their row-view lists and R(p)
-# temporaries grow with the block (up to ~1.4x a whole-run build's time).
+# It also caps a thread's propagation workspace (see _workspace): ~1.5 MB
+# once a run of 4096 steps or more has been propagated on that thread.
 _BLOCK_STEPS = 4096
+
+# Each thread's propagation workspace: ndarray.dot releases the GIL, so two
+# threads must not write one buffer.
+_local = threading.local()
 
 
 @dataclass(frozen=True)
@@ -128,21 +134,41 @@ def propagate(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return _propagate(lambda start, stop: p[start:stop], q, len(p))
 
 
+def _workspace(n: int):
+    """This thread's propagation workspace for blocks of up to n steps:
+    (g, buf, gs, ins, outs), an (N, 4, 4) matrix buffer g and an
+    (N + 1, 4) state buffer buf, N >= n, with their row views listed: gs
+    the N matrices, outs the state rows 1..N and ins the rows 0..N - 1
+    (step k + 1 reads the row view step k wrote).  Built on the thread's
+    first call and rebuilt, larger, only when n exceeds N; a caller keeps
+    the tuple it got, so one that a nested call outgrows still holds its
+    own buffers."""
+    ws = getattr(_local, "ws", None)
+    if ws is None or len(ws[2]) < n:
+        g, buf = np.empty((n, 4, 4)), np.empty((n + 1, 4))
+        outs = list(buf[1:])
+        ws = _local.ws = (g, buf, list(g), [buf[0], *outs[:-1]], outs)
+    return ws
+
+
 def _propagate(block, q: np.ndarray, k: int) -> np.ndarray:
     """The (k + 1, 4) states from q through k steps, whose step quaternions
     (stop - start, 4) come from block(start, stop), _BLOCK_STEPS at a time.
 
-    A block's step quaternions become matrices R(p_k) only here, written
-    into one (n, 4, 4) matrix buffer, n = min(_BLOCK_STEPS, k), that every
-    block reuses.  A block's states are taken in step order in an
-    (n + 1, 4) state buffer, each product ndarray.dot(R(p_k), q_k, q_{k+1})
-    on row views listed once per call (n + 1 state rows, n matrices), so no
-    step makes a Python object; the block is then copied into the result.
-    The method skips numpy's __array_function__ dispatch and calls BLAS
-    dgemv directly (~0.42 against ~0.73 us a step for np.dot on fresh
-    views, ~1.4 for matmul's gufunc).  For a C-contiguous 4x4 matrix and
-    4-vector np.dot and matmul run the same dgemv kernel (matmul as the
-    transposed column-major product), so every state is bitwise R(p_k) @ q_k.
+    Each block runs on this thread's workspace (see :func:`_workspace`),
+    sized min(k, _BLOCK_STEPS) steps and kept between calls, so a call
+    makes no buffer and no row view.  A block's step quaternions become
+    matrices R(p_k) only here, written by right_matrix straight into the
+    matrix buffer.  Its states are taken in step order in the state buffer,
+    each product ndarray.dot(R(p_k), q_k, q_{k+1}) on the listed row views,
+    so no step makes a Python object; the block is then copied into the
+    result.  Nothing in the workspace is read across a block() call, so a
+    builder may itself call propagate.  The method skips numpy's
+    __array_function__ dispatch and calls BLAS dgemv directly (~0.42
+    against ~0.73 us a step for np.dot on fresh views, ~1.4 for matmul's
+    gufunc).  For a C-contiguous 4x4 matrix and 4-vector np.dot and matmul
+    run the same dgemv kernel (matmul as the transposed column-major
+    product), so every state is bitwise R(p_k) @ q_k.
 
     A non-finite state stays non-finite under every finite R(p_k), so only
     the last state of each block is tested; when it is not finite,
@@ -150,17 +176,13 @@ def _propagate(block, q: np.ndarray, k: int) -> np.ndarray:
     """
     states = np.empty((k + 1, 4))
     states[0] = q
-    n = min(_BLOCK_STEPS, k)
-    buf = np.empty((n + 1, 4))
-    g = np.empty((n, 4, 4))
-    outs, gs = list(buf[1:]), list(g)
-    ins = [buf[0], *outs[:-1]]  # step k + 1 reads the row view step k wrote
+    g, buf, gs, ins, outs = _workspace(min(_BLOCK_STEPS, k))
     for start in range(0, k, _BLOCK_STEPS):
-        m = min(n, k - start)
-        g[:m] = right_matrix(block(start, start + m))
+        m = min(_BLOCK_STEPS, k - start)
+        right_matrix(block(start, start + m), out=g[:m])
         buf[0] = states[start]
         with np.errstate(over="ignore", invalid="ignore"):  # the check below names it
-            for _ in map(np.ndarray.dot, gs[:m], ins, outs):
+            for _ in map(np.ndarray.dot, islice(gs, m), ins, outs):
                 pass
         states[start + 1:start + 1 + m] = buf[1:m + 1]
         if not np.isfinite(buf[m]).all():

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -15,10 +16,17 @@ from quatkin.diagnostics import (
     symplecticity_defect,
 )
 from quatkin.errors import DegenerateDataError
-from quatkin.model import I4, LEFT_J, SYMPLECTIC_J4, ConstantProfile, constant_oracle
+from quatkin.model import (
+    I4,
+    LEFT_J,
+    SYMPLECTIC_J4,
+    ConstantProfile,
+    coning_oracle,
+    constant_oracle,
+)
 from quatkin.scenario import one_step_matrix, parse_config, profile_from_name
 from quatkin.symplectic import autonomous_transition, integrate_autonomous
-from quatkin.trajectory import Trajectory
+from quatkin.trajectory import _BLOCK_STEPS, Trajectory
 
 E0 = np.array([1.0, 0.0, 0.0, 0.0])
 W_REF = np.array([2.0, 10.0, 3.0])
@@ -131,8 +139,12 @@ def test_component_errors_bitwise_equal_to_row_wise_formulation(with_nan):
     if with_nan:
         ref[[1234, 4321], [2, 0]] = np.nan
     traj = Trajectory(times=0.01 * np.arange(n), states=states)
-    report = component_errors(traj, lambda t: ref)
-    per_component = row_wise_component_errors(traj, lambda t: ref)
+
+    def oracle(t):  # the rows of ref at the sample times t
+        return ref[np.searchsorted(traj.times, t)]
+
+    report = component_errors(traj, oracle)
+    per_component = row_wise_component_errors(traj, oracle)
     assert report.max_component_error.tobytes() == per_component.tobytes()
     if with_nan:
         assert np.isnan(per_component[[0, 2]]).all()
@@ -144,6 +156,26 @@ def test_component_errors_rejects_an_oracle_of_the_wrong_shape():
     traj = Trajectory(times=np.arange(3.0), states=np.tile(E0, (3, 1)))
     with pytest.raises(ValueError, match=r"oracle returned shape \(3, 3\), expected \(3, 4\)"):
         component_errors(traj, lambda t: np.zeros((len(t), 3)))
+
+
+def test_component_errors_memory_does_not_grow_with_the_run():
+    # The oracle is called one block of samples at a time, so a run of 4
+    # blocks peaks where a run of 1 block does: no whole-run reference or
+    # error array (64 bytes a step).
+    oracle = coning_oracle(1.0, 0.1)
+    peaks = []
+    for blocks in (1, 4):
+        times = 0.01 * np.arange(blocks * _BLOCK_STEPS)
+        traj = Trajectory(times=times, states=oracle(times) + 1e-3)
+        component_errors(traj, oracle)  # first-call allocations out of the way
+        tracemalloc.start()
+        try:
+            report = component_errors(traj, oracle)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        npt.assert_allclose(report.max_component_error, 1e-3, rtol=1e-9)
+    assert peaks[1] <= peaks[0] + 64 * 1024
 
 
 def test_component_errors_self_oracle_is_zero():

@@ -931,7 +931,7 @@ def test_cli_rejects_a_directory_as_output_before_running(
     assert err == f"error: {flag}: {str(target)!r} is a directory\n"
 
 
-@pytest.mark.parametrize("same", ["new-file", "existing-file", "symlink"])
+@pytest.mark.parametrize("same", ["new-file", "existing-file", "symlink", "hard-link"])
 def test_cli_rejects_out_and_summary_naming_one_file(tmp_path, capsys, no_integration, same):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(make_config(), encoding="utf-8")
@@ -941,6 +941,9 @@ def test_cli_rejects_out_and_summary_naming_one_file(tmp_path, capsys, no_integr
     if same == "symlink":
         summary = tmp_path / "link"
         summary.symlink_to(out)
+    if same == "hard-link":
+        summary = tmp_path / "link"
+        os.link(out, summary)
     assert main(["run", str(cfg_path), "--out", str(out), "--summary", str(summary)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: --out") and "--summary" in err and "same file" in err

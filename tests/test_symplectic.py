@@ -1,6 +1,8 @@
 import math
+import threading
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import numpy.testing as npt
@@ -286,6 +288,85 @@ def test_propagate_keeps_large_finite_states():
     states = propagate(p, E0)
     assert np.all(np.isfinite(states))
     assert 1e266 < np.max(np.abs(states[-1])) < 1e267
+
+
+def unit_steps(rng, steps):
+    p = rng.normal(size=(steps, 4))
+    return p / np.linalg.norm(p, axis=1, keepdims=True)
+
+
+def in_fresh_thread(fn, *args):
+    """fn(*args) run on a new thread, whose propagation workspace starts
+    empty; its exception, if any, is raised here."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(fn, *args).result()
+
+
+def test_propagate_on_two_threads_at_once():
+    # Each thread owns its workspace: two threads propagating different
+    # steps at the same time each get their own sequential products.
+    rng = np.random.default_rng(31)
+    runs = [(unit_steps(rng, 2 * _BLOCK_STEPS + 5), rng.normal(size=4)) for _ in range(2)]
+    expected = [sequential_products(p, q).tobytes() for p, q in runs]
+    start = threading.Barrier(2)
+
+    def run(p, q):
+        start.wait()
+        return [propagate(p, q).tobytes() for _ in range(10)]
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        results = [f.result() for f in [pool.submit(run, p, q) for p, q in runs]]
+    for got, want in zip(results, expected):
+        assert got == [want] * 10
+
+
+@pytest.mark.parametrize(
+    "outer, inner",
+    [(10, 50), (2 * _BLOCK_STEPS + 5, 7)],
+    ids=["inner-grows-the-workspace", "inner-shares-the-workspace"],
+)
+def test_builder_may_propagate_inside_integrate(outer, inner):
+    # A builder that calls propagate on every block: a longer nested call
+    # replaces the thread's workspace under the outer call, a shorter one
+    # writes over the outer call's buffers; both outer and inner states
+    # stay the sequential products.
+    rng = np.random.default_rng(outer)
+    p, p_inner = unit_steps(rng, outer), unit_steps(rng, inner)
+    inner_expected = sequential_products(p_inner, E0).tobytes()
+    nested = []
+
+    def steps(t, h, t_end):  # unit steps from t0 = 0: t is the step index
+        nested.append(propagate(p_inner, E0).tobytes() == inner_expected)
+        return p[int(t[0]):int(t[0]) + len(t)]
+
+    traj = in_fresh_thread(integrate, steps, E0, 0.0, float(outer), 1.0)
+    assert nested == [True] * -(-outer // _BLOCK_STEPS)
+    assert traj.states.tobytes() == sequential_products(p, E0).tobytes()
+
+
+def test_propagate_short_long_short_on_one_thread():
+    # The workspace grows for the long call and is kept for the short one
+    # after it; every call gets its own sequential products.
+    rng = np.random.default_rng(33)
+    calls = [(unit_steps(rng, k), rng.normal(size=4)) for k in (5, 2 * _BLOCK_STEPS + 5, 3)]
+    got = in_fresh_thread(lambda: [propagate(p, q).tobytes() for p, q in calls])
+    assert got == [sequential_products(p, q).tobytes() for p, q in calls]
+
+
+def test_propagate_on_a_warm_thread_allocates_no_workspace():
+    # Once the thread's workspace holds 110 steps, a 110-step call makes no
+    # buffer and no row view: its traced peak is the result plus the R(p)
+    # gather's (110, 8) input, not ~2 x 110 views.
+    rng = np.random.default_rng(34)
+    p, q = unit_steps(rng, 110), rng.normal(size=4)
+    propagate(p, q)
+    tracemalloc.start()
+    try:
+        states = propagate(p, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= states.nbytes + 16 * 1024
 
 
 @pytest.mark.parametrize("method", ["SGA-A", "SGA-NA", "RK4", "EUB", "GL2"])
