@@ -58,13 +58,22 @@ import numpy as np
 _VECTOR_MIN_VALUES = 256
 
 _U64 = np.uint64
-_MASK32 = _U64(0xFFFFFFFF)
 
 # Decimal exponents rendered by integer arithmetic: s = 16 - X in [0, 32].
 _X_MIN, _X_MAX = -16, 17  # 17 leaves room for a carry out of X = 16
 _NX = _X_MAX - _X_MIN + 1
 _ZERO = _NX  # class index of ±0
 _OTHER = _NX + 1  # class index of values rendered one at a time
+
+# The integer operands of every render, bound once as 0-d uint64 arrays: a
+# shift of 600 values took 1.95 us with a numpy scalar built in the call,
+# 1.42 with a bound scalar and 1.04 with a bound 0-d array.
+(_ONE, _NINE, _SH32, _SH52, _SH63, _EXP_MASK, _MASK32, _FRAC_MASK, _HIDDEN_BIT,
+ _XI_TOP, _P4, _P8, _P16, _NINE_P16, _P17) = (
+    np.array(v, dtype=_U64)
+    for v in (1, 9, 32, 52, 63, 0x7FF, 0xFFFFFFFF, (1 << 52) - 1, 1 << 52,
+              16 - _X_MIN, 10**4, 10**8, 10**16, 9 * 10**16, 10**17)
+)
 
 
 def _power_tables():
@@ -180,7 +189,7 @@ def _layout_tables():
 
 
 _CLASS_WORDS, _SLOT_UNIT, _MASK_WORDS, _TEXT_LEN = _layout_tables()
-_NEWLINE = _U64((ord(",") ^ ord("\n")) << 32)
+_NEWLINE = np.array((ord(",") ^ ord("\n")) << 32, dtype=_U64)
 
 
 # Every take below uses mode="clip": the indices are in range by
@@ -197,27 +206,27 @@ def _round17(m, biased, xi):
     xi outside [0, 32] is clipped; the result is then meaningless.
     """
     m0 = m & _MASK32
-    m1 = m >> _U64(32)
+    m1 = m >> _SH32
     a = _F_LOW.take(xi, mode="clip")
     c = m1 * a
     a *= m0
     f2 = _F_HIGH.take(xi, mode="clip")
     b = f2 & _MASK32
     b *= m0
-    t1 = a >> _U64(32)
+    t1 = a >> _SH32
     t1 += b & _MASK32
     t1 += c & _MASK32
     a |= t1
     a &= _MASK32
     low_nonzero = a != 0
     del a
-    hi = t1 >> _U64(32)
-    hi += b >> _U64(32)
-    hi += c >> _U64(32)
+    hi = t1 >> _SH32
+    hi += b >> _SH32
+    hi += c >> _SH32
     del b, c, t1
     m1 *= f2
     hi += m1
-    f2 >>= _U64(32)
+    f2 >>= _SH32
     f2 *= m0
     hi += f2
     del m0, m1, f2
@@ -225,11 +234,11 @@ def _round17(m, biased, xi):
     below -= biased
     q2 = hi >> below  # 2·floor + the half bit
     low_nonzero |= hi != (q2 << below)  # sticky
-    q = q2 >> _U64(1)
-    up = q & _U64(1)
+    q = q2 >> _ONE
+    up = q & _ONE
     up |= low_nonzero
     q2 += up
-    q2 >>= _U64(1)
+    q2 >>= _ONE
     return q, q2
 
 
@@ -239,21 +248,21 @@ def _fast_digits(m, biased, xi):
     xi estimates X - _X_MIN to within one.  Returns (D, xi, ok); ok holds
     where X lies in the exact range [-16, 16].
     """
-    ok = xi.view(_U64) <= _U64(16 - _X_MIN)
+    ok = xi.view(_U64) <= _XI_TOP
     q, d = _round17(m, biased, xi)
-    q -= _U64(10**16)  # wraps below 10^16
-    redo = ((q >= _U64(9 * 10**16)) & ok).nonzero()[0]
+    q -= _P16  # wraps below 10^16
+    redo = ((q >= _NINE_P16) & ok).nonzero()[0]
     if redo.size:
-        q = q[redo] + _U64(10**16)
-        xi_new = xi[redo] + (q >= _U64(10**17)) - (q < _U64(10**16))
-        fits = xi_new.view(_U64) <= _U64(16 - _X_MIN)
+        q = q[redo] + _P16
+        xi_new = xi[redo] + (q >= _P17) - (q < _P16)
+        fits = xi_new.view(_U64) <= _XI_TOP
         ok[redo[~fits]] = False
         redo, xi_new = redo[fits], xi_new[fits]
         xi[redo] = xi_new
         q, d[redo] = _round17(m[redo], biased[redo], xi_new)
-        ok[redo[(q < _U64(10**16)) | (q >= _U64(10**17))]] = False
-    carry = (d == _U64(10**17)).nonzero()[0]
-    d[carry] = _U64(10**16)
+        ok[redo[(q < _P16) | (q >= _P17)]] = False
+    carry = (d == _P17).nonzero()[0]
+    d[carry] = _P16
     xi[carry] += 1
     return d, xi, ok
 
@@ -266,14 +275,14 @@ def _classify(values):
     per-value path; D is 0 for the last two.
     """
     bits = values.view(_U64)
-    biased = (bits >> _U64(52)) & _U64(0x7FF)
+    biased = (bits >> _SH52) & _EXP_MASK
     xi = _XI_EST.take(biased.view(np.intp), mode="clip")
     xi += np.abs(values) >= _X_NEXT.take(biased.view(np.intp), mode="clip")
-    m = bits & _U64((1 << 52) - 1)
-    m |= _U64(1 << 52)
+    m = bits & _FRAC_MASK
+    m |= _HIDDEN_BIT
     d, cls, ok = _fast_digits(m, biased, xi)
     cls *= 2
-    cls += (bits >> _U64(63)).view(np.intp)
+    cls += (bits >> _SH63).view(np.intp)
     rest = (~ok).nonzero()[0]
     d[rest] = 0
     zero = values[rest] == 0
@@ -289,19 +298,19 @@ def _text_words(d, cls, ncols):
     # D' = D + 9p·floor(D/p): the '.' slot opened.
     unit = _SLOT_UNIT.take(cls, mode="clip")
     slot = d // unit
-    unit *= _U64(9)
+    unit *= _NINE
     slot *= unit
     d += slot
     del unit, slot
-    lead = d // _U64(10**16)
-    d -= lead * _U64(10**16)
+    lead = d // _P16
+    d -= lead * _P16
     # Digits s2..s9 and s10..s17 in the rows of one (2, n) array, so that
     # every operation runs along n (numpy runs (n, 2) shapes row by row).
     eight = np.empty((2, d.size), dtype=_U64)
-    np.floor_divide(d, _U64(10**8), out=eight[0])
-    np.subtract(d, eight[0] * _U64(10**8), out=eight[1])
-    upper = eight // _U64(10_000)
-    eight -= upper * _U64(10_000)
+    np.floor_divide(d, _P8, out=eight[0])
+    np.subtract(d, eight[0] * _P8, out=eight[1])
+    upper = eight // _P4
+    eight -= upper * _P4
 
     # Trailing zeros of D': the last four digits, then the next four where
     # those are all zero.

@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .errors import SingularMatrixError
-from .model import I4, AngularVelocityProfile, coefficient_matrix
+from .model import I4, AngularVelocityProfile, right_matrix
 from .trajectory import Trajectory, integrate, require_finite
 
 __all__ = [
@@ -40,17 +40,30 @@ _GL_SQRT3_6 = math.sqrt(3.0) / 6.0
 GL2_NODES = (0.5 - _GL_SQRT3_6, 0.5 + _GL_SQRT3_6)
 GL2_MATRIX = ((0.25, 0.25 - _GL_SQRT3_6), (0.25 + _GL_SQRT3_6, 0.25))
 GL2_WEIGHTS = (0.5, 0.5)
+_EYE8 = np.eye(8)
 
 
-def _stage_rates(profile: AngularVelocityProfile, *times):
-    """One omega_at sample per stage time, checked together so that a
-    ConsistencyError names the lowest step with a non-finite rate in any stage.
-    Each stage is tested whole first: joining (K, 3) arrays along the last
-    axis costs ~8x as much, so it is done only to find the step."""
+def _stage_matrices(profile: AngularVelocityProfile, *times):
+    """Rate matrices L_i = A(w_i)/2, stacked (n_stages, ..., 4, 4), of one
+    omega_at sample per stage time.
+
+    The rates are checked together, so that a ConsistencyError names the
+    lowest step with a non-finite rate in any stage; each stage is tested
+    whole first, since joining (K, 3) arrays along the last axis costs ~8x
+    as much.  Every L_i is R((0, w_i/2)) from one right_matrix call, equal
+    entry for entry (signed zeros included) to 0.5 * coefficient_matrix(w_i).
+    The rates are broadcast: a ladder's stages come with unequal shapes (its
+    scalar t against its array of tau)."""
     rates = [profile.omega_at(s) for s in times]
+    for w in rates:
+        if w.shape[-1:] != (3,):
+            raise ValueError(f"expected angular velocity with last axis 3, got {w.shape}")
     if not all(np.isfinite(w).all() for w in rates):
         require_finite(np.concatenate(np.broadcast_arrays(*rates), axis=-1), "rate")
-    return rates
+    half = np.zeros((len(rates), *np.broadcast_shapes(*(w.shape for w in rates))[:-1], 4))
+    for i, w in enumerate(rates):
+        np.divide(w, 2.0, out=half[i, ..., 1:])
+    return right_matrix(half)
 
 
 def baseline_steps(method: BaselineMethod, profile: AngularVelocityProfile, t, tau, t_end=None):
@@ -68,10 +81,7 @@ def baseline_steps(method: BaselineMethod, profile: AngularVelocityProfile, t, t
     if method is BaselineMethod.RK4:
         # Stage times t, t + tau/2, t + tau/2, t + tau, applied to e0; einsum's
         # batched matrix-vector product beats matmul's at this size.
-        w1, w2, w3 = _stage_rates(profile, t, t + tau / 2.0, t_end)
-        l1 = 0.5 * coefficient_matrix(w1)
-        l2 = 0.5 * coefficient_matrix(w2)
-        l3 = 0.5 * coefficient_matrix(w3)
+        l1, l2, l3 = _stage_matrices(profile, t, t + tau / 2.0, t_end)
         k1 = l1[..., 0]
         k2 = np.einsum("...ij,...j->...i", l2, I4[0] + (h / 2.0) * k1)
         k3 = np.einsum("...ij,...j->...i", l2, I4[0] + (h / 2.0) * k2)
@@ -88,11 +98,16 @@ def baseline_steps(method: BaselineMethod, profile: AngularVelocityProfile, t, t
         # Gauss-Legendre: k_i = L_i (e0 + tau sum_j a_ij k_j) with L_i at
         # t + c_i tau is one 8x8 system per step, whose right-hand side is
         # tau [L1 e0; L2 e0].
-        w1, w2 = _stage_rates(profile, t + GL2_NODES[0] * tau, t + GL2_NODES[1] * tau)
-        hl1 = h[..., None] * (0.5 * coefficient_matrix(w1))
-        hl2 = h[..., None] * (0.5 * coefficient_matrix(w2))
-        (a11, a12), (a21, a22) = GL2_MATRIX
-        m = np.eye(8) - np.block([[a11 * hl1, a12 * hl1], [a21 * hl2, a22 * hl2]])
+        hl1, hl2 = h[..., None] * _stage_matrices(
+            profile, t + GL2_NODES[0] * tau, t + GL2_NODES[1] * tau
+        )
+        # m = I8 - [[a11 hl1, a12 hl1], [a21 hl2, a22 hl2]], block by block
+        # into one buffer, with no np.block.
+        m = np.empty((*hl1.shape[:-2], 8, 8))
+        for i, hl in enumerate((hl1, hl2)):
+            for j, a_ij in enumerate(GL2_MATRIX[i]):
+                rows, cols = slice(4 * i, 4 * i + 4), slice(4 * j, 4 * j + 4)
+                np.subtract(_EYE8[rows, cols], a_ij * hl, out=m[..., rows, cols])
         rhs = np.concatenate([hl1[..., :1], hl2[..., :1]], axis=-2)
         try:
             stages = np.linalg.solve(m, rhs)[..., 0]

@@ -65,8 +65,10 @@ def frobenius_norm(a: np.ndarray) -> float:
     return float(np.sqrt(np.sum(a * a)))
 
 
-def symplecticity_defect(g: np.ndarray, structure: np.ndarray = SYMPLECTIC_J4) -> float:
-    """Frobenius norm of G.T @ S @ G - S for a structure matrix S.
+def symplecticity_defect(g: np.ndarray, structure: np.ndarray = SYMPLECTIC_J4):
+    """Frobenius norm of G.T @ S @ G - S for a structure matrix S: a float for
+    one map G (4, 4), an array (...) of them for a stack G (..., 4, 4), each
+    bitwise the defect of its map alone.
 
     The default S = SYMPLECTIC_J4 is a right multiplication that the exact
     flow does not preserve, so every consistent one-step map has a defect of
@@ -77,7 +79,9 @@ def symplecticity_defect(g: np.ndarray, structure: np.ndarray = SYMPLECTIC_J4) -
     """
     g = np.asarray(g, dtype=float)
     s = np.asarray(structure, dtype=float)
-    return frobenius_norm(g.T @ s @ g - s)
+    d = np.swapaxes(g, -1, -2) @ s @ g - s
+    defect = np.sqrt(np.sum(d * d, axis=(-2, -1)))
+    return float(defect) if defect.ndim == 0 else defect
 
 
 def component_errors(traj: Trajectory, oracle) -> ErrorReport:

@@ -1,9 +1,12 @@
 """Reference code that only the tests read: a scalar 4x4 Gaussian
 elimination (the implicit stage solve the closed-form maps are checked
-against) and the truncated power series of exp(A(w) tau / 2) (a cross-check
-of the closed-form constant-rate transition)."""
+against), the truncated power series of exp(A(w) tau / 2) (a cross-check
+of the closed-form constant-rate transition) and the batched RK4 and GL2
+step builders as first written, with a stage matrix per stage and
+np.block (the arithmetic quatkin.baselines must reproduce bitwise)."""
 import numpy as np
 
+from quatkin.baselines import GL2_MATRIX, GL2_NODES, GL2_WEIGHTS
 from quatkin.diagnostics import frobenius_norm
 from quatkin.errors import SingularMatrixError
 from quatkin.model import I4, coefficient_matrix
@@ -83,3 +86,32 @@ def constant_transition_series(omega, tau, tol: float = 1e-18) -> np.ndarray:
         if frobenius_norm(term) < tol:
             return out
     raise ArithmeticError("matrix exponential series failed to converge")
+
+
+def rk4_steps(profile, t, tau):
+    """Step quaternions (..., 4) of RK4 over [t, t + tau], each stage matrix
+    0.5 * coefficient_matrix(w) of its own."""
+    t, tau = np.asarray(t, dtype=float), np.asarray(tau, dtype=float)
+    h = tau[..., None]
+    l1 = 0.5 * coefficient_matrix(profile.omega_at(t))
+    l2 = 0.5 * coefficient_matrix(profile.omega_at(t + tau / 2.0))
+    l3 = 0.5 * coefficient_matrix(profile.omega_at(t + tau))
+    k1 = l1[..., 0]
+    k2 = np.einsum("...ij,...j->...i", l2, I4[0] + (h / 2.0) * k1)
+    k3 = np.einsum("...ij,...j->...i", l2, I4[0] + (h / 2.0) * k2)
+    k4 = np.einsum("...ij,...j->...i", l3, I4[0] + h * k3)
+    return I4[0] + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+
+
+def gl2_steps(profile, t, tau):
+    """Step quaternions (..., 4) of 2-stage Gauss-Legendre over [t, t + tau],
+    the 8x8 stage matrix built as np.eye(8) - np.block(...)."""
+    t, tau = np.asarray(t, dtype=float), np.asarray(tau, dtype=float)
+    h = tau[..., None]
+    hl1 = h[..., None] * (0.5 * coefficient_matrix(profile.omega_at(t + GL2_NODES[0] * tau)))
+    hl2 = h[..., None] * (0.5 * coefficient_matrix(profile.omega_at(t + GL2_NODES[1] * tau)))
+    (a11, a12), (a21, a22) = GL2_MATRIX
+    m = np.eye(8) - np.block([[a11 * hl1, a12 * hl1], [a21 * hl2, a22 * hl2]])
+    rhs = np.concatenate([hl1[..., :1], hl2[..., :1]], axis=-2)
+    stages = np.linalg.solve(m, rhs)[..., 0]
+    return I4[0] + GL2_WEIGHTS[0] * stages[..., :4] + GL2_WEIGHTS[1] * stages[..., 4:]

@@ -29,7 +29,7 @@ from quatkin.model import (
 from quatkin.scenario import profile_from_name
 from quatkin.symplectic import cayley_steps, corrected_rate, integrate_nonautonomous
 from quatkin.trajectory import step_end_times, step_schedule
-from reference_impl import solve_linear_4
+from reference_impl import gl2_steps, rk4_steps, solve_linear_4
 
 E0 = np.array([1.0, 0.0, 0.0, 0.0])
 ZERO = ConstantProfile((0.0, 0.0, 0.0))
@@ -77,6 +77,13 @@ def test_non_finite_rate_names_the_lowest_step_of_any_stage(method, step):
     profile = FormulaProfile("nan-from-half", nan_from_half)
     with pytest.raises(ConsistencyError, match=f"not finite at step {step}$"):
         integrate_baseline(method, profile, E0, 0.0, 1.0, 0.25)
+
+
+@pytest.mark.parametrize("method", [RK4, GL2], ids=["RK4", "GL2"])
+def test_stage_rate_without_three_components_is_named(method):
+    four = FormulaProfile("four", lambda t: np.ones(np.shape(t) + (4,)))
+    with pytest.raises(ValueError, match=r"last axis 3, got \(2, 4\)"):
+        baseline_steps(method, four, np.array([0.0, 0.1]), np.array([0.1, 0.1]))
 
 
 def test_singular_stage_system_is_named(monkeypatch):
@@ -344,3 +351,19 @@ def test_one_step_wrappers_apply_the_step_matrix(method):
     npt.assert_array_equal(one_step(method, profile, q, 1.1, 0.02), g[1] @ q)
     reference = REFERENCE_STEPS[method](profile, q, 0.3, 0.05)
     npt.assert_allclose(one_step(method, profile, q, 0.3, 0.05), reference, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "method, reference", [(RK4, rk4_steps), (GL2, gl2_steps)], ids=["RK4", "GL2"]
+)
+@pytest.mark.parametrize("name", ["fig1a", "fig1c", "fig2", "coning"])
+def test_batched_builders_match_their_first_formulation_bitwise(method, reference, name):
+    # RK4's stage matrices from one right_matrix call and GL2's stage matrix
+    # written block by block do the reference's arithmetic, entry for entry:
+    # on a run's block of steps, and on a ladder's scalar time and four step
+    # sizes, where the stage rates come with unequal shapes.
+    profile = profile_from_name(name)
+    times, tau_k = step_schedule(0.3, 4.0, 0.1)
+    for t, tau in [(times[:-1], tau_k), (0.3, np.array([0.1, 0.05, 0.025, 0.0125]))]:
+        p = baseline_steps(method, profile, t, tau)
+        assert p.tobytes() == reference(profile, t, tau).tobytes()

@@ -51,6 +51,25 @@ def test_norm_history_single_state():
     assert traj.norms().shape == (1,)
 
 
+def test_norms_are_bitwise_linalg_norm():
+    # Random rows, rows whose squares overflow or underflow into the
+    # subnormals, and rows holding nan or inf: every norm is the one
+    # np.linalg.norm gives, bit for bit (the CSV's norm column is compared
+    # against it byte for byte).
+    rng = np.random.default_rng(23)
+    states = rng.standard_normal((4000, 4))
+    states[1000:2000] *= 1e200
+    states[2000:3000] *= 1e-160
+    states[3000:3100] *= 5e-324
+    states[3100:3200, 1] = np.nan
+    states[3200:3300, 2] = -np.inf
+    states[3300:3400] = 0.0
+    traj = Trajectory(times=np.arange(len(states), dtype=float), states=states)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = np.linalg.norm(states, axis=1)
+    assert traj.norms().tobytes() == expected.tobytes()
+
+
 @pytest.mark.filterwarnings("ignore::quatkin.symplectic.StepSizeWarning")
 def test_orthogonality_defect_values():
     g = autonomous_transition(W_REF, 0.05)
@@ -75,6 +94,18 @@ def test_symplecticity_defect_default_structure_is_j4():
         g = autonomous_transition(rng.normal(0.0, 4.0, 3), rng.uniform(0.01, 0.5))
         assert symplecticity_defect(g) == symplecticity_defect(g, SYMPLECTIC_J4)
         assert symplecticity_defect(g) == symplecticity_defect(g, structure=SYMPLECTIC_J4)
+
+
+@pytest.mark.parametrize("structure", [SYMPLECTIC_J4, LEFT_J], ids=["J4", "left-j"])
+def test_symplecticity_defect_of_a_stack_is_each_maps_defect_bitwise(structure):
+    rng = np.random.default_rng(29)
+    stack = I4 + rng.normal(0.0, 0.3, (50, 3, 4, 4))
+    defects = symplecticity_defect(stack, structure)
+    assert defects.shape == (50, 3)
+    for g, d in zip(stack.reshape(-1, 4, 4), defects.reshape(-1).tolist()):
+        alone = symplecticity_defect(g, structure)
+        assert type(alone) is float
+        assert d == alone == frobenius_norm(g.T @ structure @ g - structure)
 
 
 def _constant_w_ref_step(method: str, tau: float) -> np.ndarray:

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -696,6 +697,45 @@ def test_emitters_over_a_longer_file_write_what_a_fresh_path_gets(tmp_path):
         assert over.stat().st_size > fresh.stat().st_size
         emit(shorter, over)
         assert over.read_bytes() == fresh.read_bytes()
+
+
+def limited_write(limit=None):
+    """A stand-in for os.write that takes at most 7 bytes a call and, once
+    `limit` bytes are written, raises ENOSPC; returns it and the list of
+    byte counts it wrote."""
+    real_write, written = os.write, []
+
+    def write(fd, data):
+        if limit is not None and sum(written) >= limit:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        written.append(real_write(fd, bytes(data[:7])))
+        return written[-1]
+
+    return write, written
+
+
+@pytest.mark.parametrize("limit", [None, 50], ids=["short-writes", "failing-write"])
+def test_emitters_retry_short_writes_and_cut_where_writing_stopped(tmp_path, monkeypatch, limit):
+    # A descriptor may take fewer bytes than asked: the rest is written
+    # again.  A write that fails propagates, and the file ends at the bytes
+    # written before it, with no byte of the longer file it was over after.
+    long_run = run_scenario(parse_config(make_config(tf=0.5)))
+    short_run = run_scenario(parse_config(make_config(tf=0.05)))
+    for emit, longer in [(emit_series, long_run), (emit_summary, [long_run, long_run])]:
+        fresh, over = tmp_path / "fresh", tmp_path / "over"
+        emit(short_run, fresh)
+        emit(longer, over)
+        write, written = limited_write(limit)
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "write", write)
+            if limit is None:
+                emit(short_run, over)
+            else:
+                with pytest.raises(OSError, match=os.strerror(errno.ENOSPC)):
+                    emit(short_run, over)
+        full, kept = fresh.read_bytes(), sum(written)
+        assert kept == len(full) if limit is None else limit <= kept < len(full)
+        assert over.read_bytes() == full[:kept]
 
 
 def test_emit_series_stops_where_a_failing_block_stops_it(tmp_path):
