@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .errors import SingularMatrixError
-from .model import I4, AngularVelocityProfile, right_matrix
+from .model import I4, AngularVelocityProfile, require_rates, right_matrix
 from .trajectory import Trajectory, integrate, require_finite
 
 __all__ = [
@@ -47,19 +47,13 @@ def _stage_matrices(profile: AngularVelocityProfile, *times):
     """Rate matrices L_i = A(w_i)/2, stacked (n_stages, ..., 4, 4), of one
     omega_at sample per stage time.
 
-    The rates are checked together, so that a ConsistencyError names the
-    lowest step with a non-finite rate in any stage; each stage is tested
-    whole first, since joining (K, 3) arrays along the last axis costs ~8x
-    as much.  Every L_i is R((0, w_i/2)) from one right_matrix call, equal
+    The rates are checked together by require_rates, so that a
+    ConsistencyError names the lowest step with a non-finite rate in any
+    stage.  Every L_i is R((0, w_i/2)) from one right_matrix call, equal
     entry for entry (signed zeros included) to 0.5 * coefficient_matrix(w_i).
-    The rates are broadcast: a ladder's stages come with unequal shapes (its
-    scalar t against its array of tau)."""
+    The rates are broadcast: a ladder's stages come with unequal shapes."""
     rates = [profile.omega_at(s) for s in times]
-    for w in rates:
-        if w.shape[-1:] != (3,):
-            raise ValueError(f"expected angular velocity with last axis 3, got {w.shape}")
-    if not all(np.isfinite(w).all() for w in rates):
-        require_finite(np.concatenate(np.broadcast_arrays(*rates), axis=-1), "rate")
+    require_rates(*rates)
     half = np.zeros((len(rates), *np.broadcast_shapes(*(w.shape for w in rates))[:-1], 4))
     for i, w in enumerate(rates):
         np.divide(w, 2.0, out=half[i, ..., 1:])
@@ -71,8 +65,8 @@ def baseline_steps(method: BaselineMethod, profile: AngularVelocityProfile, t, t
     t_k + tau_k, for broadcasting t and tau: each is the method's one step
     from e0, and the step map is q -> q (x) p_k.  L = A(w)/2 is the rate
     matrix; t_end is where the step-end rate is sampled (default t + tau).
-    Raises ConsistencyError naming the first step whose stage rate (RK4,
-    GL2) or p_k is not finite.
+    Raises ValueError for a rate sample without three components, and
+    ConsistencyError naming the first step whose rate or p_k is not finite.
     """
     t = np.asarray(t, dtype=float)
     tau = np.asarray(tau, dtype=float)
@@ -91,6 +85,7 @@ def baseline_steps(method: BaselineMethod, profile: AngularVelocityProfile, t, t
         # (I - x A)^-1 e0 with x = tau/2 and A = A(w(t + tau)).  A^2 = -|w|^2 I
         # gives it in closed form, (1, x w) / (1 + x^2 |w|^2): no solve.
         w = profile.omega_at(t_end)
+        require_rates(w)
         x = h / 2.0
         p = np.concatenate([np.ones_like(w[..., :1]), x * w], axis=-1)
         p = p / (1.0 + x * x * np.sum(w * w, axis=-1, keepdims=True))

@@ -1,4 +1,6 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package, and :func:`require_finite`,
+the check whose ConsistencyError names a step."""
+import numpy as np
 
 __all__ = [
     "QuatkinError",
@@ -42,3 +44,22 @@ class DegenerateDataError(QuatkinError, ValueError):
 
 class ConfigError(QuatkinError, ValueError):
     """Scenario configuration failed to parse or validate."""
+
+
+class _NotFinite(ConsistencyError):
+    """What :func:`require_finite` raises, with args (what, step)."""
+
+    def __str__(self):
+        return "%s is not finite at step %d" % self.args
+
+
+def require_finite(p: np.ndarray, what: str) -> None:
+    """Raise ConsistencyError naming the first step whose row of p (..., n)
+    holds a non-finite value.  Every step builder runs it on its rates
+    (through quatkin.model.require_rates) and on its step quaternions, and
+    propagate on the states when a block ends non-finite.  The
+    whole-array test runs first: numpy reduces short rows one at a time,
+    ~10x slower."""
+    if not np.isfinite(p).all():
+        step = int(np.argmin(np.reshape(np.isfinite(p).all(axis=-1), -1)))
+        raise _NotFinite(what, step)

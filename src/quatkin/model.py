@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ProfileDomainError
+from .errors import ProfileDomainError, require_finite
 
 __all__ = [
     "I4",
@@ -100,12 +100,29 @@ def coefficient_matrix(omega: np.ndarray) -> np.ndarray:
     negated cross-product matrix of w: A(w) = right_matrix((0, w)), with
     A.T = -A and A @ A = -|w|^2 I.  Broadcasts: (..., 3) yields (..., 4, 4).
     """
-    w = np.asarray(omega, dtype=float)
-    if w.shape[-1:] != (3,):
-        raise ValueError(f"expected angular velocity with last axis 3, got {w.shape}")
+    w = rate_array(omega)
     if not np.all(np.isfinite(w)):
         raise ValueError("angular velocity must be finite")
     return right_matrix(np.concatenate([np.zeros_like(w[..., :1]), w], axis=-1))
+
+
+def rate_array(omega) -> np.ndarray:
+    """omega as a float array (..., 3) of rate samples, else ValueError."""
+    w = np.asarray(omega, dtype=float)
+    if w.shape[-1:] != (3,):
+        raise ValueError(f"expected angular velocity with last axis 3, got {w.shape}")
+    return w
+
+
+def require_rates(*rates) -> None:
+    """Every step builder's check of the rate samples it draws: three
+    components each (see :func:`rate_array`), and ConsistencyError naming the
+    lowest step whose rate is not finite in any of them, broadcast together.
+    Each is tested whole first: joining (K, 3) arrays costs ~8x as much."""
+    for w in rates:
+        rate_array(w)
+    if not all(np.isfinite(w).all() for w in rates):
+        require_finite(np.concatenate(np.broadcast_arrays(*rates), axis=-1), "rate")
 
 
 class AngularVelocityProfile:

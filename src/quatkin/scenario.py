@@ -30,7 +30,7 @@ from .diagnostics import (
     convergence_order,
     symplecticity_defect,
 )
-from .errors import ConfigError, DegenerateDataError
+from .errors import ConfigError, DegenerateDataError, NonUnitStateError
 from .model import (
     AngularVelocityProfile,
     ConingProfile,
@@ -49,7 +49,7 @@ from .symplectic import (
     integrate_nonautonomous,
     nonautonomous_transition,
 )
-from .trajectory import UNIT_NORM_TOL, Trajectory, require_finite
+from .trajectory import Trajectory, check_unit_quaternion, require_finite
 
 __all__ = [
     "PROFILE_REGISTRY",
@@ -390,10 +390,10 @@ def parse_config(source) -> ScenarioConfig:
     q0_raw = raw.get("q0", [1.0, 0.0, 0.0, 0.0])
     if not isinstance(q0_raw, list) or len(q0_raw) != 4:
         raise ConfigError("field 'q0': expected a list of 4 numbers")
-    q0 = np.array([parse_number(c, "q0") for c in q0_raw])
-    q0_norm = float(np.linalg.norm(q0))
-    if abs(q0_norm - 1.0) > UNIT_NORM_TOL:
-        raise ConfigError(f"field 'q0': norm {q0_norm:.12f} is not 1 within 1e-9")
+    try:
+        q0 = check_unit_quaternion([parse_number(c, "q0") for c in q0_raw])
+    except NonUnitStateError as exc:
+        raise ConfigError(f"field 'q0': {exc}") from None
 
     default_method = "SGA-A" if isinstance(profile, ConstantProfile) else "SGA-NA"
     method = raw.get("method", default_method)

@@ -29,6 +29,8 @@ from .model import (
     MidpointSamplingMode,
     coefficient_matrix,
     midpoint_omega,
+    rate_array,
+    require_rates,
     right_matrix,
 )
 from .trajectory import Trajectory, integrate, require_finite
@@ -69,9 +71,7 @@ def _caller_stacklevel() -> int:
 
 
 def _norm_sq(w: np.ndarray) -> np.ndarray:
-    """|w|^2 over the last axis, which must hold the three rate components."""
-    if w.shape[-1:] != (3,):
-        raise ValueError(f"expected angular velocity with last axis 3, got {w.shape}")
+    """|w|^2 over the last axis, which holds the three rate components."""
     return w[..., 0] * w[..., 0] + w[..., 1] * w[..., 1] + w[..., 2] * w[..., 2]
 
 
@@ -95,8 +95,8 @@ def _cayley_steps(omega, tau, tally: list):
     an integrator warns once for all the blocks of its run."""
     w = np.asarray(omega, dtype=float)
     tau = np.asarray(tau, dtype=float)
+    require_rates(w)
     n2 = _norm_sq(w)
-    require_finite(w, "rate")
     batch = np.broadcast_shapes(n2.shape, tau.shape)
     alpha = tau * tau * n2 / 16.0
     p = np.empty(batch + (4,))
@@ -160,7 +160,7 @@ def corrected_rate(omega_k, tau) -> np.ndarray:
     so the time-varying step is the constant-rate step at w'.  Broadcasts
     over leading axes of omega_k / tau.
     """
-    w = np.asarray(omega_k, dtype=float)
+    w = rate_array(omega_k)
     beta = _beta(w, tau)
     out = np.array(np.broadcast_to(w, beta.shape + (3,)))
     out[..., 1] -= 2.0 * beta
@@ -174,7 +174,7 @@ def b_matrix(omega_k, tau) -> np.ndarray:
     second rate component is zero or tau -> 0, reducing B_k to A/2 exactly.
     Broadcasts over leading axes of omega_k / tau.
     """
-    w = np.asarray(omega_k, dtype=float)
+    w = rate_array(omega_k)
     beta = _beta(w, tau)
     return 0.5 * coefficient_matrix(w) + beta[..., None, None] * SYMPLECTIC_J4
 

@@ -56,12 +56,13 @@ def test_zero_field_leaves_state_unchanged(method):
 
 def test_non_finite_step_is_named():
     # Backward Euler samples the rate at each step end; a rate that is nan at
-    # t = 0.5 makes the step over [0.25, 0.5], step 1, non-finite.
+    # t = 0.5 is the sample of the step over [0.25, 0.5], step 1, and is named
+    # before the step map it would make non-finite.
     def rate(t):
         return np.where(t[..., None] == 0.5, np.nan, W_REF.vector)
 
     profile = FormulaProfile("nan-at-half", rate)
-    with pytest.raises(ConsistencyError, match="step map is not finite at step 1"):
+    with pytest.raises(ConsistencyError, match="rate is not finite at step 1"):
         integrate_baseline(EUB, profile, E0, 0.0, 1.0, 0.25)
 
 
@@ -79,7 +80,7 @@ def test_non_finite_rate_names_the_lowest_step_of_any_stage(method, step):
         integrate_baseline(method, profile, E0, 0.0, 1.0, 0.25)
 
 
-@pytest.mark.parametrize("method", [RK4, GL2], ids=["RK4", "GL2"])
+@pytest.mark.parametrize("method", [RK4, EUB, GL2], ids=["RK4", "EUB", "GL2"])
 def test_stage_rate_without_three_components_is_named(method):
     four = FormulaProfile("four", lambda t: np.ones(np.shape(t) + (4,)))
     with pytest.raises(ValueError, match=r"last axis 3, got \(2, 4\)"):

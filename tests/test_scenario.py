@@ -126,6 +126,13 @@ def test_parse_validates_q0():
         parse_config(make_config(q0=[1.0, 1.0, 0.0, 0.0]))
     with pytest.raises(ConfigError, match="'q0'"):
         parse_config(make_config(q0=[1.0, 0.0, 0.0]))
+    with pytest.raises(
+        ConfigError,
+        match=r"^field 'q0': initial quaternion norm 1\.000000002000 deviates from 1 "
+        r"by more than 1e-09$",
+    ):
+        parse_config(make_config(q0=[1.0 + 2e-9, 0.0, 0.0, 0.0]))
+    assert parse_config(make_config(q0=[1.0 + 5e-10, 0.0, 0.0, 0.0])).q0[0] == 1.0 + 5e-10
 
 
 def test_parse_reports_json_position():

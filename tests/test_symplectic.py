@@ -486,7 +486,7 @@ def nan_from_50(t):
         ("SGA-NA", MidpointSamplingMode.EXACT, "rate is not finite at step 5000"),
         ("SGA-NA", MidpointSamplingMode.LINEAR_INTERP, "rate is not finite at step 4999"),
         ("RK4", None, "rate is not finite at step 4999"),
-        ("EUB", None, "step map is not finite at step 4999"),
+        ("EUB", None, "rate is not finite at step 4999"),
         ("GL2", None, "rate is not finite at step 5000"),
     ],
     ids=["SGA-NA-exact", "SGA-NA-interp", "RK4", "EUB", "GL2"],
@@ -758,6 +758,33 @@ def test_consistency_check_is_enforced():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ConsistencyError):
             nonautonomous_transition(np.array([1e200, 1e200, 1e200]), 1.0)
+
+
+def four_wide(t):
+    return np.ones(t.shape + (4,))
+
+
+@pytest.mark.parametrize(
+    "build, shape",
+    [
+        (lambda: cayley_steps(np.ones(4), 0.1), r"\(4,\)"),
+        (
+            lambda: integrate_nonautonomous(FormulaProfile("four", four_wide), E0, 0.0, 0.2, 0.1),
+            r"\(2, 4\)",
+        ),
+        (
+            lambda: integrate_nonautonomous(
+                FormulaProfile("four", four_wide), E0, 0.0, 0.2, 0.1,
+                MidpointSamplingMode.LINEAR_INTERP,
+            ),
+            r"\(2, 4\)",
+        ),
+    ],
+    ids=["SGA-A", "SGA-NA-exact", "SGA-NA-interp"],
+)
+def test_rate_without_three_components_is_named(build, shape):
+    with pytest.raises(ValueError, match=f"last axis 3, got {shape}$"):
+        build()
 
 
 def test_consistency_error_names_the_step():
