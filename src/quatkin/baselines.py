@@ -54,7 +54,7 @@ def _stage_matrices(profile: AngularVelocityProfile, *times):
     The rates are broadcast: a ladder's stages come with unequal shapes."""
     rates = [profile.omega_at(s) for s in times]
     require_rates(*rates)
-    half = np.zeros((len(rates), *np.broadcast_shapes(*(w.shape for w in rates))[:-1], 4))
+    half = np.zeros((len(rates), *np.broadcast(*rates).shape[:-1], 4))
     for i, w in enumerate(rates):
         np.divide(w, 2.0, out=half[i, ..., 1:])
     return right_matrix(half)

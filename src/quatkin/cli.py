@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 config/validation error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -40,6 +41,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+# Built once per process: every main call parses with the same parser.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="quatkin",
@@ -61,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--taus",
         nargs="+",
         type=float,
-        default=list(DEFAULT_SWEEP_TAUS),
+        default=DEFAULT_SWEEP_TAUS,  # a tuple: the cached parser gives every call this object
         help="step sizes to sweep (default: %(default)s)",
     )
     _add_overrides(sweep_p)

@@ -8,7 +8,6 @@ artifacts to produce.  Configs are JSON documents; see parse_config.
 from __future__ import annotations
 
 import collections
-import contextlib
 import dataclasses
 import json
 import math
@@ -83,11 +82,13 @@ _BENCH_MIN_SECONDS = 0.2
 _BENCH_MIN_REPEATS = 3
 
 # Most steps one run may take; parse_config and run_sweep reject a tau that
-# exceeds it.  A whole run_scenario peaks (tracemalloc, 1e6 steps) at 112
-# bytes a step for every method with the coning oracle, 136 with the
-# constant-analytic oracle and 88 with none, so 1e7 steps take ~0.9-1.4 GB;
-# component_errors' whole-run oracle and error arrays set that peak, since
-# the integrators build their steps a block at a time.
+# exceeds it.  A whole run_scenario peaks (tracemalloc, 1e6 steps) at 80
+# bytes a step for every method, with the coning oracle, the
+# constant-analytic one or none, so 1e7 steps take ~0.8 GB.  The run's own
+# arrays set that peak, in Trajectory.norms: times and states, the states'
+# squares and the norms.  The integrators build their steps, and
+# component_errors calls the oracle, a block at a time (integration itself
+# peaks at 60 bytes a step).
 MAX_STEPS = 10_000_000
 
 # Values per block that emit_series renders, which bounds the memory it holds
@@ -97,36 +98,40 @@ MAX_STEPS = 10_000_000
 _SERIES_BLOCK_VALUES = 16384
 
 
+# The formula profiles fill one (..., 3) array component by component, each
+# component bitwise what np.stack of the three would hold, without its
+# Python-level frames.  t is the float array FormulaProfile.omega_at passes.
+
+
 def _fig1b(t):
-    return np.stack(
-        [2.0 * (1.0 + np.sin(t) * np.exp(-t / 4.0)), np.zeros_like(t), np.zeros_like(t)],
-        axis=-1,
-    )
+    out = np.empty(t.shape + (3,))
+    out[..., 0] = 2.0 * (1.0 + np.sin(t) * np.exp(-t / 4.0))
+    out[..., 1:] = 0.0
+    return out
 
 
 def _fig1c(t):
-    return np.stack(
-        [
-            2.0 * (1.0 + np.sin(t) * np.exp(-t / 4.0)),
-            (-3.0 + t * t) * np.exp(-t / 3.0),
-            (1.0 + t) * np.exp(-t),
-        ],
-        axis=-1,
-    )
+    out = np.empty(t.shape + (3,))
+    out[..., 0] = 2.0 * (1.0 + np.sin(t) * np.exp(-t / 4.0))
+    out[..., 1] = (-3.0 + t * t) * np.exp(-t / 3.0)
+    out[..., 2] = (1.0 + t) * np.exp(-t)
+    return out
 
 
 def _fig1d(t):
-    return np.stack(
-        [np.sin(10.0 * t) - 2.0, 2.0 * t + 1.4, 4.0 - 0.2 * np.cos(3.0 * t)],
-        axis=-1,
-    )
+    out = np.empty(t.shape + (3,))
+    out[..., 0] = np.sin(10.0 * t) - 2.0
+    out[..., 1] = 2.0 * t + 1.4
+    out[..., 2] = 4.0 - 0.2 * np.cos(3.0 * t)
+    return out
 
 
 def _fig2(t):
-    return np.stack(
-        [np.sin(10.0 * t) - 2.0, 2.0 * np.sin(t) + 1.4, 4.0 - 0.2 * np.cos(3.0 * t)],
-        axis=-1,
-    )
+    out = np.empty(t.shape + (3,))
+    out[..., 0] = np.sin(10.0 * t) - 2.0
+    out[..., 1] = 2.0 * np.sin(t) + 1.4
+    out[..., 2] = 4.0 - 0.2 * np.cos(3.0 * t)
+    return out
 
 
 PROFILE_REGISTRY: dict[str, Callable[[], AngularVelocityProfile]] = {
@@ -204,9 +209,11 @@ _PI_PATTERN = re.compile(
 def parse_number(value, field: str) -> float:
     """Accept a finite numeric literal or a pi expression like "pi/80" or
     "2pi"; nan and infinities are rejected."""
-    if isinstance(value, bool):
+    if type(value) is float:  # most config numbers: skip the checks below
+        out = value
+    elif isinstance(value, bool):
         raise ConfigError(f"field {field!r}: expected a number, got {value!r}")
-    if isinstance(value, (int, float)):
+    elif isinstance(value, (int, float)):
         try:
             out = float(value)
         except OverflowError:  # an int beyond float range
@@ -323,10 +330,11 @@ _CONFIG_KEYS = {
 
 def config_document(source) -> dict:
     """The top-level object of a config given as JSON text (str or bytes) or
-    as a mapping; raises ConfigError for anything else."""
-    if isinstance(source, Mapping):
-        return dict(source)
+    as a mapping; raises ConfigError for anything else.  Text is tested for
+    first: isinstance against typing.Mapping runs Python-level hooks."""
     if not isinstance(source, (str, bytes, bytearray)):
+        if isinstance(source, Mapping):
+            return dict(source)
         raise ConfigError(f"config must be JSON text or a mapping, got {type(source).__name__}")
     try:
         raw = json.loads(source)
@@ -534,11 +542,11 @@ def run_sweep(base: ScenarioConfig, taus: Sequence[float]) -> list[RunArtifacts]
     return [run_scenario(dataclasses.replace(base, tau=t)) for t in taus]
 
 
-@contextlib.contextmanager
-def _overwrite(path):
-    """Write callable that writes bytes over the file at path from its start,
-    creating it (mode 0o666 & ~umask) if missing, and cuts a regular file at
-    the last byte written, even when the writing raises.
+class _overwrite:
+    """Context manager whose write callable writes bytes over the file at path
+    from its start, creating it (mode 0o666 & ~umask) if missing, and which
+    cuts a regular file at the last byte written, even when the writing
+    raises.
 
     Opened without O_TRUNC: on ext4, truncating a file that holds blocks
     frees them and makes close start writeback, which cost more than
@@ -546,27 +554,32 @@ def _overwrite(path):
     is written without the cut, which ftruncate refuses there.  The bytes go
     straight to the descriptor, a short write retried with the rest: a
     700-byte file takes ~2/3 of the time it took through a buffered file
-    object (7.4-10.8 against 11.3-16.2 us).
+    object (7.4-10.8 against 11.3-16.2 us).  A class rather than a
+    contextlib generator, which costs four more Python-level calls a file.
     """
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    written = 0
 
-    def write(data) -> None:
-        nonlocal written
+    __slots__ = ("fd", "written")
+
+    def __init__(self, path):
+        self.fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        self.written = 0
+
+    def __enter__(self):
+        return self.write
+
+    def write(self, data) -> None:
         view = memoryview(data)
         while view:
-            n = os.write(fd, view)
-            written += n
+            n = os.write(self.fd, view)
+            self.written += n
             view = view[n:]
 
-    try:
-        yield write
-    finally:
+    def __exit__(self, *exc_info) -> None:
         try:
-            if stat.S_ISREG(os.fstat(fd).st_mode):
-                os.ftruncate(fd, written)
+            if stat.S_ISREG(os.fstat(self.fd).st_mode):
+                os.ftruncate(self.fd, self.written)
         finally:
-            os.close(fd)
+            os.close(self.fd)
 
 
 def emit_series(artifacts: RunArtifacts, path) -> None:
@@ -579,7 +592,8 @@ def emit_series(artifacts: RunArtifacts, path) -> None:
     block's columns are filled into one reused (rows, columns) buffer: the
     error columns are computed there block by block and the norm column is
     copied from the trajectory's norms, so no new column of the whole run,
-    and no per-block array besides the oracle's, is built.
+    and no per-block array besides the oracle's, is built.  The header goes
+    out in the first block's write.
     """
     traj = artifacts.trajectory
     norms = traj.norms()
@@ -588,8 +602,8 @@ def emit_series(artifacts: RunArtifacts, path) -> None:
     ncols = header.count(",") + 1
     step = _SERIES_BLOCK_VALUES // ncols
     buf = np.empty((min(step, len(traj.states)), ncols))
+    head = header.encode("ascii") + b"\n"
     with _overwrite(path) as write:
-        write(header.encode("ascii") + b"\n")
         for start in range(0, len(traj.states), step):
             rows = slice(start, start + step)
             t, q = traj.times[rows], traj.states[rows]
@@ -601,7 +615,14 @@ def emit_series(artifacts: RunArtifacts, path) -> None:
                 err = block[:, 6:]
                 np.subtract(q, oracle(t), out=err)
                 np.abs(err, out=err)
-            write(render_rows(block))
+            write(head + render_rows(block))
+            head = b""
+
+
+# The text json.dumps(doc, indent=2, allow_nan=False) writes, from one encoder
+# built once: dumps builds an encoder, and its cycle-check markers, on every
+# call.  A summary is built fresh from plain containers, so it holds no cycle.
+_SUMMARY_ENCODER = json.JSONEncoder(indent=2, allow_nan=False, check_circular=False)
 
 
 def _run_entry(a: RunArtifacts) -> dict:
@@ -612,7 +633,7 @@ def _run_entry(a: RunArtifacts) -> dict:
         "tau": a.config.tau,
         "steps": a.timing.steps,
         "max_component_errors": (
-            [float(e) for e in report.max_component_error] if report else None
+            report.max_component_error.tolist() if report else None
         ),
         "max_norm_deviation": a.max_norm_deviation,
         "wall_clock_s": a.timing.wall_clock_s,
@@ -659,6 +680,6 @@ def emit_summary(artifacts, path) -> None:
             }
     if ladders:
         doc["defect_ladders"] = ladders
-    text = json.dumps(doc, indent=2, allow_nan=False)  # fails before the file opens
+    text = _SUMMARY_ENCODER.encode(doc)  # fails before the file opens
     with _overwrite(path) as write:
         write(text.encode() + b"\n")  # ASCII: json.dumps escapes the rest

@@ -97,7 +97,7 @@ def _cayley_steps(omega, tau, tally: list):
     tau = np.asarray(tau, dtype=float)
     require_rates(w)
     n2 = _norm_sq(w)
-    batch = np.broadcast_shapes(n2.shape, tau.shape)
+    batch = np.broadcast(n2, tau).shape  # np.broadcast_shapes runs in Python
     alpha = tau * tau * n2 / 16.0
     p = np.empty(batch + (4,))
     p[..., 0] = 1.0 - alpha
@@ -158,12 +158,17 @@ def corrected_rate(omega_k, tau) -> np.ndarray:
 
     Since J = -A(e2), B_k = A(w_k)/2 + beta_k J equals A(w_k - 2 beta_k e2)/2,
     so the time-varying step is the constant-rate step at w'.  Broadcasts
-    over leading axes of omega_k / tau.
+    over leading axes of omega_k / tau.  Raises ConsistencyError naming the
+    first step whose sample is not finite ("rate"), then the first whose
+    finite sample gives a w' that is not ("corrected rate", an overflow).
     """
-    w = rate_array(omega_k)
-    beta = _beta(w, tau)
-    out = np.array(np.broadcast_to(w, beta.shape + (3,)))
-    out[..., 1] -= 2.0 * beta
+    w = np.asarray(omega_k, dtype=float)
+    require_rates(w)
+    with np.errstate(over="ignore", invalid="ignore"):  # require_finite names it
+        beta = _beta(w, tau)
+        out = np.array(np.broadcast_to(w, beta.shape + (3,)))
+        out[..., 1] -= 2.0 * beta
+    require_finite(out, "corrected rate")
     return out
 
 

@@ -99,7 +99,8 @@ def step_schedule(t0: float, tf: float, tau: float):
         raise InvalidHorizonError(f"step size must be positive, got {tau}")
     span = tf - t0
     k = max(1, math.ceil(span / tau - 1e-9))
-    tau_k = np.full(k, tau)
+    tau_k = np.empty(k)
+    tau_k.fill(tau)  # np.full's Python-level frame does the same
     if abs(span - k * tau) > 1e-9 * tau:
         tau_k[-1] = span - (k - 1) * tau
     times = t0 + np.arange(k + 1) * tau

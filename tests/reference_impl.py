@@ -3,7 +3,9 @@ elimination (the implicit stage solve the closed-form maps are checked
 against), the truncated power series of exp(A(w) tau / 2) (a cross-check
 of the closed-form constant-rate transition) and the batched RK4 and GL2
 step builders as first written, with a stage matrix per stage and
-np.block (the arithmetic quatkin.baselines must reproduce bitwise)."""
+np.block (the arithmetic quatkin.baselines must reproduce bitwise), and
+the registry's formula profiles as first written, np.stack of their three
+components (which quatkin.scenario's must reproduce bitwise)."""
 import numpy as np
 
 from quatkin.baselines import GL2_MATRIX, GL2_NODES, GL2_WEIGHTS
@@ -115,3 +117,27 @@ def gl2_steps(profile, t, tau):
     rhs = np.concatenate([hl1[..., :1], hl2[..., :1]], axis=-2)
     stages = np.linalg.solve(m, rhs)[..., 0]
     return I4[0] + GL2_WEIGHTS[0] * stages[..., :4] + GL2_WEIGHTS[1] * stages[..., 4:]
+
+
+FORMULA_PROFILES_STACKED = {
+    "fig1b": lambda t: np.stack(
+        [2.0 * (1.0 + np.sin(t) * np.exp(-t / 4.0)), np.zeros_like(t), np.zeros_like(t)],
+        axis=-1,
+    ),
+    "fig1c": lambda t: np.stack(
+        [
+            2.0 * (1.0 + np.sin(t) * np.exp(-t / 4.0)),
+            (-3.0 + t * t) * np.exp(-t / 3.0),
+            (1.0 + t) * np.exp(-t),
+        ],
+        axis=-1,
+    ),
+    "fig1d": lambda t: np.stack(
+        [np.sin(10.0 * t) - 2.0, 2.0 * t + 1.4, 4.0 - 0.2 * np.cos(3.0 * t)],
+        axis=-1,
+    ),
+    "fig2": lambda t: np.stack(
+        [np.sin(10.0 * t) - 2.0, 2.0 * np.sin(t) + 1.4, 4.0 - 0.2 * np.cos(3.0 * t)],
+        axis=-1,
+    ),
+}

@@ -45,6 +45,7 @@ from quatkin.scenario import (
     run_sweep,
 )
 from quatkin.symplectic import StepSizeWarning, autonomous_transition, integrate_nonautonomous
+from reference_impl import FORMULA_PROFILES_STACKED
 
 CONING_Q0 = [
     math.cos(math.pi / 160.0),
@@ -675,6 +676,53 @@ def test_emit_summary_sweep_estimates_order(tmp_path):
     assert 1.8 <= doc["estimated_order"] <= 2.3
 
 
+def assert_summary_is_dumps_text(path):
+    """The summary at path is, byte for byte, the text of json.dumps(doc,
+    indent=2, allow_nan=False) and a newline for the document it holds."""
+    text = path.read_bytes().decode("ascii")
+    doc = json.loads(text)
+    assert text == json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    return doc
+
+
+def test_emit_summary_text_is_json_dumps_for_a_sweep_with_ladders(tmp_path):
+    cfg = parse_config(
+        make_config(
+            profile="coning",
+            q0=CONING_Q0,
+            tf=5.0,
+            method="SGA-NA",
+            outputs=["series", "error-report", "defect-ladder"],
+        )
+    )
+    path = tmp_path / "sweep.json"
+    emit_summary(run_sweep(cfg, [0.1, 0.05, 0.025]), path)
+    doc = assert_summary_is_dumps_text(path)
+    assert list(doc) == ["runs", "estimated_order", "defect_ladders"]
+    assert list(doc["defect_ladders"]) == [f"coning@tau={t!r}" for t in (0.1, 0.05, 0.025)]
+    assert all(len(run["max_component_errors"]) == 4 for run in doc["runs"])
+
+
+def test_emit_summary_text_is_json_dumps_for_a_run_without_an_oracle(tmp_path):
+    artifacts = run_scenario(parse_config(make_config(profile="fig1c", tf=0.5)))
+    assert artifacts.error_report is None
+    path = tmp_path / "summary.json"
+    emit_summary(artifacts, path)
+    doc = assert_summary_is_dumps_text(path)
+    assert list(doc) == ["runs"]
+    assert doc["runs"][0]["max_component_errors"] is None
+
+
+@pytest.mark.parametrize("name", sorted(FORMULA_PROFILES_STACKED))
+@pytest.mark.parametrize("shape", [(), (101,), (4,), (2, 101)], ids=["0d", "K", "4", "2xK"])
+def test_formula_profiles_match_their_stacked_form_bitwise(name, shape):
+    t = np.random.default_rng(7).uniform(-3.0, 12.0, shape)
+    got = profile_from_name(name).omega_at(t)
+    expected = FORMULA_PROFILES_STACKED[name](np.asarray(t))
+    assert got.dtype == expected.dtype and got.shape == expected.shape == shape + (3,)
+    assert got.tobytes() == expected.tobytes()
+
+
 def test_emit_summary_rejects_non_finite_and_keeps_the_old_file(tmp_path):
     # Strict JSON: a nan fails before the file is opened, so the summary
     # already at that path is left byte for byte, and unmodified.
@@ -1085,6 +1133,34 @@ def test_cli_rk4_past_its_stability_bound(tf, code, tmp_path, capsys):
         assert 1e133 < doc["runs"][0]["max_norm_deviation"] < 1e134
         text = out.read_text(encoding="utf-8")
         assert "nan" not in text and "inf" not in text
+
+
+@pytest.mark.parametrize(
+    "rate, message",
+    [
+        ("overflow", "corrected rate is not finite at step 0"),
+        ("nan-from-half", "rate is not finite at step 2"),
+    ],
+    ids=["overflow", "nan"],
+)
+def test_cli_sga_na_names_the_rate_that_is_not_finite(rate, message, tmp_path, capsys, monkeypatch):
+    # A finite sample whose correction w' = w + (tau^2/48) w2 |w|^2 e2
+    # overflows is named as the corrected rate, with no numpy RuntimeWarning;
+    # a nan sample (step 2's midpoint is 0.625) is still named as the rate.
+    def rate_fn(t):
+        return np.where(t[..., None] >= 0.5, np.nan, [1.0, 2.0, 3.0])
+
+    monkeypatch.setitem(PROFILE_REGISTRY, "nan-from-half", lambda: FormulaProfile("nan", rate_fn))
+    profile = {"type": "constant", "omega": [1e110, 1e110, 1e110]} if rate == "overflow" else rate
+    cfg = {"profile": profile, "method": "SGA-NA", "tau": 0.5 if rate == "overflow" else 0.25, "tf": 1}
+    cfg_path = tmp_path / "rate.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        code = main(["run", str(cfg_path)])
+    assert code == 2
+    assert capsys.readouterr() == ("", f"runtime error: {message}\n")
+    assert [w for w in record if issubclass(w.category, RuntimeWarning)] == []
 
 
 @pytest.mark.parametrize(

@@ -793,6 +793,19 @@ def test_consistency_error_names_the_step():
         cayley_steps(w, 0.1)
 
 
+def test_corrected_rate_names_the_sample_then_the_overflow():
+    # Step 1's finite sample overflows w' in float64 (tau^2/48 w2 |w|^2 ~
+    # 1e329); step 2's sample is not finite.  The sample check comes first,
+    # and the overflow lets no RuntimeWarning out.
+    w = np.array([[1.0, 2.0, 3.0], [1e110, 1e110, 1e110], [np.nan, 0.0, 0.0]])
+    with pytest.raises(ConsistencyError, match="^rate is not finite at step 2$"):
+        corrected_rate(w, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ConsistencyError, match="^corrected rate is not finite at step 1$"):
+            corrected_rate(w[:2], 0.5)
+
+
 @pytest.mark.parametrize("scale", [1e100, 1e200])
 def test_consistency_error_on_overflowing_rates(scale):
     # 1e200 overflows the corrected rate itself; 1e100 leaves it finite but
