@@ -1136,23 +1136,24 @@ def test_cli_rk4_past_its_stability_bound(tf, code, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "rate, message",
+    "profile, tau, message",
     [
-        ("overflow", "corrected rate is not finite at step 0"),
-        ("nan-from-half", "rate is not finite at step 2"),
+        ({"type": "constant", "omega": [1e110] * 3}, 0.5, "corrected rate is not finite at step 0"),
+        ("nan-from-half", 0.25, "rate is not finite at step 2"),
     ],
     ids=["overflow", "nan"],
 )
-def test_cli_sga_na_names_the_rate_that_is_not_finite(rate, message, tmp_path, capsys, monkeypatch):
+def test_cli_sga_na_names_the_rate_that_is_not_finite(
+    profile, tau, message, tmp_path, capsys, monkeypatch
+):
     # A finite sample whose correction w' = w + (tau^2/48) w2 |w|^2 e2
     # overflows is named as the corrected rate, with no numpy RuntimeWarning;
     # a nan sample (step 2's midpoint is 0.625) is still named as the rate.
-    def rate_fn(t):
+    def rate(t):
         return np.where(t[..., None] >= 0.5, np.nan, [1.0, 2.0, 3.0])
 
-    monkeypatch.setitem(PROFILE_REGISTRY, "nan-from-half", lambda: FormulaProfile("nan", rate_fn))
-    profile = {"type": "constant", "omega": [1e110, 1e110, 1e110]} if rate == "overflow" else rate
-    cfg = {"profile": profile, "method": "SGA-NA", "tau": 0.5 if rate == "overflow" else 0.25, "tf": 1}
+    monkeypatch.setitem(PROFILE_REGISTRY, "nan-from-half", lambda: FormulaProfile("nan", rate))
+    cfg = {"profile": profile, "method": "SGA-NA", "tau": tau, "tf": 1}
     cfg_path = tmp_path / "rate.json"
     cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
     with warnings.catch_warnings(record=True) as record:

@@ -795,7 +795,7 @@ def test_consistency_error_names_the_step():
 
 def test_corrected_rate_names_the_sample_then_the_overflow():
     # Step 1's finite sample overflows w' in float64 (tau^2/48 w2 |w|^2 ~
-    # 1e329); step 2's sample is not finite.  The sample check comes first,
+    # 1.6e328); step 2's sample is not finite.  The sample check comes first,
     # and the overflow lets no RuntimeWarning out.
     w = np.array([[1.0, 2.0, 3.0], [1e110, 1e110, 1e110], [np.nan, 0.0, 0.0]])
     with pytest.raises(ConsistencyError, match="^rate is not finite at step 2$"):
