@@ -51,12 +51,6 @@ from __future__ import annotations
 
 import numpy as np
 
-# Below this many values one C-level %-format beats the vectorised path, whose
-# fixed cost is ~0.1-0.2 ms a block (about 100 numpy calls).  On coning blocks
-# (2-vCPU VM, min of 15) the two break even at 240-290 values for 6 and 10
-# columns; at 470 values of 10 columns the vectorised path is 1.8x faster.
-_VECTOR_MIN_VALUES = 256
-
 _U64 = np.uint64
 
 # Decimal exponents rendered by integer arithmetic: s = 16 - X in [0, 32].
@@ -338,7 +332,12 @@ def _text_words(d, cls, ncols):
     return words, key
 
 
-def _render(block):
+def render_rows(block: np.ndarray) -> bytes:
+    """The rows of a 2-D float64 block of one or more columns as '%.17g' CSV
+    lines, LF-terminated; no rows give b"".
+
+    The block is rendered whole: ~112 bytes a value at the traced peak."""
+    block = np.ascontiguousarray(block, dtype=np.float64)
     values = block.ravel()
     d, cls, others = _classify(values)
     words, key = _text_words(d, cls, block.shape[1])
@@ -356,15 +355,3 @@ def _render(block):
         start = end
     pieces.append(text[start:])
     return b"".join(pieces)
-
-
-def render_rows(block: np.ndarray) -> bytes:
-    """The rows of a 2-D float64 block as '%.17g' CSV lines, LF-terminated.
-
-    The block is rendered whole: ~112 bytes a value at the traced peak."""
-    block = np.ascontiguousarray(block, dtype=np.float64)
-    rows, ncols = block.shape
-    if block.size < _VECTOR_MIN_VALUES:
-        row_fmt = ",".join(["%.17g"] * ncols) + "\n"
-        return ((row_fmt * rows) % tuple(block.ravel().tolist())).encode("ascii")
-    return _render(block)

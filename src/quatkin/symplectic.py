@@ -63,10 +63,16 @@ def _caller_stacklevel() -> int:
     """warnings.warn stacklevel, counted from the function that calls this one,
     of the first frame outside this package: a warning names the caller's
     line whichever public entry reached the step builder.  (warn's
-    skip_file_prefixes does this too, but only from Python 3.12 on.)"""
+    skip_file_prefixes does this too, but only from Python 3.12 on.)  Where
+    that frame is runpy's or has no source file, the outermost package frame
+    is named instead."""
     frame, level = sys._getframe(1), 1
     while frame.f_back is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
         frame, level = frame.f_back, level + 1
+    if frame.f_code.co_filename.startswith("<") or frame.f_globals.get("__name__") == "runpy":
+        # No line of the user's (runpy's under python -m, frozen from Python
+        # 3.11 on): the outermost package frame.
+        level -= 1
     return level
 
 
@@ -96,13 +102,14 @@ def _cayley_steps(omega, tau, tally: list):
     w = np.asarray(omega, dtype=float)
     tau = np.asarray(tau, dtype=float)
     require_rates(w)
-    n2 = _norm_sq(w)
-    batch = np.broadcast(n2, tau).shape  # np.broadcast_shapes runs in Python
-    alpha = tau * tau * n2 / 16.0
-    p = np.empty(batch + (4,))
-    p[..., 0] = 1.0 - alpha
-    np.multiply(w, (tau / 2.0)[..., None], out=p[..., 1:])
-    p /= (1.0 + alpha)[..., None]
+    with np.errstate(over="ignore", invalid="ignore"):  # require_finite names it
+        n2 = _norm_sq(w)
+        batch = np.broadcast(n2, tau).shape  # np.broadcast_shapes runs in Python
+        alpha = tau * tau * n2 / 16.0
+        p = np.empty(batch + (4,))
+        p[..., 0] = 1.0 - alpha
+        np.multiply(w, (tau / 2.0)[..., None], out=p[..., 1:])
+        p /= (1.0 + alpha)[..., None]
     require_finite(p, "step map")
     step_rate = np.abs(tau * np.sqrt(n2))
     over = np.count_nonzero(step_rate * STEP_BOUND_FACTOR > 1.0)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quatkin._g17 import _VECTOR_MIN_VALUES, render_rows
+from quatkin._g17 import render_rows
 from quatkin.scenario import _SERIES_BLOCK_VALUES, parse_config, run_scenario
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -22,15 +22,13 @@ def reference_rows(block) -> bytes:
 
 
 def tiled(values, ncols=10):
-    """values repeated to fill a (rows, ncols) block, big enough to vectorise."""
+    """values in a (rows, ncols) block, the last row filled from the start."""
     values = np.asarray(values, dtype=np.float64).ravel()
-    rows = -(-max(values.size, _VECTOR_MIN_VALUES) // ncols)
-    return np.resize(values, (rows, ncols))
+    return np.resize(values, (-(-values.size // ncols), ncols))
 
 
 def assert_renders(values, ncols=10):
     block = tiled(values, ncols)
-    assert block.size >= _VECTOR_MIN_VALUES
     assert render_rows(block) == reference_rows(block)
 
 
@@ -128,15 +126,26 @@ def test_render_rows_random_scales_and_time_grid():
     assert_renders(0.01 * np.arange(20_000), ncols=1)
 
 
-@pytest.mark.parametrize(
-    "rows", [1, _VECTOR_MIN_VALUES // 6, _VECTOR_MIN_VALUES // 6 + 1, _SERIES_BLOCK_VALUES // 6]
-)
-def test_render_rows_both_paths_match(rows):
-    # Of 6-column blocks, 42 rows (252 values) is the largest on the
-    # %-format path and 43 (258) the smallest on the vectorised one.
+@pytest.mark.parametrize("rows", [1, 42, 43, _SERIES_BLOCK_VALUES // 6])
+def test_render_rows_matches_format_at_any_block_size(rows):
+    # 6-column blocks from one row to a full emit_series block of 2730.
     rng = np.random.default_rng(rows)
     block = rng.standard_normal((rows, 6)) * np.array([1e3, 1, 1, 1e-3, 1e-9, 1e-14])
     block[0, 0] = -0.0
+    assert render_rows(block) == reference_rows(block)
+
+
+@pytest.mark.parametrize("ncols", [1, 6, 10])
+def test_render_rows_of_no_rows_is_empty(ncols):
+    block = np.empty((0, ncols))
+    assert render_rows(block) == reference_rows(block) == b""
+
+
+@pytest.mark.parametrize(
+    "value", [0.5, -0.0, 0.0, np.nan, -np.inf, 5e-324, 1e-17, 1e-14, 1e16, 1.7976931348623157e308]
+)
+def test_render_rows_of_one_value(value):
+    block = np.array([[value]])
     assert render_rows(block) == reference_rows(block)
 
 

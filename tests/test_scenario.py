@@ -3,6 +3,8 @@ import errno
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -12,7 +14,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quatkin import scenario
-from quatkin._g17 import _VECTOR_MIN_VALUES
 from quatkin.cli import main
 from quatkin.errors import ConfigError
 from quatkin.diagnostics import frobenius_norm, symplecticity_defect
@@ -524,15 +525,14 @@ def coning_artifacts(oracle):
     "case", ["coning-oracle", "coning-no-oracle", "special-values", "special-values-tiled"]
 )
 def test_emit_series_bytes_match_per_value_format(tmp_path, case):
-    # The special-value tables (6 columns) sit on either side of the
-    # renderer's crossover: the small one takes the %-format, the tiled one
-    # the vectorised path; the coning tables span several blocks.
+    # The special-value tables (6 columns) are one block of 24 values and
+    # one of 1200; the coning tables span several blocks.
     if case == "special-values":
         artifacts = special_values_artifacts()
-        assert 6 * len(artifacts.trajectory.states) < _VECTOR_MIN_VALUES
+        assert len(artifacts.trajectory.states) == 4
     elif case == "special-values-tiled":
         artifacts = special_values_artifacts(repeats=50)
-        assert 6 * len(artifacts.trajectory.states) > _VECTOR_MIN_VALUES
+        assert len(artifacts.trajectory.states) == 200
     else:
         artifacts = coning_artifacts(oracle=case == "coning-oracle")
         # Two full blocks and a partial third, at least.
@@ -546,13 +546,12 @@ def test_emit_series_bytes_match_per_value_format(tmp_path, case):
 
 @pytest.mark.parametrize(
     "block_values",
-    [_VECTOR_MIN_VALUES - 1, 4099, _SERIES_BLOCK_VALUES],
-    ids=["percent-format", "prime", "default"],
+    [255, 4099, _SERIES_BLOCK_VALUES],
+    ids=["small", "prime", "default"],
 )
 def test_emit_series_bytes_do_not_depend_on_block_size(tmp_path, monkeypatch, block_values):
-    # 255 values make blocks of 25 rows of 10 columns, each on the %-format
-    # path; 4099 values (409 rows) share no block boundary with the default's
-    # 1638 rows in this run.
+    # 255 values make blocks of 25 rows of 10 columns; 4099 values (409 rows)
+    # share no block boundary with the default's 1638 rows in this run.
     monkeypatch.setattr(scenario, "_SERIES_BLOCK_VALUES", block_values)
     artifacts = coning_artifacts(oracle=True)
     path = tmp_path / "series.csv"
@@ -1165,6 +1164,26 @@ def test_cli_sga_na_names_the_rate_that_is_not_finite(
 
 
 @pytest.mark.parametrize(
+    "method, code, err",
+    [("SGA-A", 2, "runtime error: step map is not finite at step 0\n"), ("EUB", 0, "")],
+    ids=["SGA-A", "EUB"],
+)
+def test_cli_rate_whose_square_overflows_lets_no_warning_out(
+    method, code, err, tmp_path, capsys
+):
+    # |w|^2 overflows at this finite rate: SGA-A's map is nan and named; EUB's
+    # closed form gives p_k = 0, a finite, fully damped step.
+    cfg = {"profile": {"type": "constant", "omega": [1e200] * 3}, "method": method, "tau": 0.5, "tf": 1}
+    cfg_path = tmp_path / "rate.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        assert main(["run", str(cfg_path)]) == code
+    assert capsys.readouterr().err == err
+    assert [w for w in record if issubclass(w.category, RuntimeWarning)] == []
+
+
+@pytest.mark.parametrize(
     "tf, message",
     [(100.0, "state is not finite at step 232"), (20.0, "state norm is not finite at step 116")],
     ids=["state-overflow", "norm-overflow"],
@@ -1201,6 +1220,24 @@ def test_step_size_warning_names_the_caller(call):
     with pytest.warns(StepSizeWarning) as record:
         calls[call]()
     assert [w.filename for w in record] == [__file__] * len(record)
+
+
+def test_step_size_warning_under_python_m_names_the_cli_file():
+    # Under python -m the first frame outside the package is runpy's (frozen,
+    # with no source file, from Python 3.11 on); the warning names
+    # quatkin/cli.py instead.
+    src = os.path.dirname(os.path.dirname(scenario.__file__))
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    config = os.path.join(root, "configs", "fig2-sga.json")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-W", "always", "-m", "quatkin.cli", "run", config],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert done.returncode == 0, done.stderr
+    cli_file = os.path.join(src, "quatkin", "cli.py")
+    assert done.stderr.startswith(f"{cli_file}:"), done.stderr
+    assert "StepSizeWarning: 60 of 60 steps" in done.stderr.splitlines()[0]
 
 
 @pytest.mark.parametrize(
