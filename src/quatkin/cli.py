@@ -81,9 +81,7 @@ def _add_overrides(p: argparse.ArgumentParser) -> None:
     p.add_argument("--t0", type=float, help="override the start time")
     p.add_argument("--tf", type=float, help="override the end time")
     p.add_argument("--method", help="override the integration method")
-    p.add_argument(
-        "--sampling", choices=["exact", "interp"], help="override midpoint sampling"
-    )
+    p.add_argument("--sampling", choices=["exact", "interp"], help="override rate sampling")
 
 
 def _load_config(args) -> ScenarioConfig:

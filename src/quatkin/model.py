@@ -8,7 +8,7 @@ where w(t) is the body angular-velocity vector and A is the skew-symmetric
 coefficient matrix built by :func:`coefficient_matrix`.  This module holds
 that matrix, the Hamilton product tables and the structure matrices built
 from them, the catalogue of angular-velocity profiles used by the scenario
-runner, midpoint-sampling helpers, and the closed-form reference solutions
+runner, the stage-rate sampling rule, and the closed-form reference solutions
 used as oracles in tests and error reports.
 """
 from __future__ import annotations
@@ -36,6 +36,7 @@ __all__ = [
     "TabulatedProfile",
     "FormulaProfile",
     "MidpointSamplingMode",
+    "stage_rates",
     "midpoint_omega",
     "analytic_constant_transition",
     "coning_analytic_state",
@@ -224,30 +225,40 @@ class FormulaProfile(AngularVelocityProfile):
 
 
 class MidpointSamplingMode(enum.Enum):
-    """How the step-midpoint angular velocity is obtained."""
+    """How every stage rate of a time-varying step is drawn: see :func:`stage_rates`."""
 
     EXACT = "exact"
     LINEAR_INTERP = "interp"
 
 
-def midpoint_omega(profile, t_k, tau, mode=MidpointSamplingMode.EXACT, t_end=None):
-    """Angular velocity at the midpoint of the step [t_k, t_k + tau].
+def stage_rates(profile, t, tau, t_end, fractions, mode):
+    """Rates (..., 3) at the fractions c of the steps [t, t_end], one array per
+    c; t_end defaults to t + tau.  EXACT evaluates the profile at t + c tau (t
+    itself at c = 0, t_end at c = 1).  LINEAR_INTERP takes the chord
+    (1 - c) w(t) + c w(t_end) of the endpoint samples, 0.5 (w(t) + w(t_end))
+    at c = 1/2: only endpoint data is needed, but every method is then at most
+    second order.  require_rates names a chord that overflows."""
+    t_end = t + tau if t_end is None else t_end
+    if mode is MidpointSamplingMode.EXACT:
+        return [profile.omega_at(t if c == 0.0 else t_end if c == 1.0 else t + c * tau)
+                for c in fractions]
+    if mode is not MidpointSamplingMode.LINEAR_INTERP:
+        raise ValueError(f"unknown sampling mode {mode!r}")
+    w0 = profile.omega_at(t) if min(fractions) < 1.0 else None
+    w1 = profile.omega_at(t_end) if max(fractions) > 0.0 else None
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [w0 if c == 0.0 else w1 if c == 1.0 else 0.5 * (w0 + w1) if c == 0.5
+                else (1.0 - c) * w0 + c * w1 for c in fractions]
 
-    EXACT evaluates the profile at t_k + tau/2.  LINEAR_INTERP averages the
-    endpoint samples, i.e. the midpoint value of the chord, which avoids
-    fractional-interval sampling when only endpoint data is available; its
-    end sample is taken at t_end (default t_k + tau).
-    """
+
+def midpoint_omega(profile, t_k, tau, mode=MidpointSamplingMode.EXACT, t_end=None):
+    """Angular velocity at the midpoint of the step [t_k, t_k + tau]: the
+    :func:`stage_rates` at c = 1/2."""
     t_k = np.asarray(t_k, dtype=float)
     tau = np.asarray(tau, dtype=float)
     if np.any(tau <= 0.0):
         raise ValueError("step size must be positive")
-    if mode is MidpointSamplingMode.EXACT:
-        return profile.omega_at(t_k + tau / 2.0)
-    if mode is MidpointSamplingMode.LINEAR_INTERP:
-        t_end = t_k + tau if t_end is None else t_end
-        return 0.5 * (profile.omega_at(t_k) + profile.omega_at(t_end))
-    raise ValueError(f"unknown sampling mode {mode!r}")
+    return stage_rates(profile, t_k, tau, t_end, (0.5,), mode)[0]
 
 
 def analytic_constant_transition(omega: np.ndarray, tau: float) -> np.ndarray:

@@ -467,7 +467,7 @@ def _integrate(cfg: ScenarioConfig) -> Trajectory:
             cfg.profile, cfg.q0, cfg.t0, cfg.tf, cfg.tau, cfg.sampling
         )
     return integrate_baseline(
-        BaselineMethod(cfg.method), cfg.profile, cfg.q0, cfg.t0, cfg.tf, cfg.tau
+        BaselineMethod(cfg.method), cfg.profile, cfg.q0, cfg.t0, cfg.tf, cfg.tau, cfg.sampling
     )
 
 
@@ -480,7 +480,8 @@ def one_step_matrix(cfg: ScenarioConfig, tau) -> np.ndarray:
     if cfg.method == "SGA-NA":
         w = midpoint_omega(cfg.profile, cfg.t0, tau, cfg.sampling)
         return nonautonomous_transition(w, tau)
-    return right_matrix(baseline_steps(BaselineMethod(cfg.method), cfg.profile, cfg.t0, tau))
+    p = baseline_steps(BaselineMethod(cfg.method), cfg.profile, cfg.t0, tau, mode=cfg.sampling)
+    return right_matrix(p)
 
 
 def defect_ladder(cfg: ScenarioConfig) -> DefectSeries:

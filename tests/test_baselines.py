@@ -254,6 +254,22 @@ def test_gauss_legendre_global_order_four():
     assert 3.7 <= convergence_order(errors) <= 4.3
 
 
+@pytest.mark.parametrize("method", [RK4, GL2], ids=["RK4", "GL2"])
+def test_interp_sampling_caps_order_at_two(method):
+    # The chord of the endpoint samples is a second-order approximation of
+    # the rate, so it caps the fourth-order methods at order 2 on coning.
+    profile = profile_from_name("coning")
+    q0 = coning_analytic_state(profile.omega0, profile.beta, 0.0)
+    errors = []
+    for tau in [0.1, 0.05, 0.025, 0.0125]:
+        traj = integrate_baseline(
+            method, profile, q0, 0.0, 10.0, tau, MidpointSamplingMode.LINEAR_INTERP
+        )
+        oracle = coning_analytic_state(profile.omega0, profile.beta, traj.times)
+        errors.append((tau, float(np.max(np.abs(traj.states - oracle)))))
+    assert 1.7 <= convergence_order(errors) <= 2.3
+
+
 # --- shared loop conventions ----------------------------------------------------------
 
 def test_euler_backward_damps_fig2_run():

@@ -13,6 +13,7 @@ from quatkin.model import (
     LEFT_J,
     LEFT_K,
     SYMPLECTIC_J4,
+    AngularVelocityProfile,
     ConingProfile,
     ConstantProfile,
     MidpointSamplingMode,
@@ -24,6 +25,7 @@ from quatkin.model import (
     midpoint_omega,
     _product_matrix,
     right_matrix,
+    stage_rates,
 )
 from quatkin.scenario import profile_from_name
 from reference_impl import constant_transition_series
@@ -209,7 +211,7 @@ def test_coning_profile_rejects_zero_rate():
         ConingProfile(0.0, BETA)
 
 
-# --- midpoint sampling ----------------------------------------------------------
+# --- rate sampling --------------------------------------------------------------
 
 @pytest.mark.parametrize("mode", list(MidpointSamplingMode))
 def test_midpoint_constant_profile_any_mode(mode):
@@ -231,6 +233,37 @@ def test_midpoint_interp_is_endpoint_average():
     npt.assert_array_equal(
         midpoint_omega(p, t_k, tau, MidpointSamplingMode.LINEAR_INTERP), expected
     )
+
+
+def test_stage_rates_sample_each_time_once_and_form_the_chord():
+    fig2, drawn = profile_from_name("fig2"), []
+
+    class Recording(AngularVelocityProfile):
+        def omega_at(self, t):
+            drawn.append(t)
+            return fig2.omega_at(t)
+
+    p = Recording()
+    t, tau = np.array([0.4, 1.0]), np.array([0.2, 0.1])
+    t_end = t + tau
+    fractions = (0.0, 0.3, 0.5, 1.0)
+    exact = stage_rates(p, t, tau, t_end, fractions, MidpointSamplingMode.EXACT)
+    assert drawn[0] is t and drawn[-1] is t_end
+    for c, w in zip(fractions, exact):
+        npt.assert_array_equal(w, fig2.omega_at(t + c * tau))
+    drawn.clear()
+    chord = stage_rates(p, t, tau, t_end, fractions, MidpointSamplingMode.LINEAR_INTERP)
+    assert len(drawn) == 2
+    w0, w1 = fig2.omega_at(t), fig2.omega_at(t_end)
+    npt.assert_array_equal(chord[0], w0)
+    npt.assert_allclose(chord[1], 0.7 * w0 + 0.3 * w1, rtol=1e-15)
+    npt.assert_array_equal(chord[2], 0.5 * (w0 + w1))
+    npt.assert_array_equal(chord[3], w1)
+    drawn.clear()
+    stage_rates(p, t, tau, t_end, (1.0,), MidpointSamplingMode.LINEAR_INTERP)
+    assert len(drawn) == 1 and drawn[0] is t_end
+    with pytest.raises(ValueError, match="unknown sampling mode"):
+        stage_rates(p, t, tau, t_end, fractions, "exact")
 
 
 def test_midpoint_rejects_nonpositive_step():

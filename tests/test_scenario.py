@@ -421,10 +421,11 @@ class CountingProfile(AngularVelocityProfile):
 @pytest.mark.parametrize(
     "method, sampling, calls",
     [("RK4", "exact", 3), ("GL2", "exact", 2), ("EUB", "exact", 1), ("SGA-NA", "exact", 1),
-     ("SGA-NA", "interp", 2)],
+     ("SGA-NA", "interp", 2), ("RK4", "interp", 2), ("GL2", "interp", 2), ("EUB", "interp", 1)],
 )
 def test_defect_ladder_samples_each_stage_once(method, sampling, calls):
-    # The four rungs come from one builder call: one omega_at call per stage.
+    # The four rungs come from one builder call: one omega_at call per stage
+    # time, and under interp one per step end the chords use.
     cfg = parse_config(make_config(profile="fig2", tau=0.1, method=method, sampling=sampling))
     cfg = dataclasses.replace(cfg, profile=CountingProfile())
     with warnings.catch_warnings(record=True) as record:
@@ -446,7 +447,8 @@ def test_defect_ladder_warns_once_counting_rungs():
 @pytest.mark.parametrize(
     "profile, method, sampling",
     [("fig1a", "SGA-A", "exact"), ("fig2", "SGA-NA", "exact"), ("fig2", "SGA-NA", "interp"),
-     ("fig1c", "RK4", "exact"), ("fig1c", "EUB", "exact"), ("fig1c", "GL2", "exact")],
+     ("fig1c", "RK4", "exact"), ("fig1c", "EUB", "exact"), ("fig1c", "GL2", "exact"),
+     ("fig1c", "RK4", "interp"), ("fig1c", "GL2", "interp")],
 )
 def test_defect_ladder_matches_per_rung_maps(profile, method, sampling):
     cfg = parse_config(
@@ -456,6 +458,27 @@ def test_defect_ladder_matches_per_rung_maps(profile, method, sampling):
     assert ladder.taus == (0.1, 0.05, 0.025, 0.0125)
     per_rung = [symplecticity_defect(one_step_matrix(cfg, t)) for t in ladder.taus]
     assert list(ladder.defects) == per_rung  # bitwise
+
+
+@pytest.mark.filterwarnings("ignore::quatkin.symplectic.StepSizeWarning")
+def test_sampling_reaches_every_time_varying_method():
+    # interp replaces every interior stage rate by the chord of the step's
+    # endpoint samples: RK4's and GL2's trajectories move.  EUB samples only
+    # the step end, where the chord is the sample, and SGA-A the constant rate.
+    def states(method, profile="fig2"):
+        return [
+            run_scenario(parse_config(make_config(
+                profile=profile, tf=3.0, tau=0.1, method=method, sampling=sampling
+            ))).trajectory.states
+            for sampling in ("exact", "interp")
+        ]
+
+    for method in ("RK4", "GL2"):
+        exact, interp = states(method)
+        assert np.max(np.abs(exact - interp)) > 1e-6
+    for method, profile in (("EUB", "fig2"), ("SGA-A", "fig1a")):
+        exact, interp = states(method, profile)
+        assert exact.tobytes() == interp.tobytes()
 
 
 def test_run_sweep_errors_decrease():
@@ -1160,6 +1183,21 @@ def test_cli_sga_na_names_the_rate_that_is_not_finite(
         code = main(["run", str(cfg_path)])
     assert code == 2
     assert capsys.readouterr() == ("", f"runtime error: {message}\n")
+    assert [w for w in record if issubclass(w.category, RuntimeWarning)] == []
+
+
+@pytest.mark.parametrize("method", ["SGA-NA", "RK4"])
+def test_cli_interp_chord_that_overflows_is_named(method, tmp_path, capsys):
+    # The chord 0.5 (w(t) + w(t_end)) of two finite 1e308 samples overflows:
+    # the run exits 2 with the one named error and no numpy RuntimeWarning.
+    omega = {"type": "constant", "omega": [1e308] * 3}
+    cfg = {"profile": omega, "method": method, "sampling": "interp", "tau": 0.5, "tf": 1}
+    cfg_path = tmp_path / "rate.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        assert main(["run", str(cfg_path)]) == 2
+    assert capsys.readouterr() == ("", "runtime error: rate is not finite at step 0\n")
     assert [w for w in record if issubclass(w.category, RuntimeWarning)] == []
 
 

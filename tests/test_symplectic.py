@@ -485,22 +485,24 @@ def nan_from_50(t):
     [
         ("SGA-NA", MidpointSamplingMode.EXACT, "rate is not finite at step 5000"),
         ("SGA-NA", MidpointSamplingMode.LINEAR_INTERP, "rate is not finite at step 4999"),
-        ("RK4", None, "rate is not finite at step 4999"),
-        ("EUB", None, "rate is not finite at step 4999"),
-        ("GL2", None, "rate is not finite at step 5000"),
+        ("RK4", MidpointSamplingMode.EXACT, "rate is not finite at step 4999"),
+        ("EUB", MidpointSamplingMode.EXACT, "rate is not finite at step 4999"),
+        ("GL2", MidpointSamplingMode.EXACT, "rate is not finite at step 5000"),
+        ("GL2", MidpointSamplingMode.LINEAR_INTERP, "rate is not finite at step 4999"),
     ],
-    ids=["SGA-NA-exact", "SGA-NA-interp", "RK4", "EUB", "GL2"],
+    ids=["SGA-NA-exact", "SGA-NA-interp", "RK4", "EUB", "GL2", "GL2-interp"],
 )
 def test_builder_error_past_the_first_block_names_the_run_step(method, sampling, message):
     # The rate is nan from t = 50 on (tau 0.01), past the first block; the
-    # step sampling it first is named by its place in the run.
+    # step sampling it first is named by its place in the run.  GL2's nodes
+    # stay inside step 4999, whose end sample its interp chords use.
     assert _BLOCK_STEPS <= 4999
     profile = FormulaProfile("nan-from-50", nan_from_50)
     with pytest.raises(ConsistencyError, match=f"^{message}$"):
         if method == "SGA-NA":
             integrate_nonautonomous(profile, E0, 0.0, 60.0, 0.01, sampling)
         else:
-            integrate_baseline(BaselineMethod(method), profile, E0, 0.0, 60.0, 0.01)
+            integrate_baseline(BaselineMethod(method), profile, E0, 0.0, 60.0, 0.01, sampling)
 
 
 def test_integrate_checks_q0_before_building_steps():
