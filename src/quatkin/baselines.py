@@ -91,9 +91,8 @@ def baseline_steps(method: BaselineMethod, profile: AngularVelocityProfile, t, t
         # Past |w| ~ 1e154, |w|^2 overflows to inf and p_k to 0: a finite,
         # fully damped step.
         x = h / 2.0
-        with np.errstate(over="ignore", invalid="ignore"):  # require_finite names it
-            p = np.concatenate([np.ones_like(w[..., :1]), x * w], axis=-1)
-            p = p / (1.0 + x * x * np.sum(w * w, axis=-1, keepdims=True))
+        p = np.concatenate([np.ones_like(w[..., :1]), x * w], axis=-1)
+        p = p / (1.0 + x * x * np.sum(w * w, axis=-1, keepdims=True))
     else:
         # Gauss-Legendre: k_i = L_i (e0 + tau sum_j a_ij k_j) with L_i at
         # t + c_i tau is one 8x8 system per step, whose right-hand side is

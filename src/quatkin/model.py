@@ -235,9 +235,9 @@ def stage_rates(profile, t, tau, t_end, fractions, mode):
     """Rates (..., 3) at the fractions c of the steps [t, t_end], one array per
     c; t_end defaults to t + tau.  EXACT evaluates the profile at t + c tau (t
     itself at c = 0, t_end at c = 1).  LINEAR_INTERP takes the chord
-    (1 - c) w(t) + c w(t_end) of the endpoint samples, 0.5 (w(t) + w(t_end))
-    at c = 1/2: only endpoint data is needed, but every method is then at most
-    second order.  require_rates names a chord that overflows."""
+    (1 - c) w(t) + c w(t_end) of the endpoint samples: only endpoint data is
+    needed, but every method is then at most second order.  A chord of
+    finite samples is finite."""
     t_end = t + tau if t_end is None else t_end
     if mode is MidpointSamplingMode.EXACT:
         return [profile.omega_at(t if c == 0.0 else t_end if c == 1.0 else t + c * tau)
@@ -246,9 +246,8 @@ def stage_rates(profile, t, tau, t_end, fractions, mode):
         raise ValueError(f"unknown sampling mode {mode!r}")
     w0 = profile.omega_at(t) if min(fractions) < 1.0 else None
     w1 = profile.omega_at(t_end) if max(fractions) > 0.0 else None
-    with np.errstate(over="ignore", invalid="ignore"):
-        return [w0 if c == 0.0 else w1 if c == 1.0 else 0.5 * (w0 + w1) if c == 0.5
-                else (1.0 - c) * w0 + c * w1 for c in fractions]
+    return [w0 if c == 0.0 else w1 if c == 1.0 else (1.0 - c) * w0 + c * w1
+            for c in fractions]
 
 
 def midpoint_omega(profile, t_k, tau, mode=MidpointSamplingMode.EXACT, t_end=None):

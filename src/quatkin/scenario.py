@@ -305,6 +305,8 @@ def _parse_oracle(value, profile, q0, t0):
             raise ConfigError(
                 "field 'oracle': constant-analytic requires a constant profile"
             )
+        if not math.isfinite(sum(c * c for c in profile.vector)):  # Python floats: no warning
+            raise ConfigError("field 'oracle': constant-analytic needs a finite |omega|^2")
         return constant_oracle(np.array(profile.vector), q0, t0)
     if isinstance(value, dict) and value.get("type") == "coning":
         _reject_unknown_keys(value, _PROFILE_KEYS["coning"], "field 'oracle': unknown keys")
@@ -474,14 +476,18 @@ def _integrate(cfg: ScenarioConfig) -> Trajectory:
 def one_step_matrix(cfg: ScenarioConfig, tau) -> np.ndarray:
     """4x4 matrix of one integration step taken at the scenario start, from
     the same step builder the method's integrator uses; (..., 4, 4) for a
-    step array tau (...), one step of each size, from one builder call."""
-    if cfg.method == "SGA-A":
-        return autonomous_transition(cfg.profile.vector, tau)
-    if cfg.method == "SGA-NA":
-        w = midpoint_omega(cfg.profile, cfg.t0, tau, cfg.sampling)
-        return nonautonomous_transition(w, tau)
-    p = baseline_steps(BaselineMethod(cfg.method), cfg.profile, cfg.t0, tau, mode=cfg.sampling)
-    return right_matrix(p)
+    step array tau (...), one step of each size, from one builder call.
+    A step that is not finite raises ValueError, whatever the method."""
+    if not np.isfinite(tau).all():
+        raise ValueError("step size must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):  # require_finite names it
+        if cfg.method == "SGA-A":
+            return autonomous_transition(cfg.profile.vector, tau)
+        if cfg.method == "SGA-NA":
+            w = midpoint_omega(cfg.profile, cfg.t0, tau, cfg.sampling)
+            return nonautonomous_transition(w, tau)
+        p = baseline_steps(BaselineMethod(cfg.method), cfg.profile, cfg.t0, tau, mode=cfg.sampling)
+        return right_matrix(p)
 
 
 def defect_ladder(cfg: ScenarioConfig) -> DefectSeries:

@@ -102,14 +102,13 @@ def _cayley_steps(omega, tau, tally: list):
     w = np.asarray(omega, dtype=float)
     tau = np.asarray(tau, dtype=float)
     require_rates(w)
-    with np.errstate(over="ignore", invalid="ignore"):  # require_finite names it
-        n2 = _norm_sq(w)
-        batch = np.broadcast(n2, tau).shape  # np.broadcast_shapes runs in Python
-        alpha = tau * tau * n2 / 16.0
-        p = np.empty(batch + (4,))
-        p[..., 0] = 1.0 - alpha
-        np.multiply(w, (tau / 2.0)[..., None], out=p[..., 1:])
-        p /= (1.0 + alpha)[..., None]
+    n2 = _norm_sq(w)
+    batch = np.broadcast(n2, tau).shape  # np.broadcast_shapes runs in Python
+    alpha = tau * tau * n2 / 16.0
+    p = np.empty(batch + (4,))
+    p[..., 0] = 1.0 - alpha
+    np.multiply(w, (tau / 2.0)[..., None], out=p[..., 1:])
+    p /= (1.0 + alpha)[..., None]
     require_finite(p, "step map")
     step_rate = np.abs(tau * np.sqrt(n2))
     over = np.count_nonzero(step_rate * STEP_BOUND_FACTOR > 1.0)

@@ -183,21 +183,22 @@ def _propagate(block, q: np.ndarray, k: int) -> np.ndarray:
 
     A non-finite state stays non-finite under every finite R(p_k), so only
     the last state of each block is tested; when it is not finite,
-    ConsistencyError names the first non-finite state's step.
+    ConsistencyError names the first non-finite state's step.  numpy's
+    over/invalid warnings are off for the whole loop, builder calls included.
     """
     states = np.empty((k + 1, 4))
     states[0] = q
     g, buf, gs, ins, outs = _workspace(min(_BLOCK_STEPS, k))
-    for start in range(0, k, _BLOCK_STEPS):
-        m = min(_BLOCK_STEPS, k - start)
-        right_matrix(block(start, start + m), out=g[:m])
-        buf[0] = states[start]
-        with np.errstate(over="ignore", invalid="ignore"):  # the check below names it
+    with np.errstate(over="ignore", invalid="ignore"):  # require_finite names it
+        for start in range(0, k, _BLOCK_STEPS):
+            m = min(_BLOCK_STEPS, k - start)
+            right_matrix(block(start, start + m), out=g[:m])
+            buf[0] = states[start]
             for _ in map(np.ndarray.dot, islice(gs, m), ins, outs):
                 pass
-        states[start + 1:start + 1 + m] = buf[1:m + 1]
-        if not np.isfinite(buf[m]).all():
-            require_finite(states[:start + 1 + m], "state")
+            states[start + 1:start + 1 + m] = buf[1:m + 1]
+            if not np.isfinite(buf[m]).all():
+                require_finite(states[:start + 1 + m], "state")
     return states
 
 

@@ -376,6 +376,19 @@ def test_one_step_matrix_matches_method_maps():
     npt.assert_allclose(m @ q, rk4 @ q, atol=1e-15)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("method", ["SGA-A", "SGA-NA", "RK4", "EUB", "GL2"])
+def test_one_step_matrix_rejects_a_step_that_is_not_finite(method, bad):
+    # One contract for every method: a ValueError, not a ConsistencyError
+    # about the rate or the map that the step would make non-finite.
+    profile = "fig1a" if method == "SGA-A" else "fig2"
+    cfg = parse_config(make_config(profile=profile, method=method))
+    with pytest.raises(ValueError, match="^step size must be finite$"):
+        one_step_matrix(cfg, np.array([0.1, bad]))
+    with pytest.raises(ValueError, match="^step size must be finite$"):
+        one_step_matrix(cfg, bad)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     method=st.sampled_from(("SGA-A", "SGA-NA", "RK4", "EUB", "GL2")),
@@ -1186,14 +1199,44 @@ def test_cli_sga_na_names_the_rate_that_is_not_finite(
     assert [w for w in record if issubclass(w.category, RuntimeWarning)] == []
 
 
-@pytest.mark.parametrize("method", ["SGA-NA", "RK4"])
-def test_cli_interp_chord_that_overflows_is_named(method, tmp_path, capsys):
-    # The chord 0.5 (w(t) + w(t_end)) of two finite 1e308 samples overflows:
-    # the run exits 2 with the one named error and no numpy RuntimeWarning.
+@pytest.mark.parametrize(
+    "method, code, err",
+    [
+        ("SGA-A", 2, "step map is not finite at step 0"),
+        ("SGA-NA", 2, "corrected rate is not finite at step 0"),
+        ("RK4", 2, "step map is not finite at step 0"),
+        ("EUB", 0, None),
+        ("GL2", 0, None),
+    ],
+    ids=["SGA-A", "SGA-NA", "RK4", "EUB", "GL2"],
+)
+def test_cli_interp_names_what_exact_names_on_a_1e308_rate(method, code, err, tmp_path, capsys):
+    # The chord (1 - c) w(t) + c w(t_end) of two finite samples is finite, so
+    # at a constant 1e308 rate interp gives exact's outcome, with the one
+    # named error (or none) and no numpy RuntimeWarning.
     omega = {"type": "constant", "omega": [1e308] * 3}
-    cfg = {"profile": omega, "method": method, "sampling": "interp", "tau": 0.5, "tf": 1}
     cfg_path = tmp_path / "rate.json"
-    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    outcomes = []
+    for sampling in ("exact", "interp"):
+        cfg = {"profile": omega, "method": method, "sampling": sampling, "tau": 0.5, "tf": 1}
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            outcomes.append((main(["run", str(cfg_path)]), capsys.readouterr().err))
+        assert [w for w in record if issubclass(w.category, RuntimeWarning)] == []
+    assert outcomes[1] == outcomes[0] == (code, f"runtime error: {err}\n" if err else "")
+
+
+@pytest.mark.parametrize("sampling", ["exact", "interp"])
+@pytest.mark.parametrize("method", ["SGA-NA", "RK4", "EUB", "GL2"])
+def test_cli_profile_that_overflows_names_the_rate_with_no_warning(
+    method, sampling, tmp_path, capsys
+):
+    # fig1c's e^{-t} overflows at t = -1000: the profile's own arithmetic runs
+    # inside the run's one np.errstate, so only the named error comes out.
+    cfg = {"profile": "fig1c", "t0": -1000, "tf": -999, "tau": 0.1}
+    cfg_path = tmp_path / "fig1c.json"
+    cfg_path.write_text(json.dumps(dict(cfg, method=method, sampling=sampling)), encoding="utf-8")
     with warnings.catch_warnings(record=True) as record:
         warnings.simplefilter("always")
         assert main(["run", str(cfg_path)]) == 2
@@ -1201,17 +1244,38 @@ def test_cli_interp_chord_that_overflows_is_named(method, tmp_path, capsys):
     assert [w for w in record if issubclass(w.category, RuntimeWarning)] == []
 
 
+def test_cli_constant_oracle_whose_square_overflows_is_a_config_error(tmp_path, capsys):
+    # The oracle's |w|^2 is checked at parse time, before the oracle is built.
+    cfg = {"profile": {"type": "constant", "omega": [1e200] * 3}, "method": "EUB",
+           "oracle": "constant-analytic", "tau": 0.5, "tf": 1}
+    cfg_path, summary = tmp_path / "oracle.json", tmp_path / "summary.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        assert main(["run", str(cfg_path), "--summary", str(summary)]) == 1
+    expected = "error: field 'oracle': constant-analytic needs a finite |omega|^2\n"
+    assert capsys.readouterr() == ("", expected)
+    assert [w for w in record if issubclass(w.category, RuntimeWarning)] == []
+    assert not summary.exists()
+
+
 @pytest.mark.parametrize(
-    "method, code, err",
-    [("SGA-A", 2, "runtime error: step map is not finite at step 0\n"), ("EUB", 0, "")],
-    ids=["SGA-A", "EUB"],
+    "method, outputs, code, err",
+    [
+        ("SGA-A", ["series"], 2, "runtime error: step map is not finite at step 0\n"),
+        ("EUB", ["series"], 0, ""),
+        ("EUB", ["defect-ladder"], 0, ""),
+    ],
+    ids=["SGA-A", "EUB", "EUB-ladder"],
 )
 def test_cli_rate_whose_square_overflows_lets_no_warning_out(
-    method, code, err, tmp_path, capsys
+    method, outputs, code, err, tmp_path, capsys
 ):
     # |w|^2 overflows at this finite rate: SGA-A's map is nan and named; EUB's
-    # closed form gives p_k = 0, a finite, fully damped step.
-    cfg = {"profile": {"type": "constant", "omega": [1e200] * 3}, "method": method, "tau": 0.5, "tf": 1}
+    # closed form gives p_k = 0, a finite, fully damped step, in the run and
+    # on the ladder, whose maps one_step_matrix builds outside any run.
+    omega = {"type": "constant", "omega": [1e200] * 3}
+    cfg = {"profile": omega, "method": method, "tau": 0.5, "tf": 1, "outputs": outputs}
     cfg_path = tmp_path / "rate.json"
     cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
     with warnings.catch_warnings(record=True) as record:
