@@ -510,6 +510,9 @@ def test_run_sweep_rejects_bad_taus():
         run_sweep(cfg, [])
     with pytest.raises(ConfigError):
         run_sweep(cfg, [0.1, -0.05])
+    # Each run's summary entries are keyed by its step, so a repeat is refused.
+    with pytest.raises(ConfigError, match="sweep step sizes must be distinct; 0.1 is repeated"):
+        run_sweep(cfg, [0.1, 0.05, 0.1])
 
 
 # --- emission ----------------------------------------------------------------------
@@ -789,33 +792,41 @@ def test_emitters_over_a_longer_file_write_what_a_fresh_path_gets(tmp_path):
         assert over.read_bytes() == fresh.read_bytes()
 
 
-def limited_write(limit=None):
-    """A stand-in for os.write that takes at most 7 bytes a call and, once
-    `limit` bytes are written, raises ENOSPC; returns it and the list of
-    byte counts it wrote."""
+def limited_write(limit=None, most=7):
+    """A stand-in for os.write that takes at most `most` bytes a call (all
+    it is given if None) and, once `limit` bytes are written, raises ENOSPC;
+    returns it and the list of byte counts it wrote, one a call."""
     real_write, written = os.write, []
 
     def write(fd, data):
         if limit is not None and sum(written) >= limit:
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-        written.append(real_write(fd, bytes(data[:7])))
+        written.append(real_write(fd, bytes(data[:most])))
         return written[-1]
 
     return write, written
 
 
-@pytest.mark.parametrize("limit", [None, 50], ids=["short-writes", "failing-write"])
-def test_emitters_retry_short_writes_and_cut_where_writing_stopped(tmp_path, monkeypatch, limit):
+@pytest.mark.parametrize(
+    "limit, most",
+    [(None, 7), (50, 7), (None, None)],
+    ids=["short-writes", "failing-write", "whole-writes"],
+)
+def test_emitters_retry_short_writes_and_cut_where_writing_stopped(
+    tmp_path, monkeypatch, limit, most
+):
     # A descriptor may take fewer bytes than asked: the rest is written
     # again.  A write that fails propagates, and the file ends at the bytes
     # written before it, with no byte of the longer file it was over after.
+    # A descriptor that takes all it is given gets a one-block CSV (header
+    # included) and a summary in one call each.
     long_run = run_scenario(parse_config(make_config(tf=0.5)))
     short_run = run_scenario(parse_config(make_config(tf=0.05)))
     for emit, longer in [(emit_series, long_run), (emit_summary, [long_run, long_run])]:
         fresh, over = tmp_path / "fresh", tmp_path / "over"
         emit(short_run, fresh)
         emit(longer, over)
-        write, written = limited_write(limit)
+        write, written = limited_write(limit, most)
         with monkeypatch.context() as patch:
             patch.setattr(os, "write", write)
             if limit is None:
@@ -826,31 +837,35 @@ def test_emitters_retry_short_writes_and_cut_where_writing_stopped(tmp_path, mon
         full, kept = fresh.read_bytes(), sum(written)
         assert kept == len(full) if limit is None else limit <= kept < len(full)
         assert over.read_bytes() == full[:kept]
+        if limit is None:
+            assert len(written) == (1 if most is None else math.ceil(len(full) / most))
 
 
 def test_emit_series_stops_where_a_failing_block_stops_it(tmp_path):
     # An oracle that fails on the second block: the error propagates and the
     # file ends after the header and the first block, with no old bytes after.
+    # One that fails on the first block leaves nothing, not even the header.
     artifacts = coning_artifacts(oracle=True)
     full = reference_series_csv(artifacts)
-    calls = []
-
-    def failing_oracle(t):
-        calls.append(len(t))
-        if len(calls) == 2:
-            raise RuntimeError("oracle failed")
-        return artifacts.config.oracle(t)
-
-    broken = dataclasses.replace(
-        artifacts, config=dataclasses.replace(artifacts.config, oracle=failing_oracle)
-    )
-    path = tmp_path / "series.csv"
-    path.write_bytes(full + b"old tail")
-    with pytest.raises(RuntimeError, match="oracle failed"):
-        emit_series(broken, path)
     first_block = _SERIES_BLOCK_VALUES // 10
-    assert calls[0] == first_block
-    assert path.read_bytes() == b"".join(full.splitlines(keepends=True)[: 1 + first_block])
+    for failing_block, kept_lines in [(2, 1 + first_block), (1, 0)]:
+        calls = []
+
+        def failing_oracle(t):
+            calls.append(len(t))
+            if len(calls) == failing_block:
+                raise RuntimeError("oracle failed")
+            return artifacts.config.oracle(t)
+
+        broken = dataclasses.replace(
+            artifacts, config=dataclasses.replace(artifacts.config, oracle=failing_oracle)
+        )
+        path = tmp_path / "series.csv"
+        path.write_bytes(full + b"old tail")
+        with pytest.raises(RuntimeError, match="oracle failed"):
+            emit_series(broken, path)
+        assert calls[0] == first_block
+        assert path.read_bytes() == b"".join(full.splitlines(keepends=True)[:kept_lines])
 
 
 def test_emitters_create_files_with_the_mode_open_gives(tmp_path):
@@ -1256,6 +1271,67 @@ def test_cli_constant_oracle_whose_square_overflows_is_a_config_error(tmp_path, 
     expected = "error: field 'oracle': constant-analytic needs a finite |omega|^2\n"
     assert capsys.readouterr() == ("", expected)
     assert [w for w in record if issubclass(w.category, RuntimeWarning)] == []
+    assert not summary.exists()
+
+
+# omega0 * t overflows at an end of the horizon: the coning oracle the profile
+# wires by default at t = tf, and an explicit one over fig2 at t = t0.
+CONING_PHASE_OVERFLOWS = {
+    "auto-wired": (
+        {"profile": {"type": "coning", "omega0": 1.7e308, "beta": 1e-300}, "tau": 1.1, "tf": 1.1},
+        "[0.0, 1.1]",
+    ),
+    "explicit": (
+        {"profile": "fig2", "oracle": {"type": "coning", "omega0": 1e308, "beta": 0.1},
+         "t0": -5, "tau": 0.5, "tf": 1},
+        "[-5.0, 1.0]",
+    ),
+}
+
+
+@pytest.mark.parametrize("method", ["SGA-NA", "RK4", "EUB", "GL2"])
+@pytest.mark.parametrize("case", sorted(CONING_PHASE_OVERFLOWS))
+def test_cli_coning_oracle_whose_phase_overflows_is_a_config_error(
+    case, method, tmp_path, capsys
+):
+    # Checked at parse time, before any step runs or any file is written.
+    cfg, horizon = CONING_PHASE_OVERFLOWS[case]
+    cfg_path, out, summary = tmp_path / "oracle.json", tmp_path / "s.csv", tmp_path / "s.json"
+    cfg_path.write_text(json.dumps(dict(cfg, method=method)), encoding="utf-8")
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        assert main(["run", str(cfg_path), "--out", str(out), "--summary", str(summary)]) == 1
+    expected = (
+        f"error: field 'oracle': coning phase omega0*t is not finite on {horizon}; "
+        '"oracle": "none" runs without the oracle\n'
+    )
+    assert capsys.readouterr() == ("", expected)
+    assert record == []
+    assert not out.exists() and not summary.exists()
+
+
+@pytest.mark.filterwarnings("ignore::quatkin.symplectic.StepSizeWarning")
+@pytest.mark.parametrize("method", ["SGA-NA", "GL2"])
+def test_cli_coning_profile_whose_phase_overflows_runs_without_its_oracle(
+    method, tmp_path, capsys
+):
+    # Every rate sample these methods take is finite; only the oracle was not.
+    cfg, _ = CONING_PHASE_OVERFLOWS["auto-wired"]
+    cfg_path, summary = tmp_path / "none.json", tmp_path / "s.json"
+    cfg_path.write_text(json.dumps(dict(cfg, method=method, oracle="none")), encoding="utf-8")
+    assert main(["run", str(cfg_path), "--summary", str(summary)]) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads(summary.read_text(encoding="utf-8"))["runs"][0]["max_component_errors"] is None
+
+
+def test_cli_sweep_with_a_repeated_step_is_a_config_error(tmp_path, capsys):
+    # Both 0.1 runs would key their ladders fig2@tau=0.1: refused before any run.
+    cfg = {"profile": "fig2", "tau": 0.1, "tf": 1, "outputs": ["defect-ladder"]}
+    cfg_path, summary = tmp_path / "cfg.json", tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    argv = ["sweep", str(cfg_path), "--taus", "0.1", "0.1", "0.05", "--summary", str(summary)]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "error: sweep step sizes must be distinct; 0.1 is repeated\n")
     assert not summary.exists()
 
 
