@@ -48,7 +48,7 @@ from .symplectic import (
     integrate_nonautonomous,
     nonautonomous_transition,
 )
-from .trajectory import Trajectory, check_unit_quaternion, require_finite
+from .trajectory import _BLOCK_STEPS, Trajectory, check_unit_quaternion, require_finite
 
 __all__ = [
     "PROFILE_REGISTRY",
@@ -82,21 +82,14 @@ _BENCH_MIN_SECONDS = 0.2
 _BENCH_MIN_REPEATS = 3
 
 # Most steps one run may take; parse_config and run_sweep reject a tau that
-# exceeds it.  A whole run_scenario peaks (tracemalloc, 1e6 steps) at 80
-# bytes a step for every method, with the coning oracle, the
-# constant-analytic one or none, so 1e7 steps take ~0.8 GB.  The run's own
-# arrays set that peak, in Trajectory.norms: times and states, the states'
-# squares and the norms.  The integrators build their steps, and
-# component_errors calls the oracle, a block at a time (integration itself
-# peaks at 60 bytes a step).
+# exceeds it.  A whole run_scenario peaks (tracemalloc, 1e6 coning steps) at
+# 56-58 bytes a step: SGA-NA 56.3, RK4 57.5, EUB 56.3, GL2 58.1, with the
+# coning oracle, the constant-analytic one or none, so 1e7 steps take
+# ~0.6 GB.  The run's own arrays set that peak, during integration: the
+# times, the step sizes and step end times, and the states.  Every later pass
+# over the run (the norms, component_errors, emit_series) takes one block
+# of _BLOCK_STEPS steps at a time.
 MAX_STEPS = 10_000_000
-
-# Values per block that emit_series renders, which bounds the memory it holds
-# however long the run: coning blocks of 8192, 16384 and 40960 values peak at
-# 0.92, 1.84 and 4.59 MB in render_rows (tracemalloc), and 8192 and 40960
-# took ~1.05x the time a value of 16384.
-_SERIES_BLOCK_VALUES = 16384
-
 
 # The formula profiles fill one (..., 3) array component by component, each
 # component bitwise what np.stack of the three would hold, without its
@@ -225,7 +218,10 @@ def parse_number(value, field: str) -> float:
             if m.group("mult"):
                 out *= float(m.group("mult"))
             if m.group("div"):
-                out /= float(m.group("div"))
+                div = float(m.group("div"))
+                if div == 0.0:  # "pi/0", or a divisor that rounds to zero
+                    raise ConfigError(f"field {field!r}: zero divisor in {value!r}")
+                out /= div
             if m.group("sign") == "-":
                 out = -out
         else:
@@ -307,7 +303,15 @@ def _parse_oracle(value, profile, q0, t0, tf):
             )
         if not math.isfinite(sum(c * c for c in profile.vector)):  # Python floats: no warning
             raise ConfigError("field 'oracle': constant-analytic needs a finite |omega|^2")
-        return constant_oracle(np.array(profile.vector), q0, t0)
+        w = np.array(profile.vector)
+        # The oracle's half angle 0.5 n (t - t0), with n as it computes it, is
+        # largest at t = tf.
+        if not math.isfinite(0.5 * math.sqrt(float(w @ w)) * (tf - t0)):
+            raise ConfigError(
+                f"field 'oracle': constant-analytic half angle |omega|(t - t0)/2 is not "
+                f'finite on [{t0}, {tf}]; "oracle": "none" runs without the oracle'
+            )
+        return constant_oracle(w, q0, t0)
     if isinstance(value, dict) and value.get("type") == "coning":
         _reject_unknown_keys(value, _PROFILE_KEYS["coning"], "field 'oracle': unknown keys")
         omega0, beta = _coning_params(value, "oracle")
@@ -527,7 +531,9 @@ def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
     traj, wall, repeats = _timed_integration(cfg, "benchmark" in cfg.outputs)
     norms = traj.norms()
     require_finite(norms[:, None], "state norm")  # finite states past ~1e154
-    norm_dev = float(np.max(np.abs(norms - 1.0)))
+    # Bitwise np.max(np.abs(norms - 1.0)), as x -> fl(x - 1) is monotone and
+    # fl(1 - x) = -fl(x - 1), with no array the size of the run.
+    norm_dev = float(max(norms.max() - 1.0, 1.0 - norms.min()))
     report = component_errors(traj, cfg.oracle) if cfg.oracle is not None else None
     ladder = defect_ladder(cfg) if "defect-ladder" in cfg.outputs else None
     timing = TimingRecord(wall_clock_s=wall, steps=traj.steps, repeats=repeats)
@@ -591,8 +597,9 @@ def emit_series(artifacts: RunArtifacts, path) -> None:
 
     Absolute per-component errors against the oracle are appended when the
     scenario has one.  Every value is written as format(x, ".17g") writes
-    it, LF line endings.  _g17.render_rows renders blocks of about
-    _SERIES_BLOCK_VALUES values and produces that text byte for byte.  Each
+    it, LF line endings.  _g17.render_rows renders blocks of _BLOCK_STEPS
+    rows, the run's one block size, and produces that text byte for byte
+    (a 2048-row block of 10 columns peaks at ~2.3 MB, tracemalloc).  Each
     block's columns are filled into one reused (rows, columns) buffer: the
     error columns are computed there block by block and the norm column is
     copied from the trajectory's norms, so no new column of the whole run,
@@ -603,9 +610,8 @@ def emit_series(artifacts: RunArtifacts, path) -> None:
     norms = traj.norms()
     oracle = artifacts.config.oracle
     header = "t,e0,e1,e2,e3,norm" + ("" if oracle is None else ",err0,err1,err2,err3")
-    ncols = header.count(",") + 1
-    step = _SERIES_BLOCK_VALUES // ncols
-    buf = np.empty((min(step, len(traj.states)), ncols))
+    step = _BLOCK_STEPS
+    buf = np.empty((min(step, len(traj.states)), header.count(",") + 1))
 
     def blocks():
         head = header.encode("ascii") + b"\n"

@@ -26,14 +26,18 @@ __all__ = [
 
 UNIT_NORM_TOL = 1e-9
 
-# Steps a builder is handed and propagation holds at once.  Chosen by
-# measurement on 1e5 coning steps: at 4096 SGA-NA's integration takes the
-# time a whole-run build took (1024: ~1.1x, from per-block call overhead),
-# and each method's traced peak is 8-15 MB, which an 8192 block would push
-# past test_integrate_autonomous_builds_only_distinct_maps' 10 MB bound.
-# It also caps a thread's propagation workspace (see _workspace): ~1.5 MB
-# once a run of 4096 steps or more has been propagated on that thread.
-_BLOCK_STEPS = 4096
+# Steps in one block of every pass over a run: the steps a builder is handed
+# and propagation holds at once, the rows whose squares Trajectory.norms
+# sums, the samples component_errors hands the oracle, and the rows
+# emit_series renders.  Measured on the 1e5 coning-long steps at blocks of
+# 1024, 2048 and 4096 (2 vCPU, 2 MB L2 a core): integration takes the same
+# time at each (minima: SGA-NA 49-51 ms, GL2 148-155 ms); the propagation
+# workspace a thread keeps (see _workspace) is 0.43, 0.87 and 1.74 MB, and
+# RK4's and GL2's traced integration peaks are 6.4/6.7, 7.1/7.7 and
+# 8.7/9.9 MB; emit_series takes 86, 106 and 116 ms (minima of 40), as
+# render_rows' temporaries (2.3 MB at 2048 rows of 10 columns) outgrow the
+# cache.
+_BLOCK_STEPS = 2048
 
 # Each thread's propagation workspace: ndarray.dot releases the GIL, so two
 # threads must not write one buffer.
@@ -69,16 +73,22 @@ class Trajectory:
 
         Bitwise np.linalg.norm(states, axis=1), which sums each row's squares
         left to right, ((x0² + x1²) + x2²) + x3²: summed column by column in
-        that order, with the same (n, 4) array of squares, it takes 0.4x the
-        time at 1e5 rows and no more at 110.  Any other grouping of the four
-        squares rounds differently in about one row in eight."""
+        that order, one block of _BLOCK_STEPS rows of squares at a time, it
+        takes 0.3x np.linalg.norm's time at 1e5 rows and 1.3x its ~6 us at
+        110, and builds no (n, 4) array of squares.  Any other grouping of
+        the four squares rounds differently in about one row in eight."""
         norms = self.__dict__.get("_norms")
         if norms is None:
+            states = self.states
+            norms = np.empty(len(states))
             with np.errstate(over="ignore", invalid="ignore"):  # run_scenario names it
-                x0, x1, x2, x3 = (self.states * self.states).T
-                norms = x0 + x1
-                norms += x2
-                norms += x3
+                for start in range(0, len(states), _BLOCK_STEPS):
+                    q = states[start:start + _BLOCK_STEPS]
+                    x0, x1, x2, x3 = (q * q).T
+                    out = norms[start:start + _BLOCK_STEPS]
+                    np.add(x0, x1, out=out)
+                    out += x2
+                    out += x3
                 np.sqrt(norms, out=norms)
             norms.flags.writeable = False
             object.__setattr__(self, "_norms", norms)

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quatkin._g17 import render_rows
-from quatkin.scenario import _SERIES_BLOCK_VALUES, parse_config, run_scenario
+from quatkin.scenario import parse_config, run_scenario
+from quatkin.trajectory import _BLOCK_STEPS
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -126,9 +127,9 @@ def test_render_rows_random_scales_and_time_grid():
     assert_renders(0.01 * np.arange(20_000), ncols=1)
 
 
-@pytest.mark.parametrize("rows", [1, 42, 43, _SERIES_BLOCK_VALUES // 6])
+@pytest.mark.parametrize("rows", [1, 42, 43, _BLOCK_STEPS])
 def test_render_rows_matches_format_at_any_block_size(rows):
-    # 6-column blocks from one row to a full emit_series block of 2730.
+    # 6-column blocks from one row to a full emit_series block.
     rng = np.random.default_rng(rows)
     block = rng.standard_normal((rows, 6)) * np.array([1e3, 1, 1, 1e-3, 1e-9, 1e-14])
     block[0, 0] = -0.0
@@ -203,19 +204,19 @@ def test_render_rows_covers_every_layout():
 
 def coning_long_block():
     """The first block emit_series renders of the coning-long CSV: rows
-    0..1637 of 10 columns, built as emit_series builds them."""
+    0..2047 of 10 columns, built as emit_series builds them."""
     cfg = parse_config((CONFIGS / "coning-long.json").read_text(encoding="utf-8"))
-    traj = run_scenario(dataclasses.replace(cfg, tf=16.37)).trajectory
+    traj = run_scenario(dataclasses.replace(cfg, tf=20.47)).trajectory
     t, q = traj.times, traj.states
     return np.hstack([t[:, None], q, traj.norms()[:, None], np.abs(q - cfg.oracle(t))])
 
 
 def test_render_rows_peak_memory_on_a_coning_block():
-    # The traced peak of one 1638x10 block is ~1.84 MB for 0.35 MB of text;
+    # The traced peak of one 2048x10 block is ~2.30 MB for 0.44 MB of text;
     # a 4096x10 block rendered at once peaks at 4.6 MB (8.4 MB with a 48-byte
     # template).
     block = coning_long_block()
-    assert block.shape == (_SERIES_BLOCK_VALUES // 10, 10)
+    assert block.shape == (_BLOCK_STEPS, 10)
     render_rows(block)
     tracemalloc.start()
     try:

@@ -33,7 +33,6 @@ from quatkin.scenario import (
     DEFAULT_SWEEP_TAUS,
     MAX_STEPS,
     PROFILE_REGISTRY,
-    _SERIES_BLOCK_VALUES,
     defect_ladder,
     emit_series,
     emit_summary,
@@ -46,6 +45,7 @@ from quatkin.scenario import (
     run_sweep,
 )
 from quatkin.symplectic import StepSizeWarning, autonomous_transition, integrate_nonautonomous
+from quatkin.trajectory import _BLOCK_STEPS, Trajectory
 from reference_impl import FORMULA_PROFILES_STACKED
 
 CONING_Q0 = [
@@ -155,6 +155,17 @@ def test_parse_pi_literals():
 @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", float("nan"), -math.inf, 10**400, "1e400"])
 def test_parse_number_rejects_non_finite(value):
     with pytest.raises(ConfigError, match="'x': expected a finite number"):
+        parse_number(value, "x")
+
+
+@pytest.mark.parametrize(
+    "value",
+    ["pi/0", "0pi/0", "2*pi/0.0", "pi/0." + "0" * 400 + "1"],
+    ids=["pi/0", "0pi/0", "2*pi/0.0", "underflow"],
+)
+def test_parse_number_rejects_a_zero_divisor(value):
+    # The last divisor is nonzero text that rounds to 0.0.
+    with pytest.raises(ConfigError, match="'x': zero divisor"):
         parse_number(value, "x")
 
 
@@ -534,8 +545,6 @@ def reference_series_csv(artifacts) -> bytes:
 
 def special_values_artifacts(repeats=1):
     """Four rows of special and edge values, repeated `repeats` times."""
-    from quatkin.trajectory import Trajectory
-
     artifacts = run_scenario(parse_config(make_config(tf=0.05)))
     states = np.array(
         [
@@ -576,22 +585,21 @@ def test_emit_series_bytes_match_per_value_format(tmp_path, case):
         artifacts = coning_artifacts(oracle=case == "coning-oracle")
         # Two full blocks and a partial third, at least.
         rows = len(artifacts.trajectory.states)
-        block_rows = _SERIES_BLOCK_VALUES // (6 if case == "coning-no-oracle" else 10)
-        assert rows > 2 * block_rows and rows % block_rows
+        assert rows > 2 * _BLOCK_STEPS and rows % _BLOCK_STEPS
     path = tmp_path / "series.csv"
     emit_series(artifacts, path)
     assert path.read_bytes() == reference_series_csv(artifacts)
 
 
 @pytest.mark.parametrize(
-    "block_values",
-    [255, 4099, _SERIES_BLOCK_VALUES],
+    "block_rows",
+    [25, 409, _BLOCK_STEPS],
     ids=["small", "prime", "default"],
 )
-def test_emit_series_bytes_do_not_depend_on_block_size(tmp_path, monkeypatch, block_values):
-    # 255 values make blocks of 25 rows of 10 columns; 4099 values (409 rows)
-    # share no block boundary with the default's 1638 rows in this run.
-    monkeypatch.setattr(scenario, "_SERIES_BLOCK_VALUES", block_values)
+def test_emit_series_bytes_do_not_depend_on_block_size(tmp_path, monkeypatch, block_rows):
+    # Blocks of 409 rows, a prime, share no block boundary with the default's
+    # 2048 rows in this run.
+    monkeypatch.setattr(scenario, "_BLOCK_STEPS", block_rows)
     artifacts = coning_artifacts(oracle=True)
     path = tmp_path / "series.csv"
     emit_series(artifacts, path)
@@ -632,8 +640,6 @@ def test_emit_series_with_oracle_columns(tmp_path):
 
 
 def test_emit_series_single_state(tmp_path):
-    from quatkin.trajectory import Trajectory
-
     cfg = parse_config(make_config(tf=0.5))
     artifacts = run_scenario(cfg)
     single = Trajectory(times=np.array([0.0]), states=np.array([[1.0, 0.0, 0.0, 0.0]]))
@@ -683,6 +689,56 @@ def test_emit_series_memory_flat_in_run_length(tmp_path):
 def test_emit_series_memory_flat_in_run_length_without_oracle(tmp_path):
     peaks = emission_peaks(tmp_path, oracle="none")
     assert peaks[1] <= peaks[0] + (64 << 10), peaks
+
+
+@pytest.mark.parametrize("method", ["SGA-NA", "EUB"])
+def test_run_scenario_peak_memory_per_step(method):
+    # The run's own arrays set the peak: times, tau_k and the step end times
+    # while integrating, beside the states.  No squares array or deviation
+    # array the size of the run is built after it (with them, every method
+    # peaked at 80 bytes a step).
+    steps = 200_000
+    cfg = parse_config(
+        make_config(profile="coning", q0=CONING_Q0, tf=steps / 100.0, tau=0.01, method=method)
+    )
+    tracemalloc.start()
+    try:
+        artifacts = run_scenario(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert artifacts.timing.steps == steps and artifacts.error_report is not None
+    assert peak <= 64 * steps, peak / steps
+
+
+def norm_states(case, n=5000):
+    """(n, 4) states whose norms lie above 1, below 1, on both sides, or all
+    exactly at 1."""
+    rng = np.random.default_rng(17)
+    if case == "exact":
+        return np.tile([0.6, 0.0, 0.8, 0.0], (n, 1))
+    q = rng.normal(size=(n, 4))
+    q /= np.linalg.norm(q, axis=1)[:, None]  # |q| within a few ulp of 1, either side
+    if case == "mixed":
+        return q
+    spread = 10.0 ** rng.uniform(-15, -1, n)
+    return q * (1.0 + spread if case == "above" else 1.0 - spread)[:, None]
+
+
+@pytest.mark.parametrize("case", ["above", "below", "mixed", "exact"])
+def test_max_norm_deviation_bitwise_max_abs_deviation(monkeypatch, case):
+    states = norm_states(case)
+    traj = Trajectory(times=0.01 * np.arange(len(states)), states=states)
+    monkeypatch.setattr(scenario, "_integrate", lambda cfg: traj)
+    dev = run_scenario(parse_config(make_config())).max_norm_deviation
+    norms = np.linalg.norm(states, axis=1)
+    sides = {"above": (True, False), "below": (False, True), "mixed": (True, True),
+             "exact": (False, False)}[case]
+    assert ((norms > 1.0).any(), (norms < 1.0).any()) == sides
+    expected = float(np.max(np.abs(norms - 1.0)))
+    assert dev == expected and math.copysign(1.0, dev) == math.copysign(1.0, expected)
+    if case == "exact":
+        assert math.copysign(1.0, dev) == 1.0 and dev == 0.0
 
 
 def test_emit_summary_single_run(tmp_path):
@@ -847,7 +903,7 @@ def test_emit_series_stops_where_a_failing_block_stops_it(tmp_path):
     # One that fails on the first block leaves nothing, not even the header.
     artifacts = coning_artifacts(oracle=True)
     full = reference_series_csv(artifacts)
-    first_block = _SERIES_BLOCK_VALUES // 10
+    first_block = _BLOCK_STEPS
     for failing_block, kept_lines in [(2, 1 + first_block), (1, 0)]:
         calls = []
 
@@ -1274,6 +1330,25 @@ def test_cli_constant_oracle_whose_square_overflows_is_a_config_error(tmp_path, 
     assert not summary.exists()
 
 
+def test_cli_constant_oracle_whose_half_angle_overflows_is_a_config_error(tmp_path, capsys):
+    # |w|^2 = 1e300 is finite, but the half angle |w| (tf - t0) / 2 the oracle
+    # takes at tf is not: refused at parse time, before any step runs.
+    cfg = {"profile": {"type": "constant", "omega": [1e150, 0, 0]}, "method": "EUB",
+           "oracle": "constant-analytic", "tau": 1e158, "tf": 1e159}
+    cfg_path, out, summary = tmp_path / "oracle.json", tmp_path / "s.csv", tmp_path / "s.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        assert main(["run", str(cfg_path), "--out", str(out), "--summary", str(summary)]) == 1
+    expected = (
+        "error: field 'oracle': constant-analytic half angle |omega|(t - t0)/2 is not "
+        'finite on [0.0, 1e+159]; "oracle": "none" runs without the oracle\n'
+    )
+    assert capsys.readouterr() == ("", expected)
+    assert record == []
+    assert not out.exists() and not summary.exists()
+
+
 # omega0 * t overflows at an end of the horizon: the coning oracle the profile
 # wires by default at t = tf, and an explicit one over fig2 at t = t0.
 CONING_PHASE_OVERFLOWS = {
@@ -1423,6 +1498,7 @@ def test_step_size_warning_under_python_m_names_the_cli_file():
     [
         ({"tf": "inf"}, "'tf'"),
         ({"profile": {"type": "coning", "omega0": "nan", "beta": "pi/80"}}, "'profile.omega0'"),
+        ({"profile": {"type": "coning", "omega0": "2pi", "beta": "pi/0"}}, "'profile.beta'"),
         (
             {
                 "profile": {
@@ -1444,14 +1520,14 @@ def test_step_size_warning_under_python_m_names_the_cli_file():
             "'profile.samples'",
         ),
     ],
-    ids=["tf-inf", "omega0-nan", "samples-end-early", "samples-start-late"],
+    ids=["tf-inf", "omega0-nan", "beta-pi-over-0", "samples-end-early", "samples-start-late"],
 )
 def test_cli_rejects_out_of_range_config_values(tmp_path, capsys, overrides, field):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(make_config(**overrides), encoding="utf-8")
     assert main(["run", str(cfg_path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and field in err
+    assert err.startswith("error:") and field in err and err.count("\n") == 1
 
 
 def test_cli_rejects_tau_over_step_budget(tmp_path, capsys):

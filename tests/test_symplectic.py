@@ -884,18 +884,19 @@ def test_integrate_autonomous_partial_step_warns_once():
 @pytest.mark.parametrize(
     "method, tau, tf, expected",
     [
-        ("SGA-A", 0.025, (2 * _BLOCK_STEPS + 100.4) * 0.025, 2 * _BLOCK_STEPS + 100),
-        ("SGA-NA", 0.25, (2 * _BLOCK_STEPS + 101) * 0.25, 2 * _BLOCK_STEPS + 101),
+        ("SGA-A", 0.025, 8292.4 * 0.025, 8292),
+        ("SGA-NA", 0.25, 8293 * 0.25, 8293),
     ],
 )
 def test_run_of_several_blocks_warns_once_with_whole_run_counts(method, tau, tf, expected):
-    # Two whole blocks and a partial one, every full step past the guideline
-    # (tau |w| = 0.266 for W_REF, at least 0.95 on fig2); the constant-rate
-    # run's shortened last step is within it.
+    # Two whole blocks and a partial one at least, every full step past the
+    # guideline (tau |w| = 0.266 for W_REF, at least 0.95 on fig2); the
+    # constant-rate run's shortened last step is within it.
+    assert expected > 2 * _BLOCK_STEPS and expected % _BLOCK_STEPS
     if method == "SGA-A":
         caught = _step_size_warnings(integrate_autonomous, W_REF, E0, 0.0, tf, tau)
     else:
         fig2 = profile_from_name("fig2")
         caught = _step_size_warnings(integrate_nonautonomous, fig2, E0, 0.0, tf, tau)
     assert len(caught) == 1
-    assert caught[0].startswith(f"{expected} of {2 * _BLOCK_STEPS + 101} steps exceed")
+    assert caught[0].startswith(f"{expected} of 8293 steps exceed")
