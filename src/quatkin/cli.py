@@ -99,11 +99,13 @@ def _load_config(args) -> ScenarioConfig:
 
 
 def _check_output_paths(args) -> None:
-    """Reject, before any integration runs, a --out/--summary path that is a
-    directory or whose directory is missing, and a --out and --summary that
-    name one file."""
+    """Reject, before any integration runs, a --out/--summary path that is
+    empty (an unset shell variable), is a directory or whose directory is
+    missing, and a --out and --summary that name one file."""
     out, summary = getattr(args, "out", None), args.summary
     for flag, path in (("out", out), ("summary", summary)):
+        if path == "":
+            raise ConfigError(f"--{flag}: the path is empty")
         if path and os.path.isdir(path):
             raise ConfigError(f"--{flag}: {path!r} is a directory")
         if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):

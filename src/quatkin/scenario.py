@@ -29,7 +29,7 @@ from .diagnostics import (
     convergence_order,
     symplecticity_defect,
 )
-from .errors import ConfigError, DegenerateDataError, NonUnitStateError
+from .errors import ConfigError, DegenerateDataError, NonUnitStateError, _NotFinite
 from .model import (
     AngularVelocityProfile,
     ConingProfile,
@@ -48,7 +48,7 @@ from .symplectic import (
     integrate_nonautonomous,
     nonautonomous_transition,
 )
-from .trajectory import _BLOCK_STEPS, Trajectory, check_unit_quaternion, require_finite
+from .trajectory import _BLOCK_STEPS, Trajectory, _block_norms, check_unit_quaternion
 
 __all__ = [
     "PROFILE_REGISTRY",
@@ -82,12 +82,12 @@ _BENCH_MIN_SECONDS = 0.2
 _BENCH_MIN_REPEATS = 3
 
 # Most steps one run may take; parse_config and run_sweep reject a tau that
-# exceeds it.  A whole run_scenario peaks (tracemalloc, 1e6 coning steps) at
-# 56-58 bytes a step: SGA-NA 56.3, RK4 57.5, EUB 56.3, GL2 58.1, with the
-# coning oracle, the constant-analytic one or none, so 1e7 steps take
-# ~0.6 GB.  The run's own arrays set that peak, during integration: the
-# times, the step sizes and step end times, and the states.  Every later pass
-# over the run (the norms, component_errors, emit_series) takes one block
+# exceeds it.  A whole run_scenario peaks (tracemalloc, 1e6 coning steps, the
+# propagation workspace built) at 40-42 bytes a step: SGA-NA 40.4, RK4 41.6,
+# EUB 40.3, GL2 42.2, so 1e7 steps take ~0.42 GB; it keeps 40.0 once it
+# returns.  The times and the states, 8 and 32 bytes a step, are the only
+# arrays that grow with the run: every other pass over it (the step sizes
+# and step ends, the norms, component_errors, emit_series) takes one block
 # of _BLOCK_STEPS steps at a time.
 MAX_STEPS = 10_000_000
 
@@ -371,6 +371,15 @@ def _check_tau(profile, t0: float, tf: float, tau: float, outputs) -> None:
             f"field 'tau': {tau} gives {steps:.4g} steps over [{t0}, {tf}], "
             f"more than the budget of {MAX_STEPS}"
         )
+    # Below one float spacing at the horizon's larger end, t0 + k tau rounds
+    # to repeated sample times, and the profile and any oracle are sampled at
+    # the wrong ones.
+    spacing = math.ulp(max(abs(t0), abs(tf)))
+    if tau < spacing:
+        raise ConfigError(
+            f"field 'tau': {tau} is below the float spacing {spacing:.4g} of times "
+            f"on [{t0}, {tf}], which cannot resolve the steps"
+        )
     # A ladder step samples the profile at t0 + tau, whatever the horizon.
     end = profile.times[-1] if isinstance(profile, TabulatedProfile) else math.inf
     if "defect-ladder" in outputs and t0 + tau > end:
@@ -529,11 +538,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
     minimum-of-runs protocol.
     """
     traj, wall, repeats = _timed_integration(cfg, "benchmark" in cfg.outputs)
-    norms = traj.norms()
-    require_finite(norms[:, None], "state norm")  # finite states past ~1e154
-    # Bitwise np.max(np.abs(norms - 1.0)), as x -> fl(x - 1) is monotone and
-    # fl(1 - x) = -fl(x - 1), with no array the size of the run.
-    norm_dev = float(max(norms.max() - 1.0, 1.0 - norms.min()))
+    norm_dev = _max_norm_deviation(traj.states)
     report = component_errors(traj, cfg.oracle) if cfg.oracle is not None else None
     ladder = defect_ladder(cfg) if "defect-ladder" in cfg.outputs else None
     timing = TimingRecord(wall_clock_s=wall, steps=traj.steps, repeats=repeats)
@@ -545,6 +550,24 @@ def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
         timing=timing,
         max_norm_deviation=norm_dev,
     )
+
+
+def _max_norm_deviation(states: np.ndarray) -> float:
+    """max |(|q| - 1)| over the states, from each block's norms' minimum and
+    maximum: bitwise np.max(np.abs(norms - 1.0)), as x -> fl(x - 1) is
+    monotone and fl(1 - x) = -fl(x - 1), with no array the size of the run.
+    A norm that is not finite (states past ~1e154 overflow it) raises
+    ConsistencyError naming its step."""
+    norms = np.empty(min(len(states), _BLOCK_STEPS))
+    lo, hi = math.inf, -math.inf
+    for start in range(0, len(states), _BLOCK_STEPS):
+        block = _block_norms(states[start:start + _BLOCK_STEPS], norms[:len(states) - start])
+        block_lo, block_hi = block.min(), block.max()  # a nan carries through both
+        if not (math.isfinite(block_lo) and math.isfinite(block_hi)):
+            step = int(np.argmin(np.isfinite(block)))
+            raise _NotFinite("state norm", start + step)
+        lo, hi = min(lo, block_lo), max(hi, block_hi)
+    return float(max(hi - 1.0, 1.0 - lo))
 
 
 def run_sweep(base: ScenarioConfig, taus: Sequence[float]) -> list[RunArtifacts]:
@@ -601,13 +624,13 @@ def emit_series(artifacts: RunArtifacts, path) -> None:
     rows, the run's one block size, and produces that text byte for byte
     (a 2048-row block of 10 columns peaks at ~2.3 MB, tracemalloc).  Each
     block's columns are filled into one reused (rows, columns) buffer: the
-    error columns are computed there block by block and the norm column is
-    copied from the trajectory's norms, so no new column of the whole run,
-    and no per-block array besides the oracle's, is built.  A generator hands
+    norm column, by the norm rule of Trajectory.norms, and the error columns
+    are computed there block by block, so no column of the whole run is
+    built, and no per-block array besides the oracle's and the norms' block
+    of squares.  A generator hands
     the blocks to _write_over one at a time, the header joined to the first.
     """
     traj = artifacts.trajectory
-    norms = traj.norms()
     oracle = artifacts.config.oracle
     header = "t,e0,e1,e2,e3,norm" + ("" if oracle is None else ",err0,err1,err2,err3")
     step = _BLOCK_STEPS
@@ -621,7 +644,7 @@ def emit_series(artifacts: RunArtifacts, path) -> None:
             block = buf[:len(t)]
             block[:, 0] = t
             block[:, 1:5] = q
-            block[:, 5] = norms[rows]
+            _block_norms(q, block[:, 5])
             if oracle is not None:
                 err = block[:, 6:]
                 np.subtract(q, oracle(t), out=err)

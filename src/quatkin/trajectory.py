@@ -26,11 +26,12 @@ __all__ = [
 
 UNIT_NORM_TOL = 1e-9
 
-# Steps in one block of every pass over a run: the steps a builder is handed
-# and propagation holds at once, the rows whose squares Trajectory.norms
-# sums, the samples component_errors hands the oracle, and the rows
-# emit_series renders.  Measured on the 1e5 coning-long steps at blocks of
-# 1024, 2048 and 4096 (2 vCPU, 2 MB L2 a core): integration takes the same
+# Steps in one block of every pass over a run: the steps a builder is handed,
+# with their step sizes and step ends, and propagation holds at once, the
+# rows whose norms _block_norms takes (for Trajectory.norms, run_scenario's
+# norm check and emit_series' norm column), the samples component_errors
+# hands the oracle, and the rows emit_series renders.  Measured on the 1e5
+# coning-long steps at blocks of 1024, 2048 and 4096 (2 vCPU, 2 MB L2 a core): integration takes the same
 # time at each (minima: SGA-NA 49-51 ms, GL2 148-155 ms); the propagation
 # workspace a thread keeps (see _workspace) is 0.43, 0.87 and 1.74 MB, and
 # RK4's and GL2's traced integration peaks are 6.4/6.7, 7.1/7.7 and
@@ -68,31 +69,34 @@ class Trajectory:
         return len(self.states) - 1
 
     def norms(self) -> np.ndarray:
-        """|q| at every sample.  Computed on the first call and kept, read-only:
-        the report, the summary, the printout and the CSV all use it.
-
-        Bitwise np.linalg.norm(states, axis=1), which sums each row's squares
-        left to right, ((x0² + x1²) + x2²) + x3²: summed column by column in
-        that order, one block of _BLOCK_STEPS rows of squares at a time, it
-        takes 0.3x np.linalg.norm's time at 1e5 rows and 1.3x its ~6 us at
-        110, and builds no (n, 4) array of squares.  Any other grouping of
-        the four squares rounds differently in about one row in eight."""
-        norms = self.__dict__.get("_norms")
-        if norms is None:
-            states = self.states
-            norms = np.empty(len(states))
-            with np.errstate(over="ignore", invalid="ignore"):  # run_scenario names it
-                for start in range(0, len(states), _BLOCK_STEPS):
-                    q = states[start:start + _BLOCK_STEPS]
-                    x0, x1, x2, x3 = (q * q).T
-                    out = norms[start:start + _BLOCK_STEPS]
-                    np.add(x0, x1, out=out)
-                    out += x2
-                    out += x3
-                np.sqrt(norms, out=norms)
-            norms.flags.writeable = False
-            object.__setattr__(self, "_norms", norms)
+        """|q| at every sample, computed on each call, one block of
+        _BLOCK_STEPS rows at a time by :func:`_block_norms`; bitwise
+        np.linalg.norm(states, axis=1)."""
+        states = self.states
+        norms = np.empty(len(states))
+        for start in range(0, len(states), _BLOCK_STEPS):
+            _block_norms(states[start:start + _BLOCK_STEPS], norms[start:start + _BLOCK_STEPS])
         return norms
+
+
+def _block_norms(q: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """|q| of each row of a block of states q (n, 4), written into out (n,)
+    and returned: the one norm rule of Trajectory.norms, run_scenario's norm
+    check and emit_series' norm column.
+
+    Bitwise np.linalg.norm(q, axis=1), which sums each row's squares left to
+    right, ((x0² + x1²) + x2²) + x3²: summed column by column in that order
+    it takes 0.3x np.linalg.norm's time at 1e5 rows and 1.3x its ~6 us at
+    110, and builds no squares array longer than the block.  Any other
+    grouping of the four squares rounds differently in about one row in
+    eight.  out may be a strided column of a larger buffer."""
+    with np.errstate(over="ignore", invalid="ignore"):  # run_scenario names it
+        x0, x1, x2, x3 = (q * q).T
+        np.add(x0, x1, out=out)
+        out += x2
+        out += x3
+        np.sqrt(out, out=out)
+    return out
 
 
 def step_schedule(t0: float, tf: float, tau: float):
@@ -103,26 +107,47 @@ def step_schedule(t0: float, tf: float, tau: float):
     1e-9 relative slack keeps float noise in the division from adding a
     spurious zero-length step.  Returns (times (K+1,), tau_k (K,)).
     """
+    times, last = _sample_times(t0, tf, tau)
+    k = len(times) - 1
+    return times, _step_sizes(k, tau, last, 0, k)
+
+
+def _sample_times(t0: float, tf: float, tau: float):
+    """The times (K + 1,) of :func:`step_schedule` and the size of its last
+    step, which differs from tau when the horizon is not a whole number of
+    steps."""
     if not (math.isfinite(t0) and math.isfinite(tf)) or not tf > t0:
         raise InvalidHorizonError(f"need finite tf > t0, got [{t0}, {tf}]")
     if not (math.isfinite(tau) and tau > 0.0):
         raise InvalidHorizonError(f"step size must be positive, got {tau}")
     span = tf - t0
     k = max(1, math.ceil(span / tau - 1e-9))
-    tau_k = np.empty(k)
-    tau_k.fill(tau)  # np.full's Python-level frame does the same
-    if abs(span - k * tau) > 1e-9 * tau:
-        tau_k[-1] = span - (k - 1) * tau
+    last = span - (k - 1) * tau if abs(span - k * tau) > 1e-9 * tau else tau
     times = t0 + np.arange(k + 1) * tau
     times[-1] = tf
-    return times, tau_k
+    return times, last
+
+
+def _step_sizes(k: int, tau: float, last: float, start: int, stop: int):
+    """Sizes (stop - start,) of steps start..stop - 1 of a k-step schedule:
+    tau, and last for its final step k - 1."""
+    tau_k = np.empty(stop - start)
+    tau_k.fill(tau)  # np.full's Python-level frame does the same
+    if stop == k:
+        tau_k[-1] = last
+    return tau_k
 
 
 def step_end_times(times: np.ndarray, tau_k: np.ndarray) -> np.ndarray:
     """End time t_k + tau_k of each step of a schedule, capped at the horizon
     end times[-1]: the sum can round one ulp past tf, outside a profile whose
     samples end exactly there."""
-    return np.minimum(times[:-1] + tau_k, times[-1])
+    return _step_ends(times[:-1], tau_k, times[-1])
+
+
+def _step_ends(t: np.ndarray, tau_k: np.ndarray, tf: float) -> np.ndarray:
+    """The capped ends of :func:`step_end_times` for steps starting at t."""
+    return np.minimum(t + tau_k, tf)
 
 
 def integrate(steps, q0, t0: float, tf: float, tau: float) -> Trajectory:
@@ -130,22 +155,25 @@ def integrate(steps, q0, t0: float, tf: float, tau: float) -> Trajectory:
     :func:`step_schedule`, and propagate q0 through them one block of
     _BLOCK_STEPS steps at a time.  Each block's step quaternions (n, 4) come
     from one call steps(t_k, tau_k, t_end) on that block's slice of the
-    schedule, with t_end from :func:`step_end_times`, and go straight into
+    sample times, with its step sizes and its ends from
+    :func:`step_end_times` made for that block alone, and go straight into
     the kernel of :func:`propagate`; so a builder is handed one block, never
-    the whole run, and its temporaries do not grow with the run.  A
-    ConsistencyError a builder raises names the run's step, not the
-    block's.  States are never renormalized."""
+    the whole run, and the times and states are the only arrays that grow
+    with the run.  A ConsistencyError a builder raises names the run's step,
+    not the block's.  States are never renormalized."""
     q = check_unit_quaternion(q0)
-    times, tau_k = step_schedule(t0, tf, tau)
-    t_end = step_end_times(times, tau_k)
+    times, last = _sample_times(t0, tf, tau)
+    k = len(times) - 1
 
     def block(start, stop):
+        t = times[start:stop]
+        tau_k = _step_sizes(k, tau, last, start, stop)
         try:
-            return steps(times[start:stop], tau_k[start:stop], t_end[start:stop])
+            return steps(t, tau_k, _step_ends(t, tau_k, tf))
         except _NotFinite as exc:
             raise _NotFinite(exc.args[0], start + exc.args[1]) from None
 
-    return Trajectory(times=times, states=_propagate(block, q, len(tau_k)))
+    return Trajectory(times=times, states=_propagate(block, q, k))
 
 
 def propagate(p: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -679,9 +679,9 @@ def emission_peaks(tmp_path, **oracle):
 
 
 def test_emit_series_memory_flat_in_run_length(tmp_path):
-    # The error columns are built one row block at a time and the norm column
-    # is a slice of the norms run_scenario computed, so emission's traced
-    # peak is the same for 25 k and 100 k rows.
+    # The norm and error columns are computed one row block at a time into
+    # the block's buffer, so emission's traced peak is the same for 25 k and
+    # 100 k rows.
     peaks = emission_peaks(tmp_path)
     assert peaks[1] <= peaks[0] + (64 << 10), peaks
 
@@ -693,10 +693,10 @@ def test_emit_series_memory_flat_in_run_length_without_oracle(tmp_path):
 
 @pytest.mark.parametrize("method", ["SGA-NA", "EUB"])
 def test_run_scenario_peak_memory_per_step(method):
-    # The run's own arrays set the peak: times, tau_k and the step end times
-    # while integrating, beside the states.  No squares array or deviation
-    # array the size of the run is built after it (with them, every method
-    # peaked at 80 bytes a step).
+    # The run's own arrays set the peak: the times and the states (40 bytes
+    # a step; the step sizes and step end times, 16 more, are made a block
+    # at a time).  No squares array or deviation array the size of the run
+    # is built after it (with them, every method peaked at 80 bytes a step).
     steps = 200_000
     cfg = parse_config(
         make_config(profile="coning", q0=CONING_Q0, tf=steps / 100.0, tau=0.01, method=method)
@@ -709,6 +709,28 @@ def test_run_scenario_peak_memory_per_step(method):
         tracemalloc.stop()
     assert artifacts.timing.steps == steps and artifacts.error_report is not None
     assert peak <= 64 * steps, peak / steps
+
+
+@pytest.mark.parametrize("method", ["SGA-NA", "EUB"])
+def test_run_scenario_keeps_only_the_times_and_states(method):
+    # What the artifacts hold once run_scenario returns: the times and the
+    # states, 40 bytes a step, and nothing else that grows with the run (a
+    # cache of the norms would add 8).
+    steps = 200_000
+
+    def run(tf):
+        cfg = make_config(profile="coning", q0=CONING_Q0, tf=tf, tau=0.01, method=method)
+        return run_scenario(parse_config(cfg))
+
+    run(2 * _BLOCK_STEPS / 100.0)  # the thread's propagation workspace, at full size
+    tracemalloc.start()
+    try:
+        artifacts = run(steps / 100.0)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert artifacts.timing.steps == steps and artifacts.error_report is not None
+    assert kept <= 40 * steps + (64 << 10), kept / steps
 
 
 def norm_states(case, n=5000):
@@ -1130,6 +1152,23 @@ def test_cli_rejects_a_directory_as_output_before_running(
     assert main([verb, str(cfg_path), flag, str(target)]) == 1
     err = capsys.readouterr().err
     assert err == f"error: {flag}: {str(target)!r} is a directory\n"
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(["run", "--out", ""], "--out"), (["run", "--summary", ""], "--summary"),
+     (["sweep", "--summary", ""], "--summary"), (["run", "--out", "", "--summary", ""], "--out")],
+    ids=["run-out", "run-summary", "sweep-summary", "run-both"],
+)
+def test_cli_rejects_an_empty_output_path_before_running(
+    tmp_path, capsys, no_integration, argv, flag
+):
+    # An unset shell variable gives an empty path, which would otherwise run
+    # and write nothing without a word.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(make_config(), encoding="utf-8")
+    assert main([argv[0], str(cfg_path), *argv[1:]]) == 1
+    assert capsys.readouterr().err == f"error: {flag}: the path is empty\n"
 
 
 @pytest.mark.parametrize("same", ["new-file", "existing-file", "symlink", "hard-link"])
@@ -1566,6 +1605,41 @@ def test_cli_rejects_defect_ladder_step_past_table(tmp_path, capsys, method, sam
     assert not out.exists()
     assert main(["run", str(cfg_path), "--out", str(out)]) == 0
     assert out.exists()
+
+
+def test_cli_rejects_tau_the_float_times_cannot_resolve(tmp_path, capsys):
+    # Float times near 1e16 lie 2 apart: a 0.1 step would give 21 CSV rows
+    # holding 2 distinct times.  The config's step, a --tau and a sweep's
+    # step are each refused, after the budget check, before any run.
+    horizon = dict(profile="fig2", t0=1e16, tf=1.0000000000000002e16, method="RK4")
+    bad, ok = tmp_path / "bad.json", tmp_path / "ok.json"
+    bad.write_text(make_config(tau=0.1, **horizon), encoding="utf-8")
+    ok.write_text(make_config(tau=2.0, **horizon), encoding="utf-8")
+    out = tmp_path / "out.csv"
+    codes = [
+        main(["run", str(bad), "--out", str(out)]),
+        main(["run", str(ok), "--tau", "0.5", "--out", str(out)]),
+        main(["sweep", str(ok), "--taus", "2.0", "1.0", "--summary", str(out)]),
+    ]
+    assert codes == [1, 1, 1] and not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 3 and err.count("error: field 'tau'") == 3
+    assert main(["run", str(ok), "--out", str(out)]) == 0  # one spacing is a step
+    assert len(set(np.loadtxt(out, delimiter=",", skiprows=1)[:, 0])) == 2
+
+
+def test_parse_float_spacing_boundary():
+    spacing = math.ulp(1e16)
+    horizon = dict(t0=1e16, tf=1e16 + 4 * spacing)
+    assert parse_config(make_config(tau=spacing, **horizon)).tau == spacing
+    with pytest.raises(ConfigError, match="'tau'.*float spacing"):
+        parse_config(make_config(tau=math.nextafter(spacing, 0.0), **horizon))
+    # The larger end sets the spacing, whichever its sign.
+    with pytest.raises(ConfigError, match="'tau'.*float spacing"):
+        parse_config(make_config(t0=-1e16, tf=-1e16 + 4 * spacing, tau=spacing / 2))
+    # The budget's message comes first.
+    with pytest.raises(ConfigError, match="'tau'.*budget"):
+        parse_config(make_config(t0=1e16, tf=2e16, tau=1.0))
 
 
 def test_parse_step_budget_boundary():

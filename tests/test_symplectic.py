@@ -459,8 +459,8 @@ INTEGRATORS = {
 @pytest.mark.parametrize("method", list(INTEGRATORS))
 def test_integration_memory_grows_only_by_the_run_arrays(method):
     # K = 4 blocks of coning steps against 2K: the peak grows by the run's
-    # own arrays (times, steps, step ends and states: 56 bytes a step), not
-    # by the builder's temporaries, which a block bounds.
+    # own arrays (times and states: 40 bytes a step), not by the builder's
+    # temporaries, which a block bounds.
     profile, k = profile_from_name("coning"), 4 * _BLOCK_STEPS
     run = INTEGRATORS[method]
     run(profile, 1.0)  # first-call allocations out of the way
@@ -474,6 +474,28 @@ def test_integration_memory_grows_only_by_the_run_arrays(method):
             tracemalloc.stop()
         assert traj.steps == steps
     assert peaks[1] - peaks[0] <= 100 * k
+
+
+@pytest.mark.parametrize("method", list(INTEGRATORS))
+def test_integration_memory_grows_by_the_times_and_states_alone(method):
+    # As above, on a workspace already at full size, whose growth would
+    # otherwise count in the K-step peak alone: from K to 2K steps the peak
+    # grows by the times and states, 40 bytes a step.  The step sizes and
+    # step end times are made a block at a time (whole-run arrays of them
+    # would add 16).
+    profile, k = profile_from_name("coning"), 4 * _BLOCK_STEPS
+    run = INTEGRATORS[method]
+    run(profile, 2 * _BLOCK_STEPS * 0.01)
+    peaks = []
+    for steps in (k, 2 * k):
+        tracemalloc.start()
+        try:
+            traj = run(profile, steps * 0.01)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert traj.steps == steps
+    assert peaks[1] - peaks[0] <= 44 * k, (peaks[1] - peaks[0]) / k
 
 
 def nan_from_50(t):
