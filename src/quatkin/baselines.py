@@ -27,6 +27,7 @@ from .trajectory import Trajectory, integrate, require_finite
 __all__ = [
     "BaselineMethod",
     "baseline_steps",
+    "baseline_builder",
     "integrate_baseline",
 ]
 
@@ -115,6 +116,15 @@ def baseline_steps(method: BaselineMethod, profile: AngularVelocityProfile, t, t
     return p
 
 
+def baseline_builder(
+    method: BaselineMethod, profile: AngularVelocityProfile, mode: MidpointSamplingMode
+):
+    """The step builder (t, tau_k, t_end) -> p (..., 4) of `method`, for the
+    run of :func:`integrate_baseline` and the defect ladder alike:
+    :func:`baseline_steps` with its method, profile and sampling mode bound."""
+    return functools.partial(baseline_steps, method, profile, mode=mode)
+
+
 def integrate_baseline(
     method: BaselineMethod,
     profile: AngularVelocityProfile,
@@ -126,5 +136,4 @@ def integrate_baseline(
 ) -> Trajectory:
     """Build the chosen method's step quaternions over the shared horizon
     convention, one block of steps at a time, and propagate them."""
-    steps = functools.partial(baseline_steps, method, profile, mode=mode)
-    return integrate(steps, q0, t0, tf, tau)
+    return integrate(baseline_builder(method, profile, mode), q0, t0, tf, tau)

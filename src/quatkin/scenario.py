@@ -21,7 +21,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from ._g17 import render_rows
-from .baselines import BaselineMethod, baseline_steps, integrate_baseline
+from .baselines import BaselineMethod, baseline_builder, integrate_baseline
 from .diagnostics import (
     DefectSeries,
     ErrorReport,
@@ -39,14 +39,14 @@ from .model import (
     TabulatedProfile,
     coning_oracle,
     constant_oracle,
-    midpoint_omega,
     right_matrix,
 )
 from .symplectic import (
-    autonomous_transition,
+    _warn_once,
+    autonomous_builder,
     integrate_autonomous,
     integrate_nonautonomous,
-    nonautonomous_transition,
+    nonautonomous_builder,
 )
 from .trajectory import _BLOCK_STEPS, Trajectory, _block_norms, check_unit_quaternion
 
@@ -371,14 +371,22 @@ def _check_tau(profile, t0: float, tf: float, tau: float, outputs) -> None:
             f"field 'tau': {tau} gives {steps:.4g} steps over [{t0}, {tf}], "
             f"more than the budget of {MAX_STEPS}"
         )
-    # Below one float spacing at the horizon's larger end, t0 + k tau rounds
-    # to repeated sample times, and the profile and any oracle are sampled at
-    # the wrong ones.
+    # Sample k is fl(t0 + fl(k tau)); where two round to one time, the
+    # profile and any oracle are sampled at the wrong ones.  Let u be the
+    # float spacing at the horizon's larger end.  Below tau = 2^25 u the
+    # budget keeps tf - t0 under 2^49 u, far below |t0| and |tf| (at least
+    # 2^52 u), so each rounding moves a time by at most u/2 and consecutive
+    # times differ by at least tau - 2u: positive for tau > 2u, and at
+    # tau = 2u, a power of two whose multiples are exact, at least tau - u.
+    # (Above 2^25 u a product rounds by at most u: tau - 3u > 0.)  One
+    # spacing is not enough: from t0 = 2^53 - 1, steps of 2 land on ties
+    # above 2^53 that round in pairs to one time.  It is when t0 and tau are
+    # both multiples of u, as every time is then exact.
     spacing = math.ulp(max(abs(t0), abs(tf)))
-    if tau < spacing:
+    if tau < 2.0 * spacing and not (t0 % spacing == 0.0 and tau % spacing == 0.0):
         raise ConfigError(
-            f"field 'tau': {tau} is below the float spacing {spacing:.4g} of times "
-            f"on [{t0}, {tf}], which cannot resolve the steps"
+            f"field 'tau': {tau} is below two float spacings ({2.0 * spacing:.4g}) of times "
+            f"on [{t0}, {tf}] and off their grid, so the times cannot resolve the steps"
         )
     # A ladder step samples the profile at t0 + tau, whatever the horizon.
     end = profile.times[-1] if isinstance(profile, TabulatedProfile) else math.inf
@@ -491,21 +499,31 @@ def _integrate(cfg: ScenarioConfig) -> Trajectory:
     )
 
 
+def _step_builder(cfg: ScenarioConfig, tally: list):
+    """The step builder (t, tau_k, t_end) -> p that cfg's method's integrator
+    runs; SGA-A's and SGA-NA's append their guideline counts to tally."""
+    if cfg.method == "SGA-A":
+        return autonomous_builder(np.array(cfg.profile.vector), tally)
+    if cfg.method == "SGA-NA":
+        return nonautonomous_builder(cfg.profile, cfg.sampling, tally)
+    return baseline_builder(BaselineMethod(cfg.method), cfg.profile, cfg.sampling)
+
+
 def one_step_matrix(cfg: ScenarioConfig, tau) -> np.ndarray:
-    """4x4 matrix of one integration step taken at the scenario start, from
-    the same step builder the method's integrator uses; (..., 4, 4) for a
-    step array tau (...), one step of each size, from one builder call.
-    A step that is not finite raises ValueError, whatever the method."""
+    """4x4 matrix R(p) of one integration step taken at the scenario start,
+    p from the step builder the method's integrator runs; (..., 4, 4) for a
+    step array tau (...), one step of each size, from one builder call and
+    with one StepSizeWarning at most.  The step ends at t0 + tau, uncapped
+    by the horizon.  A step that is not finite, then one that is not
+    positive, raises ValueError, whatever the method."""
     if not np.isfinite(tau).all():
         raise ValueError("step size must be finite")
+    if not np.greater(tau, 0.0).all():
+        raise ValueError("step size must be positive")
+    tally = []
     with np.errstate(over="ignore", invalid="ignore"):  # require_finite names it
-        if cfg.method == "SGA-A":
-            return autonomous_transition(cfg.profile.vector, tau)
-        if cfg.method == "SGA-NA":
-            w = midpoint_omega(cfg.profile, cfg.t0, tau, cfg.sampling)
-            return nonautonomous_transition(w, tau)
-        p = baseline_steps(BaselineMethod(cfg.method), cfg.profile, cfg.t0, tau, mode=cfg.sampling)
-        return right_matrix(p)
+        p = _step_builder(cfg, tally)(cfg.t0, tau, cfg.t0 + tau)
+    return _warn_once(tally, right_matrix(p))
 
 
 def defect_ladder(cfg: ScenarioConfig) -> DefectSeries:

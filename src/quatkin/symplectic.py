@@ -40,9 +40,11 @@ __all__ = [
     "cayley_steps",
     "corrected_rate",
     "autonomous_transition",
+    "autonomous_builder",
     "integrate_autonomous",
     "b_matrix",
     "nonautonomous_transition",
+    "nonautonomous_builder",
     "integrate_nonautonomous",
 ]
 
@@ -144,13 +146,20 @@ def autonomous_transition(omega, tau) -> np.ndarray:
     return right_matrix(cayley_steps(omega, tau))
 
 
+def autonomous_builder(omega, tally: list):
+    """SGA-A's step builder (t, tau_k, t_end) -> p (..., 4): the Cayley steps
+    at the constant rate omega, for the run of :func:`integrate_autonomous`
+    and the defect ladder alike.  Each call appends its guideline count to
+    tally (see :func:`_cayley_steps`) instead of warning."""
+    return lambda t, tau_k, t_end: _cayley_steps(omega, tau_k, tally)
+
+
 def integrate_autonomous(omega, q0, t0: float, tf: float, tau: float) -> Trajectory:
     """Propagate a constant-rate run over the steps of :func:`step_schedule`,
     a shortened final step included; states are never renormalized.  Emits
     one StepSizeWarning for the whole run, like :func:`cayley_steps`."""
     tally = []
-    traj = integrate(lambda t, tau_k, t_end: _cayley_steps(omega, tau_k, tally), q0, t0, tf, tau)
-    return _warn_once(tally, traj)
+    return _warn_once(tally, integrate(autonomous_builder(omega, tally), q0, t0, tf, tau))
 
 
 def _beta(w: np.ndarray, tau) -> np.ndarray:
@@ -205,6 +214,23 @@ def nonautonomous_transition(omega_k, tau) -> np.ndarray:
     return right_matrix(cayley_steps(corrected_rate(omega_k, tau), tau))
 
 
+def nonautonomous_builder(
+    profile: AngularVelocityProfile, mode: MidpointSamplingMode, tally: list
+):
+    """SGA-NA's step builder (t, tau_k, t_end) -> p (..., 4), for the run of
+    :func:`integrate_nonautonomous` and the defect ladder alike: the map of
+    :func:`nonautonomous_transition` at the rate sampled at the midpoint of
+    [t, t_end] per `mode`.  Each call appends its guideline count to tally
+    instead of warning.  midpoint_omega is called by its module-global name,
+    so that a tracer which rebinds it sees every call."""
+
+    def steps(t, tau_k, t_end):
+        w = corrected_rate(midpoint_omega(profile, t, tau_k, mode, t_end), tau_k)
+        return _cayley_steps(w, tau_k, tally)
+
+    return steps
+
+
 def integrate_nonautonomous(
     profile: AngularVelocityProfile,
     q0,
@@ -213,19 +239,11 @@ def integrate_nonautonomous(
     tau: float,
     mode: MidpointSamplingMode = MidpointSamplingMode.EXACT,
 ) -> Trajectory:
-    """Propagate a time-varying run, one transition per step.
-
-    Step k samples the profile at the midpoint of [t_k, t_k + tau_k]
-    (exactly, or by endpoint averaging per `mode`) and applies the map of
-    :func:`nonautonomous_transition` for that sample.  The maps are built a
-    block of steps at a time (see :func:`quatkin.trajectory.integrate`); the
-    arithmetic is identical to per-step scalar construction.  Emits one
-    StepSizeWarning for the whole run.
-    """
+    """Propagate a time-varying run, one transition per step, from the steps
+    of :func:`nonautonomous_builder`.  The maps are built a block of steps at
+    a time (see :func:`quatkin.trajectory.integrate`); the arithmetic is
+    identical to per-step scalar construction.  Emits one StepSizeWarning
+    for the whole run."""
     tally = []
-
-    def steps(t, tau_k, t_end):
-        w = corrected_rate(midpoint_omega(profile, t, tau_k, mode, t_end), tau_k)
-        return _cayley_steps(w, tau_k, tally)
-
+    steps = nonautonomous_builder(profile, mode, tally)
     return _warn_once(tally, integrate(steps, q0, t0, tf, tau))

@@ -105,7 +105,9 @@ def step_schedule(t0: float, tf: float, tau: float):
     The loop takes K = ceil((tf - t0)/tau) steps; when the horizon is not an
     integer multiple of tau the final step is shortened to land on tf.  A
     1e-9 relative slack keeps float noise in the division from adding a
-    spurious zero-length step.  Returns (times (K+1,), tau_k (K,)).
+    spurious zero-length step, and a final step whose start t0 + (K - 1) tau
+    already rounds to tf is dropped (the one before it then ends on tf), so
+    the times strictly increase.  Returns (times (K+1,), tau_k (K,)).
     """
     times, last = _sample_times(t0, tf, tau)
     k = len(times) - 1
@@ -122,6 +124,10 @@ def _sample_times(t0: float, tf: float, tau: float):
         raise InvalidHorizonError(f"step size must be positive, got {tau}")
     span = tf - t0
     k = max(1, math.ceil(span / tau - 1e-9))
+    if k > 1 and t0 + (k - 1) * tau >= tf:
+        # span / tau passes k - 1 by more than the slack, but the start of
+        # step k - 1 rounds to tf: that step would not move the time.
+        k -= 1
     last = span - (k - 1) * tau if abs(span - k * tau) > 1e-9 * tau else tau
     times = t0 + np.arange(k + 1) * tau
     times[-1] = tf

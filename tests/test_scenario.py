@@ -45,7 +45,7 @@ from quatkin.scenario import (
     run_sweep,
 )
 from quatkin.symplectic import StepSizeWarning, autonomous_transition, integrate_nonautonomous
-from quatkin.trajectory import _BLOCK_STEPS, Trajectory
+from quatkin.trajectory import _BLOCK_STEPS, Trajectory, step_end_times, step_schedule
 from reference_impl import FORMULA_PROFILES_STACKED
 
 CONING_Q0 = [
@@ -400,6 +400,21 @@ def test_one_step_matrix_rejects_a_step_that_is_not_finite(method, bad):
         one_step_matrix(cfg, bad)
 
 
+@pytest.mark.parametrize("bad", [0.0, -0.1], ids=["zero", "negative"])
+@pytest.mark.parametrize("method", ["SGA-A", "SGA-NA", "RK4", "EUB", "GL2"])
+def test_one_step_matrix_rejects_a_step_that_is_not_positive(method, bad):
+    # The same contract, checked after finiteness and before any builder
+    # runs: no method returns a map for a step that does not move forward.
+    profile = "fig1a" if method == "SGA-A" else "fig2"
+    cfg = parse_config(make_config(profile=profile, method=method))
+    with pytest.raises(ValueError, match="^step size must be positive$"):
+        one_step_matrix(cfg, np.array([0.1, bad]))
+    with pytest.raises(ValueError, match="^step size must be positive$"):
+        one_step_matrix(cfg, bad)
+    with pytest.raises(ValueError, match="^step size must be finite$"):
+        one_step_matrix(cfg, np.array([bad, math.nan]))
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     method=st.sampled_from(("SGA-A", "SGA-NA", "RK4", "EUB", "GL2")),
@@ -482,6 +497,74 @@ def test_defect_ladder_matches_per_rung_maps(profile, method, sampling):
     assert ladder.taus == (0.1, 0.05, 0.025, 0.0125)
     per_rung = [symplecticity_defect(one_step_matrix(cfg, t)) for t in ladder.taus]
     assert list(ladder.defects) == per_rung  # bitwise
+
+
+CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
+
+
+@pytest.mark.filterwarnings("ignore::quatkin.symplectic.StepSizeWarning")
+@pytest.mark.parametrize("config", sorted(os.listdir(CONFIG_DIR)))
+def test_ladder_maps_are_the_steps_a_run_takes(config):
+    # Each rung's map, applied to q0, is bitwise the first state of a
+    # two-step run at that rung's step, for every method the profile allows
+    # under both samplings: the ladder measures the step the run applies.
+    with open(os.path.join(CONFIG_DIR, config), encoding="utf-8") as fh:
+        raw = json.load(fh)
+    constant = isinstance(parse_config(raw).profile, ConstantProfile)
+    rungs = 0
+    for method in scenario.METHODS if constant else scenario.METHODS[1:]:
+        for sampling in ("exact", "interp"):
+            cfg = parse_config({**raw, "method": method, "sampling": sampling})
+            taus = np.array([cfg.tau / 2.0**i for i in range(4)])
+            for tau, g in zip(taus, one_step_matrix(cfg, taus)):
+                run = dataclasses.replace(cfg, tau=float(tau), tf=cfg.t0 + 2.0 * tau, outputs=())
+                states = run_scenario(run).trajectory.states
+                assert len(states) == 3
+                assert np.dot(g, cfg.q0).tobytes() == states[1].tobytes(), (method, sampling, tau)
+                rungs += 1
+    assert rungs == (40 if constant else 32)
+
+
+def test_rebound_integrators_and_midpoint_sampler_are_reached(monkeypatch):
+    # A tracer that rebinds these functions in every quatkin module holding
+    # them, by identity, sees every run reach its integrator and SGA-NA's
+    # run and ladder both reach midpoint_omega: no builder may hold one of
+    # them in a table or a default argument.
+    calls, stack = [], []
+    for module, name in [("quatkin.symplectic", "integrate_autonomous"),
+                         ("quatkin.symplectic", "integrate_nonautonomous"),
+                         ("quatkin.baselines", "integrate_baseline"),
+                         ("quatkin.model", "midpoint_omega")]:
+        fn = getattr(sys.modules[module], name)
+
+        def counting(*args, _fn=fn, _name=name, **kwargs):
+            calls.append((_name, stack[-1] if stack else None))
+            stack.append(_name)
+            try:
+                return _fn(*args, **kwargs)
+            finally:
+                stack.pop()
+
+        for modname, mod in list(sys.modules.items()):
+            if modname == "quatkin" or modname.startswith("quatkin."):
+                for attr, value in list(vars(mod).items()):
+                    if value is fn:
+                        monkeypatch.setattr(mod, attr, counting)
+    expected = {
+        "SGA-A": [("integrate_autonomous", None)],
+        "SGA-NA": [("integrate_nonautonomous", None),
+                   ("midpoint_omega", "integrate_nonautonomous"), ("midpoint_omega", None)],
+        **{m: [("integrate_baseline", None)] for m in ("RK4", "EUB", "GL2")},
+    }
+    for method, want in expected.items():
+        calls.clear()
+        profile = "fig1a" if method == "SGA-A" else "fig2"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", StepSizeWarning)
+            run_scenario(parse_config(make_config(
+                profile=profile, method=method, tau=0.01, tf=0.02, outputs=["defect-ladder"]
+            )))
+        assert calls == want, method
 
 
 @pytest.mark.filterwarnings("ignore::quatkin.symplectic.StepSizeWarning")
@@ -1640,6 +1723,52 @@ def test_parse_float_spacing_boundary():
     # The budget's message comes first.
     with pytest.raises(ConfigError, match="'tau'.*budget"):
         parse_config(make_config(t0=1e16, tf=2e16, tau=1.0))
+
+
+def test_parse_float_spacing_across_a_binade():
+    # Below 2^53 the spacing is 1, above it 2: from t0 = 2^53 - 1, steps of
+    # one spacing (at tf) land on ties that round in pairs, giving the times
+    # 2^53 + [-1, 0, 4, 4, 8, 8].  Two spacings resolve the steps, and so
+    # does one from a t0 on the spacing's grid, where every time is exact.
+    horizon = dict(profile="fig2", method="RK4", tf=2**53 + 8)
+    with pytest.raises(ConfigError, match="'tau'.*two float spacings"):
+        parse_config(make_config(t0=2**53 - 1, tau=2.0, **horizon))
+    with pytest.raises(ConfigError, match="'tau'.*two float spacings"):
+        parse_config(make_config(t0=2**53 - 1, tau=math.nextafter(4.0, 0.0), **horizon))
+    for t0, tau in [(2**53 - 1, 4.0), (2**53 - 2, 2.0)]:
+        cfg = parse_config(make_config(t0=t0, tau=tau, **horizon))
+        times = run_scenario(cfg).trajectory.times
+        assert np.all(np.diff(times) > 0.0) and times[-1] == cfg.tf
+
+
+def test_cli_rejects_one_spacing_across_a_binade(tmp_path, capsys):
+    # The config's step, a --tau and a sweep's step are each refused.
+    horizon = dict(profile="fig2", t0=2**53 - 1, tf=2**53 + 8, method="RK4")
+    bad, ok = tmp_path / "bad.json", tmp_path / "ok.json"
+    bad.write_text(make_config(tau=2.0, **horizon), encoding="utf-8")
+    ok.write_text(make_config(tau=4.0, **horizon), encoding="utf-8")
+    out = tmp_path / "out.csv"
+    codes = [
+        main(["run", str(bad), "--out", str(out)]),
+        main(["run", str(ok), "--tau", "2", "--out", str(out)]),
+        main(["sweep", str(ok), "--taus", "4", "2", "--summary", str(out)]),
+    ]
+    assert codes == [1, 1, 1] and not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 3 and err.count("error: field 'tau'") == 3
+
+
+def test_schedule_drops_a_final_step_that_does_not_move_the_time(tmp_path):
+    # span / tau passes 27 by 2.8e-7, past the 1e-9 slack, but t0 + 27 tau
+    # rounds to tf: a 28th step, 3.6e-10 s long, would repeat tf in the CSV.
+    fields = dict(t0=7848848.616051737, tf=7848848.650750056, tau=0.0012851229012380413)
+    times, tau_k = step_schedule(fields["t0"], fields["tf"], fields["tau"])
+    assert len(tau_k) == 27 and np.all(np.diff(times) > 0.0) and times[-1] == fields["tf"]
+    assert step_end_times(times, tau_k)[-1] == fields["tf"]
+    cfg_path, out = tmp_path / "late.json", tmp_path / "out.csv"
+    cfg_path.write_text(make_config(profile="fig2", method="RK4", **fields), encoding="utf-8")
+    assert main(["run", str(cfg_path), "--out", str(out)]) == 0
+    assert np.loadtxt(out, delimiter=",", skiprows=1)[:, 0].tobytes() == times.tobytes()
 
 
 def test_parse_step_budget_boundary():
