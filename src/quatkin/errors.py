@@ -31,7 +31,10 @@ class ConsistencyError(QuatkinError):
 
 
 class InvalidHorizonError(QuatkinError, ValueError):
-    """Integration horizon is empty or the step size is not positive."""
+    """The horizon [t0, tf] is empty or not finite, or the step size is not
+    finite and positive, takes more than MAX_STEPS steps (the step budget),
+    or is below two float spacings of the times and off their grid (the
+    spacing rule): see quatkin.trajectory._check_horizon."""
 
 
 class NonUnitStateError(QuatkinError, ValueError):

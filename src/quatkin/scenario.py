@@ -29,7 +29,13 @@ from .diagnostics import (
     convergence_order,
     symplecticity_defect,
 )
-from .errors import ConfigError, DegenerateDataError, NonUnitStateError, _NotFinite
+from .errors import (
+    ConfigError,
+    DegenerateDataError,
+    InvalidHorizonError,
+    NonUnitStateError,
+    _NotFinite,
+)
 from .model import (
     AngularVelocityProfile,
     ConingProfile,
@@ -48,7 +54,14 @@ from .symplectic import (
     integrate_nonautonomous,
     nonautonomous_builder,
 )
-from .trajectory import _BLOCK_STEPS, Trajectory, _block_norms, check_unit_quaternion
+from .trajectory import (
+    _BLOCK_STEPS,
+    MAX_STEPS,
+    Trajectory,
+    _block_norms,
+    _check_horizon,
+    check_unit_quaternion,
+)
 
 __all__ = [
     "PROFILE_REGISTRY",
@@ -80,16 +93,6 @@ DEFAULT_SWEEP_TAUS = (0.1, 0.05, 0.025, 0.0125, 0.00625)
 # 3 runs, and report the minimum.
 _BENCH_MIN_SECONDS = 0.2
 _BENCH_MIN_REPEATS = 3
-
-# Most steps one run may take; parse_config and run_sweep reject a tau that
-# exceeds it.  A whole run_scenario peaks (tracemalloc, 1e6 coning steps, the
-# propagation workspace built) at 40-42 bytes a step: SGA-NA 40.4, RK4 41.6,
-# EUB 40.3, GL2 42.2, so 1e7 steps take ~0.42 GB; it keeps 40.0 once it
-# returns.  The times and the states, 8 and 32 bytes a step, are the only
-# arrays that grow with the run: every other pass over it (the step sizes
-# and step ends, the norms, component_errors, emit_series) takes one block
-# of _BLOCK_STEPS steps at a time.
-MAX_STEPS = 10_000_000
 
 # The formula profiles fill one (..., 3) array component by component, each
 # component bitwise what np.stack of the three would hold, without its
@@ -363,31 +366,12 @@ def config_document(source) -> dict:
 
 
 def _check_tau(profile, t0: float, tf: float, tau: float, outputs) -> None:
-    # Compared as a float before any step array exists: a tiny tau would
-    # otherwise ask step_schedule for an arbitrarily large allocation.
-    steps = (tf - t0) / tau
-    if steps > MAX_STEPS:
-        raise ConfigError(
-            f"field 'tau': {tau} gives {steps:.4g} steps over [{t0}, {tf}], "
-            f"more than the budget of {MAX_STEPS}"
-        )
-    # Sample k is fl(t0 + fl(k tau)); where two round to one time, the
-    # profile and any oracle are sampled at the wrong ones.  Let u be the
-    # float spacing at the horizon's larger end.  Below tau = 2^25 u the
-    # budget keeps tf - t0 under 2^49 u, far below |t0| and |tf| (at least
-    # 2^52 u), so each rounding moves a time by at most u/2 and consecutive
-    # times differ by at least tau - 2u: positive for tau > 2u, and at
-    # tau = 2u, a power of two whose multiples are exact, at least tau - u.
-    # (Above 2^25 u a product rounds by at most u: tau - 3u > 0.)  One
-    # spacing is not enough: from t0 = 2^53 - 1, steps of 2 land on ties
-    # above 2^53 that round in pairs to one time.  It is when t0 and tau are
-    # both multiples of u, as every time is then exact.
-    spacing = math.ulp(max(abs(t0), abs(tf)))
-    if tau < 2.0 * spacing and not (t0 % spacing == 0.0 and tau % spacing == 0.0):
-        raise ConfigError(
-            f"field 'tau': {tau} is below two float spacings ({2.0 * spacing:.4g}) of times "
-            f"on [{t0}, {tf}] and off their grid, so the times cannot resolve the steps"
-        )
+    """The horizon rule of every run (see trajectory._check_horizon), naming
+    'tau', and the defect ladder's reach past a tabulated profile's end."""
+    try:
+        _check_horizon(t0, tf, tau)
+    except InvalidHorizonError as exc:
+        raise ConfigError(f"field 'tau': {exc}") from None
     # A ladder step samples the profile at t0 + tau, whatever the horizon.
     end = profile.times[-1] if isinstance(profile, TabulatedProfile) else math.inf
     if "defect-ladder" in outputs and t0 + tau > end:
@@ -415,8 +399,6 @@ def parse_config(source) -> ScenarioConfig:
     tau = parse_number(raw["tau"], "tau")
     if not tf > t0:
         raise ConfigError(f"field 'tf': must exceed t0, got t0={t0}, tf={tf}")
-    if not tau > 0.0:
-        raise ConfigError(f"field 'tau': must be positive, got {tau}")
     if isinstance(profile, TabulatedProfile) and not (
         profile.times[0] <= t0 and tf <= profile.times[-1]
     ):
@@ -594,8 +576,8 @@ def run_sweep(base: ScenarioConfig, taus: Sequence[float]) -> list[RunArtifacts]
     Sequential execution keeps benchmark timings free of contention skew.
     """
     taus = [float(t) for t in taus]
-    if not taus or not all(math.isfinite(t) and t > 0.0 for t in taus):
-        raise ConfigError("sweep requires a non-empty list of finite positive step sizes")
+    if not taus:
+        raise ConfigError("sweep requires a non-empty list of step sizes")
     for i, t in enumerate(taus):
         if t in taus[:i]:  # each run's outputs are keyed by its step
             raise ConfigError(f"sweep step sizes must be distinct; {t} is repeated")

@@ -22,9 +22,21 @@ __all__ = [
     "require_finite",
     "check_unit_quaternion",
     "UNIT_NORM_TOL",
+    "MAX_STEPS",
 ]
 
 UNIT_NORM_TOL = 1e-9
+
+# Most steps one run may take: _check_horizon refuses a tau that exceeds it,
+# for every run and step_schedule and, naming 'tau', for parse_config and
+# run_sweep.  A whole run_scenario peaks (tracemalloc, 1e6 coning steps, the
+# propagation workspace built) at 40-42 bytes a step: SGA-NA 40.4, RK4 41.6,
+# EUB 40.3, GL2 42.2, so 1e7 steps take ~0.42 GB; it keeps 40.0 once it
+# returns.  The times and the states, 8 and 32 bytes a step, are the only
+# arrays that grow with the run: every other pass over it (the step sizes
+# and step ends, the norms, component_errors, emit_series) takes one block
+# of _BLOCK_STEPS steps at a time.
+MAX_STEPS = 10_000_000
 
 # Steps in one block of every pass over a run: the steps a builder is handed,
 # with their step sizes and step ends, and propagation holds at once, the
@@ -118,10 +130,8 @@ def _sample_times(t0: float, tf: float, tau: float):
     """The times (K + 1,) of :func:`step_schedule` and the size of its last
     step, which differs from tau when the horizon is not a whole number of
     steps."""
-    if not (math.isfinite(t0) and math.isfinite(tf)) or not tf > t0:
-        raise InvalidHorizonError(f"need finite tf > t0, got [{t0}, {tf}]")
-    if not (math.isfinite(tau) and tau > 0.0):
-        raise InvalidHorizonError(f"step size must be positive, got {tau}")
+    t0, tf, tau = float(t0), float(tf), float(tau)
+    _check_horizon(t0, tf, tau)
     span = tf - t0
     k = max(1, math.ceil(span / tau - 1e-9))
     if k > 1 and t0 + (k - 1) * tau >= tf:
@@ -132,6 +142,43 @@ def _sample_times(t0: float, tf: float, tau: float):
     times = t0 + np.arange(k + 1) * tau
     times[-1] = tf
     return times, last
+
+
+def _check_horizon(t0: float, tf: float, tau: float) -> None:
+    """Raise InvalidHorizonError unless [t0, tf] is finite and ordered, and
+    tau is a finite positive step that takes at most MAX_STEPS steps and
+    that the float times of :func:`_sample_times` resolve: the one horizon
+    rule of every run and of step_schedule, which parse_config and run_sweep
+    apply too, naming 'tau'.  Checked before any array exists."""
+    if not (math.isfinite(t0) and math.isfinite(tf)) or not tf > t0:
+        raise InvalidHorizonError(f"need finite tf > t0, got [{t0}, {tf}]")
+    if not (math.isfinite(tau) and tau > 0.0):
+        raise InvalidHorizonError(f"step size must be positive, got {tau}")
+    # Compared as a float: a tiny tau would otherwise ask for an arbitrarily
+    # large allocation.
+    steps = (tf - t0) / tau
+    if steps > MAX_STEPS:
+        raise InvalidHorizonError(
+            f"{tau} gives {steps:.4g} steps over [{t0}, {tf}], "
+            f"more than the budget of {MAX_STEPS}"
+        )
+    # Sample k is fl(t0 + fl(k tau)); where two round to one time, the
+    # profile and any oracle are sampled at the wrong ones.  Let u be the
+    # float spacing at the horizon's larger end.  Below tau = 2^25 u the
+    # budget keeps tf - t0 under 2^49 u, far below |t0| and |tf| (at least
+    # 2^52 u), so each rounding moves a time by at most u/2 and consecutive
+    # times differ by at least tau - 2u: positive for tau > 2u, and at
+    # tau = 2u, a power of two whose multiples are exact, at least tau - u.
+    # (Above 2^25 u a product rounds by at most u: tau - 3u > 0.)  One
+    # spacing is not enough: from t0 = 2^53 - 1, steps of 2 land on ties
+    # above 2^53 that round in pairs to one time.  It is when t0 and tau are
+    # both multiples of u, as every time is then exact.
+    spacing = math.ulp(max(abs(t0), abs(tf)))
+    if tau < 2.0 * spacing and not (t0 % spacing == 0.0 and tau % spacing == 0.0):
+        raise InvalidHorizonError(
+            f"{tau} is below two float spacings ({2.0 * spacing:.4g}) of times "
+            f"on [{t0}, {tf}] and off their grid, so the times cannot resolve the steps"
+        )
 
 
 def _step_sizes(k: int, tau: float, last: float, start: int, stop: int):

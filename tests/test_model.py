@@ -267,8 +267,17 @@ def test_stage_rates_sample_each_time_once_and_form_the_chord():
 
 
 def test_midpoint_rejects_nonpositive_step():
-    with pytest.raises(ValueError):
-        midpoint_omega(ConstantProfile((1.0, 0.0, 0.0)), 0.0, 0.0)
+    # nan <= 0 is false, so a step that is not finite is refused on its own.
+    fig2 = profile_from_name("fig2")
+    for t_k, tau in [
+        (0.0, 0.0),
+        (0.0, -0.1),
+        (0.0, math.nan),
+        (0.0, math.inf),
+        ([0.0, 0.1], [0.1, math.nan]),
+    ]:
+        with pytest.raises(ValueError, match="^step size must be positive$"):
+            midpoint_omega(fig2, t_k, tau)
 
 
 # --- constant-rate analytic transition ------------------------------------------

@@ -1532,6 +1532,16 @@ def test_cli_sweep_with_a_repeated_step_is_a_config_error(tmp_path, capsys):
     assert not summary.exists()
 
 
+@pytest.mark.parametrize("taus", [["0.1", "nan"], ["0"]], ids=["nan", "zero"])
+def test_cli_sweep_step_that_is_not_positive_names_tau(tmp_path, capsys, taus):
+    cfg_path, summary = tmp_path / "cfg.json", tmp_path / "sweep.json"
+    cfg_path.write_text(make_config(), encoding="utf-8")
+    assert main(["sweep", str(cfg_path), "--taus", *taus, "--summary", str(summary)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "error: field 'tau'" in err
+    assert not summary.exists()
+
+
 @pytest.mark.parametrize(
     "method, outputs, code, err",
     [

@@ -10,7 +10,12 @@ import pytest
 
 from quatkin.baselines import BaselineMethod, baseline_steps, integrate_baseline
 from quatkin.diagnostics import euler_formula_gap, frobenius_norm, symplecticity_defect
-from quatkin.errors import ConsistencyError, InvalidHorizonError, NonUnitStateError
+from quatkin.errors import (
+    ConfigError,
+    ConsistencyError,
+    InvalidHorizonError,
+    NonUnitStateError,
+)
 from quatkin.model import (
     I4,
     SYMPLECTIC_J4,
@@ -25,7 +30,7 @@ from quatkin.model import (
     midpoint_omega,
     right_matrix,
 )
-from quatkin.scenario import profile_from_name
+from quatkin.scenario import parse_config, profile_from_name
 from quatkin.symplectic import (
     StepSizeWarning,
     autonomous_transition,
@@ -575,6 +580,46 @@ def test_integrate_autonomous_input_validation():
         integrate_autonomous(W_REF, E0, 0.0, 1.0, -0.1)
     with pytest.raises(NonUnitStateError):
         integrate_autonomous(W_REF, np.array([1.0, 1.0, 0.0, 0.0]), 0.0, 1.0, 0.1)
+
+
+LIBRARY_RUNS = {
+    "autonomous": lambda h: integrate_autonomous(W_REF, E0, *h),
+    "nonautonomous": lambda h: integrate_nonautonomous(profile_from_name("fig2"), E0, *h),
+    "baseline": lambda h: integrate_baseline(
+        BaselineMethod.RK4, profile_from_name("fig2"), E0, *h
+    ),
+    "schedule": lambda h: step_schedule(*h),
+}
+
+
+@pytest.mark.parametrize(
+    "horizon",
+    [
+        (1e16, 1e16 + 4, 0.1),  # times 2 apart
+        (2**53 - 1, 2**53 + 9, 2.0),  # one spacing across a binade edge
+        (0, 1, 1e-12),  # 1e12 steps
+        (-1e308, 1e308, 1.0),  # a span that overflows
+    ],
+    ids=["spacing", "binade", "budget", "overflow"],
+)
+@pytest.mark.parametrize("run", LIBRARY_RUNS.values(), ids=LIBRARY_RUNS.keys())
+def test_library_runs_refuse_what_parsing_refuses(run, horizon):
+    # One horizon rule: the library refuses with the parse error's text, and
+    # before any step array exists.
+    t0, tf, tau = horizon
+    with pytest.raises(ConfigError) as parsed:
+        parse_config({"profile": "fig2", "t0": t0, "tf": tf, "tau": tau})
+    prefix, _, expected = str(parsed.value).partition("field 'tau': ")
+    assert prefix == "" and expected
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidHorizonError) as refused:
+            run(horizon)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(refused.value) == expected
+    assert peak < 64 << 10
 
 
 # --- time-varying generator and transition ----------------------------------------
