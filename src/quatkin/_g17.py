@@ -13,11 +13,13 @@ its 17 digits: ``D = round(x·10^s)``, ``s = 16 − X``, is
 ``M·F_s`` is exact in 128 bits and lies in ``[2^126, 2^128)``, so ``D`` and its
 rounding bits always sit in the top 64-bit word; the low word only matters
 through "is it zero".  The product is formed from 32-bit limbs held in uint64
-so that no partial sum overflows.  ``X`` is estimated from the biased binary
-exponent (a table of ``floor(log10 2^E)`` and one compare against the next
-power of ten) and corrected where the truncated ``D`` falls outside
-``[10^16, 10^17)``; when rounding carries ``D`` to ``10^17`` (the double
-``1e-14`` does), it becomes ``10^16`` and ``X`` grows by one.
+so that no partial sum overflows.  ``X`` is exact: a table per biased
+binary exponent gives ``floor(log10 2^E)`` and the least ``M`` that reaches
+the next power of ten, an integer ceiling, so one integer compare of ``M``
+decides between the two exponents a binade can have.  So ``x·10^s`` lies in
+``[10^16, 10^17)`` and only rounding moves ``D`` out: when it carries ``D``
+to ``10^17`` (the double ``1e-14`` does), it becomes ``10^16`` and ``X``
+grows by one.
 
 How the text is laid out: every value owns a 32-byte template of four
 little-endian uint64 words,
@@ -63,10 +65,10 @@ _OTHER = _NX + 1  # class index of values rendered one at a time
 # shift of 600 values took 1.95 us with a numpy scalar built in the call,
 # 1.42 with a bound scalar and 1.04 with a bound 0-d array.
 (_ONE, _NINE, _SH32, _SH52, _SH63, _EXP_MASK, _MASK32, _FRAC_MASK, _HIDDEN_BIT,
- _XI_TOP, _P4, _P8, _P16, _NINE_P16, _P17) = (
+ _XI_TOP, _P4, _P8, _P16, _P17) = (
     np.array(v, dtype=_U64)
     for v in (1, 9, 32, 52, 63, 0x7FF, 0xFFFFFFFF, (1 << 52) - 1, 1 << 52,
-              16 - _X_MIN, 10**4, 10**8, 10**16, 9 * 10**16, 10**17)
+              16 - _X_MIN, 10**4, 10**8, 10**16, 10**17)
 )
 
 
@@ -87,22 +89,31 @@ _F_LOW, _F_HIGH, _SHIFT_BASE = _power_tables()
 
 
 def _exponent_tables():
-    """floor(log10 2^E) - _X_MIN per biased exponent, and the power of ten
-    above floor(log10 2^E).
+    """floor(log10 2^E) - _X_MIN per biased exponent b, and the least 53-bit
+    significand M whose value M·2^(b - 1075) reaches 10^(est + 1).
 
-    A normal x in [2^E, 2^(E+1)) has decimal exponent est or est + 1, and it
-    is est + 1 where |x| >= 10^(est + 1).  The power is a rounded double, so
-    a value between it and the true power gets an estimate one off, which
-    the digit stage corrects.  Zeros, subnormals, inf and nan get an estimate
-    far outside the exact range.
+    A normal x in [2^E, 2^(E+1)), E = b - 1023, has decimal exponent est =
+    floor(log10 2^E) or est + 1, and est + 1 exactly where its M reaches that
+    least M.  It is an integer ceiling, so the exponent is exact; a compare
+    of |x| with the double 10.0 ** (est + 1), where that lies below the
+    power, puts it one too high on the doubles in between (1e-14, 1e-6 and
+    four more).  Binades of exponents _X_MIN - 2 to _X_MAX + 1, a decade past
+    the exact range on each side, get the ceiling; the others get 2^53, which
+    no M reaches, as their exponents lie outside the range either way.
+    Zeros, subnormals, inf and nan get an est far outside.
     """
     e = np.arange(2048) - 1023
     est = np.floor(e * np.log10(2.0)).astype(np.intp)
     est[[0, -1]] = 1 << 20
-    return est - _X_MIN, 10.0 ** np.minimum(est + 1, 308)
+    m_next = np.full(2048, 1 << 53, dtype=_U64)
+    for b in ((est >= _X_MIN - 2) & (est <= _X_MAX)).nonzero()[0].tolist():
+        n, s = int(est[b]) + 1, b - 1075  # reach 10^n with M·2^s
+        num = 10 ** max(n, 0) << max(-s, 0)
+        m_next[b] = -(-num // (10 ** max(-n, 0) << max(s, 0)))
+    return est - _X_MIN, m_next
 
 
-_XI_EST, _X_NEXT = _exponent_tables()
+_XI_EST, _M_NEXT = _exponent_tables()
 
 
 def _digit_tables():
@@ -194,7 +205,7 @@ _NEWLINE = np.array((ord(",") ^ ord("\n")) << 32, dtype=_U64)
 
 
 def _round17(m, biased, xi):
-    """Truncated and round-half-even value of M·2^E·10^(16 - X), xi = X - _X_MIN.
+    """Round-half-even value of M·2^E·10^(16 - X), xi = X - _X_MIN.
 
     m is the 53-bit significand M and biased the biased exponent E + 1075.
     xi outside [0, 32] is clipped; the result is then meaningless.
@@ -228,37 +239,12 @@ def _round17(m, biased, xi):
     below -= biased
     q2 = hi >> below  # 2·floor + the half bit
     low_nonzero |= hi != (q2 << below)  # sticky
-    q = q2 >> _ONE
-    up = q & _ONE
+    up = q2 >> _ONE
+    up &= _ONE  # floor is odd
     up |= low_nonzero
     q2 += up
     q2 >>= _ONE
-    return q, q2
-
-
-def _fast_digits(m, biased, xi):
-    """17-digit integer D and class index from an estimate xi.
-
-    xi estimates X - _X_MIN to within one.  Returns (D, xi, ok); ok holds
-    where X lies in the exact range [-16, 16].
-    """
-    ok = xi.view(_U64) <= _XI_TOP
-    q, d = _round17(m, biased, xi)
-    q -= _P16  # wraps below 10^16
-    redo = ((q >= _NINE_P16) & ok).nonzero()[0]
-    if redo.size:
-        q = q[redo] + _P16
-        xi_new = xi[redo] + (q >= _P17) - (q < _P16)
-        fits = xi_new.view(_U64) <= _XI_TOP
-        ok[redo[~fits]] = False
-        redo, xi_new = redo[fits], xi_new[fits]
-        xi[redo] = xi_new
-        q, d[redo] = _round17(m[redo], biased[redo], xi_new)
-        ok[redo[(q < _P16) | (q >= _P17)]] = False
-    carry = (d == _P17).nonzero()[0]
-    d[carry] = _P16
-    xi[carry] += 1
-    return d, xi, ok
+    return q2
 
 
 def _classify(values):
@@ -270,11 +256,16 @@ def _classify(values):
     """
     bits = values.view(_U64)
     biased = (bits >> _SH52) & _EXP_MASK
-    xi = _XI_EST.take(biased.view(np.intp), mode="clip")
-    xi += np.abs(values) >= _X_NEXT.take(biased.view(np.intp), mode="clip")
     m = bits & _FRAC_MASK
     m |= _HIDDEN_BIT
-    d, cls, ok = _fast_digits(m, biased, xi)
+    xi = _XI_EST.take(biased.view(np.intp), mode="clip")
+    xi += m >= _M_NEXT.take(biased.view(np.intp), mode="clip")
+    ok = xi.view(_U64) <= _XI_TOP
+    d = _round17(m, biased, xi)
+    carry = (d == _P17).nonzero()[0]  # rounded up into the next decade
+    d[carry] = _P16
+    xi[carry] += 1
+    cls = xi
     cls *= 2
     cls += (bits >> _SH63).view(np.intp)
     rest = (~ok).nonzero()[0]

@@ -252,11 +252,13 @@ def stage_rates(profile, t, tau, t_end, fractions, mode):
 
 def midpoint_omega(profile, t_k, tau, mode=MidpointSamplingMode.EXACT, t_end=None):
     """Angular velocity at the midpoint of the step [t_k, t_k + tau]: the
-    :func:`stage_rates` at c = 1/2.  Any step that is not finite and
-    positive raises ValueError."""
+    :func:`stage_rates` at c = 1/2.  A step that is not finite, then one
+    that is not positive, raises ValueError."""
     t_k = np.asarray(t_k, dtype=float)
     tau = np.asarray(tau, dtype=float)
-    if not (np.isfinite(tau) & (tau > 0.0)).all():
+    if not np.isfinite(tau).all():
+        raise ValueError("step size must be finite")
+    if not (tau > 0.0).all():
         raise ValueError("step size must be positive")
     return stage_rates(profile, t_k, tau, t_end, (0.5,), mode)[0]
 

@@ -367,14 +367,18 @@ def config_document(source) -> dict:
 
 def _check_tau(profile, t0: float, tf: float, tau: float, outputs) -> None:
     """The horizon rule of every run (see trajectory._check_horizon), naming
-    'tau', and the defect ladder's reach past a tabulated profile's end."""
+    'tau', which each defect ladder rung's step also keeps on [t0, t0 + tau],
+    and the defect ladder's reach past a tabulated profile's end."""
+    ladder = "defect-ladder" in outputs
     try:
         _check_horizon(t0, tf, tau)
+        for rung in _ladder_taus(tau) if ladder else ():
+            _check_horizon(t0, t0 + tau, rung)
     except InvalidHorizonError as exc:
         raise ConfigError(f"field 'tau': {exc}") from None
     # A ladder step samples the profile at t0 + tau, whatever the horizon.
     end = profile.times[-1] if isinstance(profile, TabulatedProfile) else math.inf
-    if "defect-ladder" in outputs and t0 + tau > end:
+    if ladder and t0 + tau > end:
         raise ConfigError(f"field 'tau': defect ladder samples t0 + tau = {t0 + tau} > {end}")
 
 
@@ -508,12 +512,17 @@ def one_step_matrix(cfg: ScenarioConfig, tau) -> np.ndarray:
     return _warn_once(tally, right_matrix(p))
 
 
+def _ladder_taus(tau: float) -> tuple:
+    """The defect ladder's steps tau, tau/2, tau/4, tau/8."""
+    return tuple(tau / (2.0**i) for i in range(4))
+
+
 def defect_ladder(cfg: ScenarioConfig) -> DefectSeries:
     """Symplecticity defects of the one-step map on the ladder tau, tau/2,
     tau/4, tau/8, whose four maps come from one builder call (so one
     StepSizeWarning at most, counting the rungs past the guideline) and
     whose four defects come from one symplecticity_defect call."""
-    taus = tuple(cfg.tau / (2.0**i) for i in range(4))
+    taus = _ladder_taus(cfg.tau)
     maps = one_step_matrix(cfg, np.array(taus))
     return DefectSeries(taus=taus, defects=tuple(symplecticity_defect(maps).tolist()))
 

@@ -209,7 +209,9 @@ def nonautonomous_transition(omega_k, tau) -> np.ndarray:
     constant-rate map at w_k whenever w2 = 0.
     """
     t = np.asarray(tau, dtype=float)
-    if not (np.isfinite(t) & (t > 0.0)).all():
+    if not np.isfinite(t).all():
+        raise ValueError(f"step size must be finite, got {tau}")
+    if not (t > 0.0).all():
         raise ValueError(f"step size must be positive, got {tau}")
     return right_matrix(cayley_steps(corrected_rate(omega_k, tau), tau))
 

@@ -152,7 +152,9 @@ def _check_horizon(t0: float, tf: float, tau: float) -> None:
     apply too, naming 'tau'.  Checked before any array exists."""
     if not (math.isfinite(t0) and math.isfinite(tf)) or not tf > t0:
         raise InvalidHorizonError(f"need finite tf > t0, got [{t0}, {tf}]")
-    if not (math.isfinite(tau) and tau > 0.0):
+    if not math.isfinite(tau):
+        raise InvalidHorizonError(f"step size must be finite, got {tau}")
+    if not tau > 0.0:
         raise InvalidHorizonError(f"step size must be positive, got {tau}")
     # Compared as a float: a tiny tau would otherwise ask for an arbitrarily
     # large allocation.

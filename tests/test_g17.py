@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quatkin._g17 import render_rows
+from quatkin._g17 import _M_NEXT, _X_MIN, _XI_EST, render_rows
 from quatkin.scenario import parse_config, run_scenario
 from quatkin.trajectory import _BLOCK_STEPS
 
@@ -85,6 +85,13 @@ def test_render_rows_matches_format_on_raw_bit_patterns(bits):
         1e-16,  # lower edge of the exact integer path
         1e-17,  # just below it: rendered one value at a time
         1e-14,  # the double lies below 10^-14 and rounds up to it
+        # Doubles from the double 10.0 ** k up to the power 10^k above it,
+        # whose exponent a compare with that double puts one too high.
+        1e-12,
+        1e-11,
+        1e-07,
+        1e-06,
+        9.999999999999999e-06,
         0.1,
         1.0,
         1000.0,
@@ -94,6 +101,18 @@ def test_render_rows_matches_format_on_raw_bit_patterns(bits):
 )
 def test_render_rows_around_decade_edges(center):
     assert_renders(ulps_around(center, 3))
+
+
+def test_decimal_exponent_is_exact_around_powers_of_ten():
+    # The exponent tables give the exact decimal exponent, not an estimate
+    # within one, for the doubles nearest every power of ten from 1e-17 to
+    # 1e18: so the rounded D always has 17 digits but for the carry to 10^17.
+    for k in range(-17, 19):
+        for x in ulps_around(float(Decimal(10) ** k), 3):
+            bits = np.float64(x).view(np.uint64)
+            b = int(bits >> np.uint64(52)) & 0x7FF
+            m = (int(bits) & ((1 << 52) - 1)) | (1 << 52)
+            assert _XI_EST[b] + (m >= _M_NEXT[b]) + _X_MIN == Decimal(x).adjusted(), x
 
 
 def test_render_rows_round_up_to_next_power_of_ten():

@@ -267,16 +267,17 @@ def test_stage_rates_sample_each_time_once_and_form_the_chord():
 
 
 def test_midpoint_rejects_nonpositive_step():
-    # nan <= 0 is false, so a step that is not finite is refused on its own.
+    # nan <= 0 is false, so a step that is not finite is refused on its own,
+    # and first.
     fig2 = profile_from_name("fig2")
-    for t_k, tau in [
-        (0.0, 0.0),
-        (0.0, -0.1),
-        (0.0, math.nan),
-        (0.0, math.inf),
-        ([0.0, 0.1], [0.1, math.nan]),
+    for t_k, tau, reason in [
+        (0.0, 0.0, "positive"),
+        (0.0, -0.1, "positive"),
+        (0.0, math.nan, "finite"),
+        (0.0, math.inf, "finite"),
+        ([0.0, 0.1], [0.1, math.nan], "finite"),
     ]:
-        with pytest.raises(ValueError, match="^step size must be positive$"):
+        with pytest.raises(ValueError, match=f"^step size must be {reason}$"):
             midpoint_omega(fig2, t_k, tau)
 
 

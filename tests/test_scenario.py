@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from quatkin import scenario
 from quatkin.cli import main
-from quatkin.errors import ConfigError
+from quatkin.errors import ConfigError, InvalidHorizonError
 from quatkin.diagnostics import frobenius_norm, symplecticity_defect
 from quatkin.model import (
     I4,
@@ -1766,6 +1766,39 @@ def test_cli_rejects_one_spacing_across_a_binade(tmp_path, capsys):
     assert codes == [1, 1, 1] and not out.exists()
     err = capsys.readouterr().err
     assert err.count("\n") == 3 and err.count("error: field 'tau'") == 3
+
+
+def test_defect_ladder_rungs_keep_the_float_spacing_rule(tmp_path, capsys):
+    # Near 1e16 the times lie 2 apart.  The run's step of 4 resolves them,
+    # but the ladder's rungs 1 and 0.5 end where t0 + rung rounds to t0, so
+    # their maps would sample the profile at t0 alone: refused at parse
+    # time, by a sweep and by the CLI, naming the rung.
+    fields = dict(profile="fig2", t0=1e16, tf=1.0000000000000008e16, method="RK4")
+    ladder = make_config(tau=4, outputs=["defect-ladder"], **fields)
+    reason = r"^field 'tau': 1\.0 is below two float spacings \(4\) of times on \[1e\+16, "
+    with pytest.raises(ConfigError, match=reason):
+        parse_config(ladder)
+    base = parse_config(make_config(tau=4, **fields))
+    with pytest.raises(ConfigError, match=reason):
+        run_sweep(dataclasses.replace(base, outputs=("defect-ladder",)), [4.0])
+    cfg_path, out = tmp_path / "ladder.json", tmp_path / "out.json"
+    cfg_path.write_text(ladder, encoding="utf-8")
+    assert main(["run", str(cfg_path), "--summary", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: field 'tau': 1.0 is below")
+    assert not out.exists()
+    # Without the ladder the run's own step is enough.
+    assert len(run_sweep(base, [4.0])[0].trajectory.times) == 3
+
+
+def test_step_that_is_not_finite_is_named_before_positivity(tmp_path, capsys):
+    for tau in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidHorizonError, match=f"^step size must be finite, got {tau}$"):
+            step_schedule(0.0, 1.0, tau)
+    cfg_path, summary = tmp_path / "cfg.json", tmp_path / "sweep.json"
+    cfg_path.write_text(make_config(), encoding="utf-8")
+    assert main(["sweep", str(cfg_path), "--taus", "0.1", "nan", "--summary", str(summary)]) == 1
+    assert capsys.readouterr().err == "error: field 'tau': step size must be finite, got nan\n"
 
 
 def test_schedule_drops_a_final_step_that_does_not_move_the_time(tmp_path):

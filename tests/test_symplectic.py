@@ -813,9 +813,10 @@ def test_autonomous_transition_rejects_any_non_finite_step(bad):
 
 @pytest.mark.parametrize("bad", [0.0, -0.1, math.nan])
 def test_nonautonomous_transition_rejects_any_non_positive_step(bad):
-    with pytest.raises(ValueError, match="step size must be positive"):
+    reason = "positive" if math.isfinite(bad) else "finite"
+    with pytest.raises(ValueError, match=f"step size must be {reason}"):
         nonautonomous_transition(W_REF, np.array([0.1, bad]))
-    with pytest.raises(ValueError, match=f"step size must be positive, got {bad}$"):
+    with pytest.raises(ValueError, match=f"step size must be {reason}, got {bad}$"):
         nonautonomous_transition(W_REF, bad)
 
 
