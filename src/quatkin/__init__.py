@@ -74,6 +74,6 @@ from .symplectic import (
     integrate_nonautonomous,
     nonautonomous_transition,
 )
-from .trajectory import Trajectory, check_unit_quaternion, propagate, step_schedule
+from .trajectory import Trajectory, check_unit_quaternion, propagate
 
 __version__ = "0.1.0"

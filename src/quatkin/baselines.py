@@ -18,11 +18,11 @@ import math
 
 import numpy as np
 
-from .errors import SingularMatrixError
+from .errors import SingularMatrixError, require_finite
 from .model import (
     I4, AngularVelocityProfile, MidpointSamplingMode, require_rates, right_matrix, stage_rates
 )
-from .trajectory import Trajectory, integrate, require_finite
+from .trajectory import Trajectory, integrate
 
 __all__ = [
     "BaselineMethod",

@@ -368,10 +368,13 @@ def config_document(source) -> dict:
 def _check_tau(profile, t0: float, tf: float, tau: float, outputs) -> None:
     """The horizon rule of every run (see trajectory._check_horizon), naming
     'tau', which each defect ladder rung's step also keeps on [t0, t0 + tau],
-    and the defect ladder's reach past a tabulated profile's end."""
+    a finite end, and the defect ladder's reach past a tabulated profile's
+    end."""
     ladder = "defect-ladder" in outputs
     try:
         _check_horizon(t0, tf, tau)
+        if ladder and not math.isfinite(t0 + tau):
+            raise InvalidHorizonError(f"defect ladder step end t0 + tau = {t0 + tau} is not finite")
         for rung in _ladder_taus(tau) if ladder else ():
             _check_horizon(t0, t0 + tau, rung)
     except InvalidHorizonError as exc:

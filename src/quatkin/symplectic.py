@@ -23,6 +23,7 @@ import warnings
 
 import numpy as np
 
+from .errors import require_finite
 from .model import (
     SYMPLECTIC_J4,
     AngularVelocityProfile,
@@ -33,7 +34,7 @@ from .model import (
     require_rates,
     right_matrix,
 )
-from .trajectory import Trajectory, integrate, require_finite
+from .trajectory import Trajectory, integrate
 
 __all__ = [
     "StepSizeWarning",
@@ -155,7 +156,7 @@ def autonomous_builder(omega, tally: list):
 
 
 def integrate_autonomous(omega, q0, t0: float, tf: float, tau: float) -> Trajectory:
-    """Propagate a constant-rate run over the steps of :func:`step_schedule`,
+    """Propagate a constant-rate run over the steps of :func:`integrate`,
     a shortened final step included; states are never renormalized.  Emits
     one StepSizeWarning for the whole run, like :func:`cayley_steps`."""
     tally = []

@@ -15,11 +15,8 @@ from .model import right_matrix
 
 __all__ = [
     "Trajectory",
-    "step_schedule",
-    "step_end_times",
     "integrate",
     "propagate",
-    "require_finite",
     "check_unit_quaternion",
     "UNIT_NORM_TOL",
     "MAX_STEPS",
@@ -28,7 +25,7 @@ __all__ = [
 UNIT_NORM_TOL = 1e-9
 
 # Most steps one run may take: _check_horizon refuses a tau that exceeds it,
-# for every run and step_schedule and, naming 'tau', for parse_config and
+# for every run and, naming 'tau', for parse_config and
 # run_sweep.  A whole run_scenario peaks (tracemalloc, 1e6 coning steps, the
 # propagation workspace built) at 40-42 bytes a step: SGA-NA 40.4, RK4 41.6,
 # EUB 40.3, GL2 42.2, so 1e7 steps take ~0.42 GB; it keeps 40.0 once it
@@ -62,9 +59,8 @@ class Trajectory:
     """Time-stamped quaternion states produced by one integration run.
 
     states[k] is the quaternion at times[k]; times[k] = t0 + k*tau except
-    possibly the final sample, which lands exactly on the requested end time
-    when the horizon is not an integer number of steps.  Every integrator
-    returns this same record, whatever its method.
+    the final sample, which is always exactly the requested end time tf.
+    Every integrator returns this same record, whatever its method.
     """
 
     times: np.ndarray
@@ -111,25 +107,17 @@ def _block_norms(q: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def step_schedule(t0: float, tf: float, tau: float):
-    """Sample times and per-step sizes for the horizon [t0, tf].
-
-    The loop takes K = ceil((tf - t0)/tau) steps; when the horizon is not an
-    integer multiple of tau the final step is shortened to land on tf.  A
-    1e-9 relative slack keeps float noise in the division from adding a
-    spurious zero-length step, and a final step whose start t0 + (K - 1) tau
-    already rounds to tf is dropped (the one before it then ends on tf), so
-    the times strictly increase.  Returns (times (K+1,), tau_k (K,)).
-    """
-    times, last = _sample_times(t0, tf, tau)
-    k = len(times) - 1
-    return times, _step_sizes(k, tau, last, 0, k)
-
-
 def _sample_times(t0: float, tf: float, tau: float):
-    """The times (K + 1,) of :func:`step_schedule` and the size of its last
-    step, which differs from tau when the horizon is not a whole number of
-    steps."""
+    """Sample times (K + 1,) of the fixed-step horizon [t0, tf] and the size
+    of its last step: the schedule of every run.
+
+    A run takes K = ceil((tf - t0)/tau) steps; when the horizon is not an
+    integer multiple of tau the last step is shortened to land on tf, and
+    the last time is always tf.  A 1e-9 relative slack keeps float noise in
+    the division from adding a spurious zero-length step, and a final step
+    whose start t0 + (K - 1) tau already rounds to tf is dropped (the one
+    before it then ends on tf), so the times strictly increase.
+    """
     t0, tf, tau = float(t0), float(tf), float(tau)
     _check_horizon(t0, tf, tau)
     span = tf - t0
@@ -139,8 +127,11 @@ def _sample_times(t0: float, tf: float, tau: float):
         # step k - 1 rounds to tf: that step would not move the time.
         k -= 1
     last = span - (k - 1) * tau if abs(span - k * tau) > 1e-9 * tau else tau
-    times = t0 + np.arange(k + 1) * tau
-    times[-1] = tf
+    # Only the K interior times are formed: t0 + K tau may overflow past tf.
+    times = np.empty(k + 1)
+    np.multiply(np.arange(k), tau, out=times[:k])
+    times[:k] += t0
+    times[k] = tf
     return times, last
 
 
@@ -148,8 +139,8 @@ def _check_horizon(t0: float, tf: float, tau: float) -> None:
     """Raise InvalidHorizonError unless [t0, tf] is finite and ordered, and
     tau is a finite positive step that takes at most MAX_STEPS steps and
     that the float times of :func:`_sample_times` resolve: the one horizon
-    rule of every run and of step_schedule, which parse_config and run_sweep
-    apply too, naming 'tau'.  Checked before any array exists."""
+    rule of every run, which parse_config and run_sweep apply too, naming
+    'tau'.  Checked before any array exists."""
     if not (math.isfinite(t0) and math.isfinite(tf)) or not tf > t0:
         raise InvalidHorizonError(f"need finite tf > t0, got [{t0}, {tf}]")
     if not math.isfinite(tau):
@@ -183,48 +174,31 @@ def _check_horizon(t0: float, tf: float, tau: float) -> None:
         )
 
 
-def _step_sizes(k: int, tau: float, last: float, start: int, stop: int):
-    """Sizes (stop - start,) of steps start..stop - 1 of a k-step schedule:
-    tau, and last for its final step k - 1."""
-    tau_k = np.empty(stop - start)
-    tau_k.fill(tau)  # np.full's Python-level frame does the same
-    if stop == k:
-        tau_k[-1] = last
-    return tau_k
-
-
-def step_end_times(times: np.ndarray, tau_k: np.ndarray) -> np.ndarray:
-    """End time t_k + tau_k of each step of a schedule, capped at the horizon
-    end times[-1]: the sum can round one ulp past tf, outside a profile whose
-    samples end exactly there."""
-    return _step_ends(times[:-1], tau_k, times[-1])
-
-
-def _step_ends(t: np.ndarray, tau_k: np.ndarray, tf: float) -> np.ndarray:
-    """The capped ends of :func:`step_end_times` for steps starting at t."""
-    return np.minimum(t + tau_k, tf)
-
-
 def integrate(steps, q0, t0: float, tf: float, tau: float) -> Trajectory:
     """Run a fixed-step method over [t0, tf]: check q0, take the steps of
-    :func:`step_schedule`, and propagate q0 through them one block of
+    :func:`_sample_times`, and propagate q0 through them one block of
     _BLOCK_STEPS steps at a time.  Each block's step quaternions (n, 4) come
     from one call steps(t_k, tau_k, t_end) on that block's slice of the
-    sample times, with its step sizes and its ends from
-    :func:`step_end_times` made for that block alone, and go straight into
-    the kernel of :func:`propagate`; so a builder is handed one block, never
-    the whole run, and the times and states are the only arrays that grow
-    with the run.  A ConsistencyError a builder raises names the run's step,
-    not the block's.  States are never renormalized."""
+    sample times, with its step sizes (tau, and the last step's size on the
+    run's final step) and its ends t_k + tau_k, capped at tf (the sum can
+    round one ulp past tf, outside a profile whose samples end there), made
+    for that block alone.  They go straight into the kernel of
+    :func:`propagate`; so a builder is handed one block, never the whole
+    run, and the times and states are the only arrays that grow with the
+    run.  A ConsistencyError a builder raises names the run's step, not the
+    block's.  States are never renormalized."""
     q = check_unit_quaternion(q0)
     times, last = _sample_times(t0, tf, tau)
     k = len(times) - 1
 
     def block(start, stop):
         t = times[start:stop]
-        tau_k = _step_sizes(k, tau, last, start, stop)
+        tau_k = np.empty(stop - start)
+        tau_k.fill(tau)  # np.full's Python-level frame does the same
+        if stop == k:
+            tau_k[-1] = last
         try:
-            return steps(t, tau_k, _step_ends(t, tau_k, tf))
+            return steps(t, tau_k, np.minimum(t + tau_k, tf))
         except _NotFinite as exc:
             raise _NotFinite(exc.args[0], start + exc.args[1]) from None
 

@@ -5,7 +5,11 @@ of the closed-form constant-rate transition) and the batched RK4 and GL2
 step builders as first written, with a stage matrix per stage and
 np.block (the arithmetic quatkin.baselines must reproduce bitwise), and
 the registry's formula profiles as first written, np.stack of their three
-components (which quatkin.scenario's must reproduce bitwise)."""
+components (which quatkin.scenario's must reproduce bitwise), and a run's
+whole fixed-step schedule written out step by step (what
+quatkin.trajectory.integrate hands its builders, one block at a time)."""
+import math
+
 import numpy as np
 
 from quatkin.baselines import GL2_MATRIX, GL2_NODES, GL2_WEIGHTS
@@ -88,6 +92,29 @@ def constant_transition_series(omega, tau, tol: float = 1e-18) -> np.ndarray:
         if frobenius_norm(term) < tol:
             return out
     raise ArithmeticError("matrix exponential series failed to converge")
+
+
+def schedule(t0, tf, tau):
+    """The whole schedule of a run over [t0, tf] with step tau: the sample
+    times (K + 1,), the step sizes (K,) and the step ends (K,).
+
+    K = ceil((tf - t0)/tau), less a 1e-9 slack so float noise in the
+    division adds no zero-length step; a final step whose start already
+    rounds to tf is dropped.  Sample k is t0 + k tau, and the last is tf.
+    Every step is tau but the last, which is shortened to end on tf unless
+    the span is within 1e-9 tau of K whole steps.  A step ends at its start
+    plus its size, capped at tf (the sum can round one ulp past it)."""
+    t0, tf, tau = float(t0), float(tf), float(tau)
+    span = tf - t0
+    k = max(1, math.ceil(span / tau - 1e-9))
+    if k > 1 and t0 + (k - 1) * tau >= tf:
+        k -= 1
+    times = np.array([t0 + i * tau for i in range(k)] + [tf])
+    sizes = [tau] * k
+    if abs(span - k * tau) > 1e-9 * tau:
+        sizes[-1] = span - (k - 1) * tau
+    ends = [min(t + h, tf) for t, h in zip(times[:-1].tolist(), sizes)]
+    return times, np.array(sizes), np.array(ends)
 
 
 def rk4_steps(profile, t, tau):

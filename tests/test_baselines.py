@@ -28,8 +28,7 @@ from quatkin.model import (
 )
 from quatkin.scenario import profile_from_name
 from quatkin.symplectic import cayley_steps, corrected_rate, integrate_nonautonomous
-from quatkin.trajectory import step_end_times, step_schedule
-from reference_impl import gl2_steps, rk4_steps, solve_linear_4
+from reference_impl import gl2_steps, rk4_steps, schedule, solve_linear_4
 
 E0 = np.array([1.0, 0.0, 0.0, 0.0])
 ZERO = ConstantProfile((0.0, 0.0, 0.0))
@@ -193,8 +192,8 @@ def test_step_norm_ranks_the_methods_on_fig2():
     # the per-step norm factor: 1 for the Cayley maps and GL2, a strict
     # contraction for EUB, and a drift for RK4.
     profile = profile_from_name("fig2")
-    times, tau_k = step_schedule(0.0, 15.0, 0.1)
-    t, t_end = times[:-1], step_end_times(times, tau_k)
+    times, tau_k, t_end = schedule(0.0, 15.0, 0.1)
+    t = times[:-1]
     w = midpoint_omega(profile, t, tau_k, MidpointSamplingMode.EXACT, t_end)
 
     def step_norms(p):
@@ -348,7 +347,7 @@ def test_batched_matrices_match_per_step_formulas(method, name, tf, tau):
     profile = profile_from_name(name)
     q0 = coning_analytic_state(2.0 * math.pi, math.pi / 80.0, 0.0) if name == "coning" else E0
     traj = integrate_baseline(method, profile, q0, 0.0, tf, tau)
-    times, tau_k = step_schedule(0.0, tf, tau)
+    times, tau_k, _ = schedule(0.0, tf, tau)
     q, worst = q0, 0.0
     for k in range(len(tau_k)):
         q = REFERENCE_STEPS[method](profile, q, float(times[k]), float(tau_k[k]))
@@ -380,7 +379,7 @@ def test_batched_builders_match_their_first_formulation_bitwise(method, referenc
     # on a run's block of steps, and on a ladder's scalar time and four step
     # sizes, where the stage rates come with unequal shapes.
     profile = profile_from_name(name)
-    times, tau_k = step_schedule(0.3, 4.0, 0.1)
+    times, tau_k, _ = schedule(0.3, 4.0, 0.1)
     for t, tau in [(times[:-1], tau_k), (0.3, np.array([0.1, 0.05, 0.025, 0.0125]))]:
         p = baseline_steps(method, profile, t, tau)
         assert p.tobytes() == reference(profile, t, tau).tobytes()

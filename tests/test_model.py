@@ -191,6 +191,23 @@ def test_constant_profile_broadcast():
     npt.assert_array_equal(out[3], [2.0, 10.0, 3.0])
 
 
+@pytest.mark.parametrize("vector", [(2.0, 10.0), (2.0, math.nan, 3.0)], ids=["two", "nan"])
+def test_constant_profile_needs_three_finite_components(vector):
+    with pytest.raises(ValueError, match="^constant profile needs three finite components$"):
+        ConstantProfile(vector)
+
+
+@pytest.mark.parametrize(
+    "times, values",
+    [(np.arange(3.0), np.zeros((3, 2))), (np.arange(3.0)[:, None], np.zeros((3, 3)))],
+    ids=["values-n-2", "times-n-1"],
+)
+def test_tabulated_profile_checks_its_shapes(times, values):
+    reason = r"^need times of shape \(n,\) and values of shape \(n, 3\)$"
+    with pytest.raises(ValueError, match=reason):
+        TabulatedProfile(times, values)
+
+
 def test_tabulated_profile_interpolates_and_checks_range():
     p = TabulatedProfile(np.array([0.0, 1.0, 2.0]), np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [4.0, 0.0, 0.0]]))
     npt.assert_allclose(p.omega_at(0.5), [0.5, 0.0, 0.0])

@@ -3,6 +3,7 @@ import errno
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -45,8 +46,8 @@ from quatkin.scenario import (
     run_sweep,
 )
 from quatkin.symplectic import StepSizeWarning, autonomous_transition, integrate_nonautonomous
-from quatkin.trajectory import _BLOCK_STEPS, Trajectory, step_end_times, step_schedule
-from reference_impl import FORMULA_PROFILES_STACKED
+from quatkin.trajectory import _BLOCK_STEPS, Trajectory, integrate
+from reference_impl import FORMULA_PROFILES_STACKED, schedule
 
 CONING_Q0 = [
     math.cos(math.pi / 160.0),
@@ -1791,10 +1792,56 @@ def test_defect_ladder_rungs_keep_the_float_spacing_rule(tmp_path, capsys):
     assert len(run_sweep(base, [4.0])[0].trajectory.times) == 3
 
 
+FAR_HORIZON = dict(profile="fig1a", t0=1e308, tf=1.5e308, tau=1e308)
+
+
+@pytest.mark.parametrize(
+    "method, err",
+    [
+        ("SGA-A", "step map"),
+        ("SGA-NA", "corrected rate"),
+        ("RK4", "step map"),
+        ("EUB", "step map"),
+        ("GL2", "step map"),
+    ],
+    ids=["SGA-A", "SGA-NA", "RK4", "EUB", "GL2"],
+)
+def test_cli_sample_times_past_the_float_range_leak_no_warning(method, err, tmp_path, capsys):
+    # One step of 1e308 from t0 = 1e308 would end past the float range, but
+    # the run ends at tf = 1.5e308: the sample times never form t0 + tau, so
+    # only the run's one named error comes out.
+    cfg_path = tmp_path / "far.json"
+    cfg_path.write_text(make_config(method=method, **FAR_HORIZON), encoding="utf-8")
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        assert main(["run", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == f"runtime error: {err} is not finite at step 0\n"
+    assert [w for w in record if issubclass(w.category, RuntimeWarning)] == []
+
+
+def test_defect_ladder_whose_step_end_overflows_names_tau(tmp_path, capsys):
+    # The run of FAR_HORIZON ends on tf, but the ladder's step ends at
+    # t0 + tau = inf: refused at parse time, by a sweep and by the CLI,
+    # naming 'tau' and that end, not a horizon the config never states.
+    reason = "field 'tau': defect ladder step end t0 + tau = inf is not finite"
+    ladder = make_config(method="RK4", outputs=["defect-ladder"], **FAR_HORIZON)
+    with pytest.raises(ConfigError, match=f"^{re.escape(reason)}$"):
+        parse_config(ladder)
+    base = parse_config(make_config(method="RK4", **FAR_HORIZON))
+    with pytest.raises(ConfigError, match=f"^{re.escape(reason)}$"):
+        run_sweep(dataclasses.replace(base, outputs=("defect-ladder",)), [1e308])
+    cfg_path, out = tmp_path / "ladder.json", tmp_path / "out.json"
+    cfg_path.write_text(ladder, encoding="utf-8")
+    for verb in ("run", "sweep"):
+        assert main([verb, str(cfg_path), "--summary", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {reason}\n"
+        assert not out.exists()
+
+
 def test_step_that_is_not_finite_is_named_before_positivity(tmp_path, capsys):
     for tau in (math.nan, math.inf, -math.inf):
         with pytest.raises(InvalidHorizonError, match=f"^step size must be finite, got {tau}$"):
-            step_schedule(0.0, 1.0, tau)
+            integrate(lambda t, tau_k, t_end: np.zeros((len(t), 4)), [1, 0, 0, 0], 0.0, 1.0, tau)
     cfg_path, summary = tmp_path / "cfg.json", tmp_path / "sweep.json"
     cfg_path.write_text(make_config(), encoding="utf-8")
     assert main(["sweep", str(cfg_path), "--taus", "0.1", "nan", "--summary", str(summary)]) == 1
@@ -1805,9 +1852,9 @@ def test_schedule_drops_a_final_step_that_does_not_move_the_time(tmp_path):
     # span / tau passes 27 by 2.8e-7, past the 1e-9 slack, but t0 + 27 tau
     # rounds to tf: a 28th step, 3.6e-10 s long, would repeat tf in the CSV.
     fields = dict(t0=7848848.616051737, tf=7848848.650750056, tau=0.0012851229012380413)
-    times, tau_k = step_schedule(fields["t0"], fields["tf"], fields["tau"])
+    times, tau_k, t_end = schedule(fields["t0"], fields["tf"], fields["tau"])
     assert len(tau_k) == 27 and np.all(np.diff(times) > 0.0) and times[-1] == fields["tf"]
-    assert step_end_times(times, tau_k)[-1] == fields["tf"]
+    assert t_end[-1] == fields["tf"]
     cfg_path, out = tmp_path / "late.json", tmp_path / "out.csv"
     cfg_path.write_text(make_config(profile="fig2", method="RK4", **fields), encoding="utf-8")
     assert main(["run", str(cfg_path), "--out", str(out)]) == 0
