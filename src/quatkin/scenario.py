@@ -83,7 +83,7 @@ __all__ = [
     "MAX_STEPS",
 ]
 
-METHODS = ("SGA-A", "SGA-NA", "RK4", "EUB", "GL2")
+METHODS = ("SGA-A", "SGA-NA", *(m.value for m in BaselineMethod))
 OUTPUT_KINDS = ("series", "error-report", "defect-ladder", "benchmark")
 
 # Reproduction default when a sweep gets no explicit tau grid.
@@ -474,28 +474,22 @@ def parse_config(source) -> ScenarioConfig:
     )
 
 
-def _integrate(cfg: ScenarioConfig) -> Trajectory:
+def _method(cfg: ScenarioConfig, tally: list):
+    """cfg's method as (run, steps), one arm per method: run() integrates the
+    scenario through the method's integrate_*, called by its module-global
+    name so that a tracer which rebinds it sees every run, and steps is the
+    builder (t, tau_k, t_end) -> p that integrator runs, for the defect
+    ladder; SGA-A's and SGA-NA's append their guideline counts to tally."""
+    profile, mode, args = cfg.profile, cfg.sampling, (cfg.q0, cfg.t0, cfg.tf, cfg.tau)
     if cfg.method == "SGA-A":
-        return integrate_autonomous(
-            np.array(cfg.profile.vector), cfg.q0, cfg.t0, cfg.tf, cfg.tau
-        )
+        omega = np.array(profile.vector)
+        return lambda: integrate_autonomous(omega, *args), autonomous_builder(omega, tally)
     if cfg.method == "SGA-NA":
-        return integrate_nonautonomous(
-            cfg.profile, cfg.q0, cfg.t0, cfg.tf, cfg.tau, cfg.sampling
-        )
-    return integrate_baseline(
-        BaselineMethod(cfg.method), cfg.profile, cfg.q0, cfg.t0, cfg.tf, cfg.tau, cfg.sampling
-    )
-
-
-def _step_builder(cfg: ScenarioConfig, tally: list):
-    """The step builder (t, tau_k, t_end) -> p that cfg's method's integrator
-    runs; SGA-A's and SGA-NA's append their guideline counts to tally."""
-    if cfg.method == "SGA-A":
-        return autonomous_builder(np.array(cfg.profile.vector), tally)
-    if cfg.method == "SGA-NA":
-        return nonautonomous_builder(cfg.profile, cfg.sampling, tally)
-    return baseline_builder(BaselineMethod(cfg.method), cfg.profile, cfg.sampling)
+        return (lambda: integrate_nonautonomous(profile, *args, mode),
+                nonautonomous_builder(profile, mode, tally))
+    method = BaselineMethod(cfg.method)
+    return (lambda: integrate_baseline(method, profile, *args, mode),
+            baseline_builder(method, profile, mode))
 
 
 def one_step_matrix(cfg: ScenarioConfig, tau) -> np.ndarray:
@@ -510,8 +504,9 @@ def one_step_matrix(cfg: ScenarioConfig, tau) -> np.ndarray:
     if not np.greater(tau, 0.0).all():
         raise ValueError("step size must be positive")
     tally = []
+    _, steps = _method(cfg, tally)
     with np.errstate(over="ignore", invalid="ignore"):  # require_finite names it
-        p = _step_builder(cfg, tally)(cfg.t0, tau, cfg.t0 + tau)
+        p = steps(cfg.t0, tau, cfg.t0 + tau)
     return _warn_once(tally, right_matrix(p))
 
 
@@ -531,12 +526,13 @@ def defect_ladder(cfg: ScenarioConfig) -> DefectSeries:
 
 
 def _timed_integration(cfg: ScenarioConfig, benchmark: bool):
+    run, _ = _method(cfg, [])
     elapsed = []
     while not elapsed or benchmark and (
         sum(elapsed) < _BENCH_MIN_SECONDS or len(elapsed) < _BENCH_MIN_REPEATS
     ):
         start = time.perf_counter()
-        traj = _integrate(cfg)
+        traj = run()
         elapsed.append(time.perf_counter() - start)
     return traj, min(elapsed), len(elapsed)
 

@@ -118,7 +118,7 @@ def _sample_times(t0: float, tf: float, tau: float):
     whose start t0 + (K - 1) tau already rounds to tf is dropped (the one
     before it then ends on tf), so the times strictly increase.
     """
-    t0, tf, tau = float(t0), float(tf), float(tau)
+    t0, tf, tau = _as_float(t0), _as_float(tf), _as_float(tau)
     _check_horizon(t0, tf, tau)
     span = tf - t0
     k = max(1, math.ceil(span / tau - 1e-9))
@@ -133,6 +133,15 @@ def _sample_times(t0: float, tf: float, tau: float):
     times[:k] += t0
     times[k] = tf
     return times, last
+
+
+def _as_float(x) -> float:
+    """float(x), with an int past the float range read as an infinity of its
+    sign, which _check_horizon refuses as parse_config does."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
 
 
 def _check_horizon(t0: float, tf: float, tau: float) -> None:

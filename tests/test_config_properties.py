@@ -6,17 +6,21 @@ unknown key) raises a ConfigError naming that field, and `quatkin run` exits
 1 for it; neither ever raises out of cli.main.  Runs take at most 1000 steps,
 and the `benchmark` output, which repeats a run for 0.2 s, is left out of the
 drawn outputs to keep the suite fast.
+
+The library's integrators refuse exactly the horizons the parser refuses.
 """
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from quatkin.cli import main
-from quatkin.errors import ConfigError
+from quatkin.errors import ConfigError, InvalidHorizonError, QuatkinError
 from quatkin.scenario import parse_config
+from quatkin.symplectic import integrate_autonomous
 
 pytestmark = pytest.mark.filterwarnings("ignore::quatkin.symplectic.StepSizeWarning")
 
@@ -143,3 +147,35 @@ def test_bad_field_value_is_named(config_path, field, data):
 @given(case=configs_missing_or_unknown_field())
 def test_missing_or_unknown_field_is_named(config_path, case):
     check_rejected(config_path, *case)
+
+
+# t0, tf and tau as a config or a library call may give them: any float, the
+# edges of the float times' resolution and range, and ints, some past the
+# float range.  Bools and numpy scalars are left out: the parser refuses
+# those as types, not as horizons.
+HORIZON_EDGES = [0.0, 2.0**52, 2.0**53 - 1, 2.0**53, 1e16, sys.float_info.max]
+HORIZON_VALUES = (
+    st.floats(allow_subnormal=True)
+    | st.sampled_from(HORIZON_EDGES + [-x for x in HORIZON_EDGES])
+    | st.integers()
+    | st.sampled_from([10**400, -10**400])
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(t0=HORIZON_VALUES, tf=HORIZON_VALUES, tau=HORIZON_VALUES)
+def test_library_refuses_exactly_the_horizons_parsing_refuses(t0, tf, tau):
+    try:
+        cfg = parse_config({"profile": "fig1a", "t0": t0, "tf": tf, "tau": tau})
+    except ConfigError:
+        cfg = None
+    if cfg is not None:
+        assume((cfg.tf - cfg.t0) / cfg.tau <= 2e4)  # accepted runs stay small
+    try:
+        integrate_autonomous(np.zeros(3), [1, 0, 0, 0], t0, tf, tau)
+        refused = False
+    except InvalidHorizonError:
+        refused = True
+    except QuatkinError:  # a runtime error of an accepted horizon
+        refused = False
+    assert refused == (cfg is None)

@@ -317,6 +317,16 @@ def test_defect_series_validation_and_order():
         DefectSeries(taus=(0.1,), defects=(0.4,))
 
 
+def test_taus_that_halve_only_to_1e_6_are_refused():
+    # Steps must halve to 1e-9: a second step 1e-6 off half the first is
+    # refused by the order fit and the defect ladder alike.
+    taus = (0.1, 0.05 * (1.0 + 1e-6))
+    with pytest.raises(ValueError, match="^taus must halve"):
+        convergence_order([(taus[0], 1.0), (taus[1], 0.25)])
+    with pytest.raises(ValueError, match="^taus must halve"):
+        DefectSeries(taus=taus, defects=(0.4, 0.1))
+
+
 def test_subnorm_pair_history_conserved_for_planar_profile():
     from quatkin.symplectic import integrate_nonautonomous
 

@@ -835,7 +835,7 @@ def norm_states(case, n=5000):
 def test_max_norm_deviation_bitwise_max_abs_deviation(monkeypatch, case):
     states = norm_states(case)
     traj = Trajectory(times=0.01 * np.arange(len(states)), states=states)
-    monkeypatch.setattr(scenario, "_integrate", lambda cfg: traj)
+    monkeypatch.setattr(scenario, "integrate_autonomous", lambda *args: traj)  # fig1a: SGA-A
     dev = run_scenario(parse_config(make_config())).max_norm_deviation
     norms = np.linalg.norm(states, axis=1)
     sides = {"above": (True, False), "below": (False, True), "mixed": (True, True),

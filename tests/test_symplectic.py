@@ -423,6 +423,30 @@ def test_integrate_hands_one_builder_call_the_schedule(tf, tau):
     assert traj.states.tobytes() == propagate(p, E0).tobytes()
 
 
+@pytest.mark.parametrize(
+    "tf, steps, last",
+    [(1.0 + 1e-8, 11, pytest.approx(1e-8, rel=1e-6)), (1.0 + 1e-11, 10, 0.1)],
+    ids=["past-the-slack", "within-the-slack"],
+)
+def test_schedule_slack_is_1e_9_of_a_step(tf, steps, last):
+    # Ten steps of 0.1 and 1e-7 of a step more take an eleventh step, ~1e-8
+    # long; 1e-10 of a step more is float noise, and the tenth step is tau.
+    # A slack of 1e-6 would take ten steps in the first case.
+    times, tau_k, _ = schedule(0.0, tf, 0.1)
+    calls = []
+
+    def identity_steps(t, h, t_end):
+        calls.append(h.copy())
+        return np.tile(E0, (len(t), 1))
+
+    traj = integrate(identity_steps, E0, 0.0, tf, 0.1)
+    [h] = calls
+    assert traj.steps == len(tau_k) == steps
+    assert traj.times.tobytes() == times.tobytes()
+    assert h.tobytes() == tau_k.tobytes()
+    assert h[-1] == last
+
+
 def test_integrate_hands_the_builder_one_block_at_a_time():
     # Two whole blocks and a partial one: one builder call per block, on
     # consecutive slices of the schedule, none longer than _BLOCK_STEPS.
@@ -617,6 +641,30 @@ def test_library_runs_refuse_what_parsing_refuses(run, horizon):
         tracemalloc.stop()
     assert str(refused.value) == expected
     assert peak < 64 << 10
+
+
+BEYOND_FLOATS = 10**400
+
+
+@pytest.mark.parametrize(
+    "horizon, expected",
+    [
+        ((BEYOND_FLOATS, 1, 0.1), "need finite tf > t0, got [inf, 1.0]"),
+        ((-BEYOND_FLOATS, 1, 0.1), "need finite tf > t0, got [-inf, 1.0]"),
+        ((0, BEYOND_FLOATS, 0.1), "need finite tf > t0, got [0.0, inf]"),
+        ((0, -BEYOND_FLOATS, 0.1), "need finite tf > t0, got [0.0, -inf]"),
+        ((0, 1, BEYOND_FLOATS), "step size must be finite, got inf"),
+        ((0, 1, -BEYOND_FLOATS), "step size must be finite, got -inf"),
+    ],
+    ids=["t0+", "t0-", "tf+", "tf-", "tau+", "tau-"],
+)
+@pytest.mark.parametrize("run", LIBRARY_RUNS.values(), ids=LIBRARY_RUNS.keys())
+def test_int_past_the_float_range_is_refused_by_the_horizon_rule(run, horizon, expected):
+    # An int that no float holds is read as an infinity of its sign, as the
+    # parser reads it, and refused by the horizon rule, not by float().
+    with pytest.raises(InvalidHorizonError) as refused:
+        run(horizon)
+    assert str(refused.value) == expected
 
 
 # --- time-varying generator and transition ----------------------------------------
