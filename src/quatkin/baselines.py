@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import SingularMatrixError, require_finite
 from .model import (
-    I4, AngularVelocityProfile, MidpointSamplingMode, require_rates, right_matrix, stage_rates
+    I4, AngularVelocityProfile, MidpointSamplingMode, require_rates, right_matrix, stage_rates,
+    zero_at_rest,
 )
 from .trajectory import Trajectory, integrate
 
@@ -90,10 +91,11 @@ def baseline_steps(method: BaselineMethod, profile: AngularVelocityProfile, t, t
         # gives it in closed form, (1, x w) / (1 + x^2 |w|^2): no solve.
         (w,) = rates
         # Past |w| ~ 1e154, |w|^2 overflows to inf and p_k to 0: a finite,
-        # fully damped step.
+        # fully damped step.  A zero rate is e0 at any finite step.
         x = h / 2.0
+        n2 = np.sum(w * w, axis=-1, keepdims=True)
         p = np.concatenate([np.ones_like(w[..., :1]), x * w], axis=-1)
-        p = p / (1.0 + x * x * np.sum(w * w, axis=-1, keepdims=True))
+        p = p / (1.0 + zero_at_rest(x * x * n2, w, n2))
     else:
         # Gauss-Legendre: k_i = L_i (e0 + tau sum_j a_ij k_j) with L_i at
         # t + c_i tau is one 8x8 system per step, whose right-hand side is

@@ -14,6 +14,7 @@ import argparse
 import functools
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -169,6 +170,8 @@ def main(argv=None) -> int:
 
 
 def entry_point() -> None:
+    # A warning prints as one line, without a source line no user of the command wrote.
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     raise SystemExit(main())
 
 

@@ -128,6 +128,18 @@ def require_rates(*rates) -> None:
             require_finite(np.concatenate(np.broadcast_arrays(*rates), axis=-1), "rate")
 
 
+def zero_at_rest(x, w, n2):
+    """x, with 0 at each step whose rate w (..., 3) is exactly zero: there a
+    product of tau^2 (inf past tau ~1.3e154) and of n2 = |w|^2, shaped like
+    the steps, would be inf * 0.  Only steps with n2 == 0 are tested, on the
+    rate itself: a nonzero rate below ~1e-162 has n2 == 0 too, and keeps x."""
+    rest = n2 == 0.0
+    if not np.logical_or.reduce(rest, axis=None):
+        return x
+    rest &= ~np.any(w, axis=-1).reshape(np.shape(rest))
+    return np.where(rest, 0.0, x)
+
+
 class AngularVelocityProfile:
     """Time-to-angular-velocity mapping; subclasses implement omega_at."""
 

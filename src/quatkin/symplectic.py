@@ -33,6 +33,7 @@ from .model import (
     rate_array,
     require_rates,
     right_matrix,
+    zero_at_rest,
 )
 from .trajectory import Trajectory, integrate
 
@@ -66,16 +67,10 @@ def _caller_stacklevel() -> int:
     """warnings.warn stacklevel, counted from the function that calls this one,
     of the first frame outside this package: a warning names the caller's
     line whichever public entry reached the step builder.  (warn's
-    skip_file_prefixes does this too, but only from Python 3.12 on.)  Where
-    that frame is runpy's or has no source file, the outermost package frame
-    is named instead."""
+    skip_file_prefixes does this too, but only from Python 3.12 on.)"""
     frame, level = sys._getframe(1), 1
     while frame.f_back is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
         frame, level = frame.f_back, level + 1
-    if frame.f_code.co_filename.startswith("<") or frame.f_globals.get("__name__") == "runpy":
-        # No line of the user's (runpy's under python -m, frozen from Python
-        # 3.11 on): the outermost package frame.
-        level -= 1
     return level
 
 
@@ -107,7 +102,7 @@ def _cayley_steps(omega, tau, tally: list):
     require_rates(w)
     n2 = _norm_sq(w)
     batch = np.broadcast(n2, tau).shape  # np.broadcast_shapes runs in Python
-    alpha = tau * tau * n2 / 16.0
+    alpha = zero_at_rest(tau * tau * n2 / 16.0, w, n2)
     p = np.empty(batch + (4,))
     p[..., 0] = 1.0 - alpha
     np.multiply(w, (tau / 2.0)[..., None], out=p[..., 1:])
@@ -164,9 +159,11 @@ def integrate_autonomous(omega, q0, t0: float, tf: float, tau: float) -> Traject
 
 
 def _beta(w: np.ndarray, tau) -> np.ndarray:
-    """Coefficient beta = -(tau^2/96) w2 |w|^2 of J in the time-varying generator."""
+    """Coefficient beta = -(tau^2/96) w2 |w|^2 of J in the time-varying
+    generator; 0 at a zero rate, whatever the step."""
     tau = np.asarray(tau, dtype=float)
-    return -(tau * tau / 96.0) * w[..., 1] * _norm_sq(w)
+    n2 = _norm_sq(w)
+    return zero_at_rest(-(tau * tau / 96.0) * w[..., 1] * n2, w, n2)
 
 
 def corrected_rate(omega_k, tau) -> np.ndarray:

@@ -148,6 +148,16 @@ def test_euler_backward_strictly_contracts():
         assert np.linalg.norm(q1) < np.linalg.norm(q0)
 
 
+def test_euler_backward_zero_rate_is_the_identity_at_any_finite_step():
+    # (tau/2)^2 overflows at tau = 1e200; at a zero rate the step is e0 all
+    # the same, and a nonzero rate whose |w|^2 underflows keeps its refusal.
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = baseline_steps(EUB, ConstantProfile((0.0, 0.0, 0.0)), [0.0, 0.0], [1e200, 0.5])
+        npt.assert_array_equal(p, [E0, E0])
+        with pytest.raises(ConsistencyError, match="^step map is not finite at step 0$"):
+            baseline_steps(EUB, ConstantProfile((1e-170, 0.0, 0.0)), 0.0, 1e200)
+
+
 def test_euler_backward_samples_rate_at_step_end():
     # Profile jumps after t=0; the implicit step must see the t+tau value.
     from quatkin.model import TabulatedProfile

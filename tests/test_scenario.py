@@ -112,6 +112,17 @@ def test_parse_config_rejects_other_input_types(source):
         parse_config(source)
 
 
+@pytest.mark.parametrize("profile", [5, None, ["fig2"], True], ids=["number", "null", "list", "true"])
+def test_profile_neither_a_name_nor_an_object_is_refused(profile, tmp_path, capsys):
+    message = "field 'profile': expected a registry name or an object"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_config(make_config(profile=profile))
+    cfg_path = tmp_path / "profile.json"
+    cfg_path.write_text(make_config(profile=profile), encoding="utf-8")
+    assert main(["run", str(cfg_path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_parse_rejects_unknown_keys():
     with pytest.raises(ConfigError, match="unknown config keys.*horizon"):
         parse_config(make_config(horizon=10))
@@ -1570,6 +1581,36 @@ def test_cli_rate_whose_square_overflows_lets_no_warning_out(
 
 
 @pytest.mark.parametrize(
+    "method, rate, code, err",
+    [
+        *((m, 0.0, 0, "") for m in scenario.METHODS),
+        ("SGA-A", 1e-170, 2, "runtime error: step map is not finite at step 0\n"),
+        ("SGA-NA", 1e-170, 2, "runtime error: corrected rate is not finite at step 0\n"),
+        ("RK4", 1e-170, 0, ""),
+        ("EUB", 1e-170, 2, "runtime error: step map is not finite at step 0\n"),
+        ("GL2", 1e-170, 0, ""),
+    ],
+    ids=[f"{m}-{rate}" for rate in ("zero", "1e-170") for m in scenario.METHODS],
+)
+def test_cli_zero_rate_is_the_identity_at_a_step_whose_square_overflows(
+    method, rate, code, err, tmp_path, capsys
+):
+    # tau^2 overflows at tau = 1e200.  A zero rate is the identity step for
+    # every method; a rate of 1e-170, whose |w|^2 underflows to 0 too, keeps
+    # each method's result, and neither lets a RuntimeWarning out.
+    omega = {"type": "constant", "omega": [rate, 0, 0]}
+    cfg = {"profile": omega, "method": method, "tau": 1e200, "tf": 1e200}
+    cfg_path = tmp_path / "rest.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", str(cfg_path)]) == code
+    out, got = capsys.readouterr()
+    assert got == err
+    assert ("max|norm-1|=0.000e+00" in out) == (rate == 0.0 or method == "GL2")
+
+
+@pytest.mark.parametrize(
     "tf, message",
     [(100.0, "state is not finite at step 232"), (20.0, "state norm is not finite at step 116")],
     ids=["state-overflow", "norm-overflow"],
@@ -1608,22 +1649,45 @@ def test_step_size_warning_names_the_caller(call):
     assert [w.filename for w in record] == [__file__] * len(record)
 
 
-def test_step_size_warning_under_python_m_names_the_cli_file():
-    # Under python -m the first frame outside the package is runpy's (frozen,
-    # with no source file, from Python 3.11 on); the warning names
-    # quatkin/cli.py instead.
+def _python(*args):
+    """A fresh interpreter with this checkout's quatkin on its path, run from
+    the repository root: (exit code, stderr)."""
     src = os.path.dirname(os.path.dirname(scenario.__file__))
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    config = os.path.join(root, "configs", "fig2-sga.json")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run(
-        [sys.executable, "-W", "always", "-m", "quatkin.cli", "run", config],
-        capture_output=True, text=True, env=env, check=False,
+        [sys.executable, *args], capture_output=True, text=True, env=env, cwd=root, check=False
     )
-    assert done.returncode == 0, done.stderr
-    cli_file = os.path.join(src, "quatkin", "cli.py")
-    assert done.stderr.startswith(f"{cli_file}:"), done.stderr
-    assert "StepSizeWarning: 60 of 60 steps" in done.stderr.splitlines()[0]
+    return done.returncode, done.stderr
+
+
+@pytest.mark.parametrize(
+    "config, warning",
+    [
+        ("fig2-sga", "60 of 60 steps exceed the accuracy guideline tau <= 1/(5|omega|); "
+         "worst tau|omega| = 1.535"),
+        ("fig1d", "1095 of 2000 steps exceed the accuracy guideline tau <= 1/(5|omega|); "
+         "worst tau|omega| = 0.4185"),
+    ],
+    ids=["fig2-sga", "fig1d"],
+)
+@pytest.mark.parametrize("flags", [[], ["-W", "ignore::UserWarning"]], ids=["default", "ignored"])
+def test_cli_prints_a_step_size_warning_as_one_line(config, warning, flags):
+    # The command's warning names no file or line, so it does not move with
+    # an edit of cli.py; a -W filter still applies to it.
+    code, err = _python(*flags, "-m", "quatkin.cli", "run", f"configs/{config}.json")
+    assert code == 0, err
+    assert err == ("" if flags else f"warning: {warning}\n")
+
+
+def test_step_size_warning_under_python_c_names_the_string():
+    code, err = _python(
+        "-W", "always", "-c",
+        "import numpy as np, quatkin\n"
+        "quatkin.integrate_autonomous(np.array([2., 10, 3]), [1, 0, 0, 0], 0, 1, 0.1)",
+    )
+    assert code == 0, err
+    assert err.startswith("<string>:2: StepSizeWarning: 10 of 10 steps"), err
 
 
 @pytest.mark.parametrize(

@@ -931,6 +931,21 @@ def test_consistency_error_on_overflowing_rates(scale):
             nonautonomous_transition(w, 1.0)
 
 
+def test_zero_rate_is_the_identity_at_a_step_whose_square_overflows():
+    # tau^2 overflows past tau ~1.3e154, and inf * |w|^2 = inf * 0 is nan; a
+    # zero rate is still the identity step and beta is 0.  A nonzero rate
+    # whose |w|^2 underflows to 0 keeps its refusal.
+    traj = integrate_autonomous(np.zeros(3), E0, 0.0, 1e155, 1e155)
+    npt.assert_array_equal(traj.states, [E0, E0])
+    npt.assert_array_equal(corrected_rate(np.zeros(3), 1e200), np.zeros(3))
+    with np.errstate(over="ignore", invalid="ignore"):
+        npt.assert_array_equal(cayley_steps(np.zeros((2, 3)), 1e200), [E0, E0])
+        with pytest.raises(ConsistencyError, match="^step map is not finite at step 1$"):
+            cayley_steps([[0.0, 0.0, 0.0], [1e-170, 0.0, 0.0]], 1e200)
+    with pytest.raises(ConsistencyError, match="^corrected rate is not finite at step 0$"):
+        corrected_rate([1e-170, 0.0, 0.0], 1e200)
+
+
 @pytest.mark.filterwarnings("ignore::quatkin.symplectic.StepSizeWarning")
 def test_large_finite_rate_gives_orthogonal_map():
     # Near the top of the range the map is still finite and orthogonal.
