@@ -32,6 +32,7 @@ from .scenario import (
     run_scenario,
     run_sweep,
 )
+from .symplectic import StepSizeWarning
 
 
 class _Parser(argparse.ArgumentParser):
@@ -163,7 +164,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (QuatkinError, OSError, ValueError, MemoryError) as exc:
+    # A StepSizeWarning that -W error raises is a runtime error; a numpy
+    # RuntimeWarning it raises still ends in a traceback that counts as a leak.
+    except (QuatkinError, OSError, ValueError, MemoryError, StepSizeWarning) as exc:
         reason = "out of memory" if isinstance(exc, MemoryError) else exc
         print(f"runtime error: {reason}", file=sys.stderr)
         return 2

@@ -113,14 +113,11 @@ def test_parse_config_rejects_other_input_types(source):
 
 
 @pytest.mark.parametrize("profile", [5, None, ["fig2"], True], ids=["number", "null", "list", "true"])
-def test_profile_neither_a_name_nor_an_object_is_refused(profile, tmp_path, capsys):
+def test_profile_neither_a_name_nor_an_object_is_refused(profile, check_cli):
     message = "field 'profile': expected a registry name or an object"
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         parse_config(make_config(profile=profile))
-    cfg_path = tmp_path / "profile.json"
-    cfg_path.write_text(make_config(profile=profile), encoding="utf-8")
-    assert main(["run", str(cfg_path)]) == 1
-    assert capsys.readouterr() == ("", f"error: {message}\n")
+    check_cli(make_config(profile=profile), ["run"], 1, f"error: {message}\n")
 
 
 def test_parse_rejects_unknown_keys():
@@ -1057,6 +1054,36 @@ def test_emitters_create_files_with_the_mode_open_gives(tmp_path):
 
 # --- CLI ----------------------------------------------------------------------------
 
+def run_cli(tmp_path, config, *argv, verb="run"):
+    """Write config (a dict, or JSON text) to tmp_path/cfg.json and run
+    `quatkin <verb> <that file> *argv` in process with every warning recorded.
+    No numpy RuntimeWarning may leak from the command.  Returns the exit code
+    and the category of each warning recorded, in order."""
+    path = tmp_path / "cfg.json"
+    path.write_text(config if isinstance(config, str) else json.dumps(config), encoding="utf-8")
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        code = main([verb, str(path), *argv])
+    warned = [w.category for w in record]
+    assert not [c for c in warned if issubclass(c, RuntimeWarning)], record
+    return code, warned
+
+
+@pytest.fixture
+def check_cli(tmp_path, capsys):
+    """check_cli(config, argv, code, err) checks the whole outcome of
+    `quatkin <argv[0]> cfg.json <argv[1:]>` on config: the exit code and
+    stderr, exactly; stdout empty unless it exits 0; no warning of any kind;
+    and no file written beside the config."""
+    def check(config, argv, code, err):
+        assert run_cli(tmp_path, config, *argv[1:], verb=argv[0]) == (code, [])
+        out, got = capsys.readouterr()
+        assert (got, out == "") == (err, code != 0)
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
+    return check
+
+
 def test_cli_gap_prints_value(capsys):
     assert main(["gap", "0.2"]) == 0
     out = capsys.readouterr().out.strip()
@@ -1081,25 +1108,10 @@ def test_cli_registry_lists_names(capsys):
         assert name in out
 
 
-@pytest.mark.filterwarnings("ignore::quatkin.symplectic.StepSizeWarning")
 def test_cli_run_with_overrides_and_outputs(tmp_path, capsys):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(make_config(tf=2.0), encoding="utf-8")
-    out_csv = tmp_path / "series.csv"
-    out_json = tmp_path / "summary.json"
-    code = main(
-        [
-            "run",
-            str(cfg_path),
-            "--tau",
-            "0.02",
-            "--out",
-            str(out_csv),
-            "--summary",
-            str(out_json),
-        ]
-    )
-    assert code == 0
+    out_csv, out_json = tmp_path / "series.csv", tmp_path / "summary.json"
+    argv = ["--tau", "0.02", "--out", str(out_csv), "--summary", str(out_json)]
+    assert run_cli(tmp_path, make_config(tf=2.0), *argv)[0] == 0
     assert "tau=0.02" in capsys.readouterr().out
     assert out_csv.exists()
     doc = json.loads(out_json.read_text(encoding="utf-8"))
@@ -1108,16 +1120,10 @@ def test_cli_run_with_overrides_and_outputs(tmp_path, capsys):
 
 
 def test_cli_sweep(tmp_path):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(
-        make_config(profile="coning", q0=CONING_Q0, tf=20.0, method="SGA-NA"),
-        encoding="utf-8",
-    )
+    config = make_config(profile="coning", q0=CONING_Q0, tf=20.0, method="SGA-NA")
     out_json = tmp_path / "sweep.json"
-    code = main(
-        ["sweep", str(cfg_path), "--taus", "0.1", "0.05", "--summary", str(out_json)]
-    )
-    assert code == 0
+    argv = ["--taus", "0.1", "0.05", "--summary", str(out_json)]
+    assert run_cli(tmp_path, config, *argv, verb="sweep")[0] == 0
     doc = json.loads(out_json.read_text(encoding="utf-8"))
     assert [r["tau"] for r in doc["runs"]] == [0.1, 0.05]
 
@@ -1126,24 +1132,20 @@ def test_cli_sweep_takes_no_tau(tmp_path, capsys):
     # --taus sets every run's step, so a --tau could only reject a valid
     # sweep (here with the step budget); argparse rejects it instead, and
     # does not read it as an abbreviation of --taus.
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(make_config(tf=2.0), encoding="utf-8")
     with pytest.raises(SystemExit) as excinfo:
-        main(["sweep", str(cfg_path), "--taus", "0.1", "--tau", "1e-12"])
+        run_cli(tmp_path, make_config(tf=2.0), "--taus", "0.1", "--tau", "1e-12", verb="sweep")
     assert excinfo.value.code == 1
     assert "error: unrecognized arguments: --tau 1e-12" in capsys.readouterr().err
 
 
 def test_cli_run_and_one_step_sweep_write_the_same_summary(tmp_path, capsys):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(
-        make_config(profile="coning", q0=CONING_Q0, tf=2.0, tau=0.05, outputs=["defect-ladder"]),
-        encoding="utf-8",
+    config = make_config(
+        profile="coning", q0=CONING_Q0, tf=2.0, tau=0.05, outputs=["defect-ladder"]
     )
     docs, lines = [], []
-    for extra in (["run"], ["sweep", "--taus", "0.05"]):
-        summary = tmp_path / f"{extra[0]}.json"
-        assert main([extra[0], str(cfg_path), *extra[1:], "--summary", str(summary)]) == 0
+    for verb, taus in (("run", []), ("sweep", ["--taus", "0.05"])):
+        summary = tmp_path / f"{verb}.json"
+        assert run_cli(tmp_path, config, *taus, "--summary", str(summary), verb=verb)[0] == 0
         doc = json.loads(summary.read_text(encoding="utf-8"))
         assert doc["runs"][0].pop("wall_clock_s") > 0.0
         docs.append(doc)
@@ -1157,9 +1159,9 @@ def test_summary_keeps_every_defect_ladder_of_a_sweep(tmp_path):
     # Every run of a sweep has the config's name, so each ladder is keyed by
     # its tau as well; runs with names of their own keep the plain name.
     cfg = {"profile": "fig2", "tau": 0.1, "tf": 1, "method": "SGA-NA", "outputs": ["defect-ladder"]}
-    cfg_path, out_json = tmp_path / "cfg.json", tmp_path / "sweep.json"
-    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
-    assert main(["sweep", str(cfg_path), "--taus", "0.1", "0.05", "--summary", str(out_json)]) == 0
+    out_json = tmp_path / "sweep.json"
+    argv = ["--taus", "0.1", "0.05", "--summary", str(out_json)]
+    assert run_cli(tmp_path, cfg, *argv, verb="sweep")[0] == 0
     ladders = json.loads(out_json.read_text(encoding="utf-8"))["defect_ladders"]
     assert list(ladders) == ["fig2@tau=0.1", "fig2@tau=0.05"]
     for tau in (0.1, 0.05):
@@ -1173,40 +1175,33 @@ def test_summary_keeps_every_defect_ladder_of_a_sweep(tmp_path):
 
 def test_cli_summary_keeps_a_ladder_with_undefined_order(tmp_path):
     # A zero rate gives zero defects on every rung, so the order is undefined.
-    cfg_path, out_json = tmp_path / "still.json", tmp_path / "summary.json"
+    out_json = tmp_path / "summary.json"
     still = {"type": "constant", "omega": [0, 0, 0]}
-    cfg_path.write_text(make_config(profile=still, tau=0.1, outputs=["defect-ladder"]))
-    assert main(["run", str(cfg_path), "--summary", str(out_json)]) == 0
+    config = make_config(profile=still, tau=0.1, outputs=["defect-ladder"])
+    assert run_cli(tmp_path, config, "--summary", str(out_json))[0] == 0
     ladder = json.loads(out_json.read_text(encoding="utf-8"))["defect_ladders"]["scenario"]
     assert ladder["defects"] == [0.0, 0.0, 0.0, 0.0]
     assert ladder["estimated_order"] is None
 
 
-def test_cli_validation_error_exit_code(tmp_path, capsys):
-    cfg_path = tmp_path / "bad.json"
-    cfg_path.write_text(make_config(tf=-1.0), encoding="utf-8")
-    assert main(["run", str(cfg_path)]) == 1
-    assert "error" in capsys.readouterr().err
+def test_cli_validation_error_exit_code(check_cli):
+    expected = "error: field 'tf': must exceed t0, got t0=0.0, tf=-1.0\n"
+    check_cli(make_config(tf=-1.0), ["run"], 1, expected)
 
 
-def test_cli_config_root_not_an_object_exit_code(tmp_path, capsys):
-    cfg_path = tmp_path / "list.json"
-    cfg_path.write_text("[1, 2]", encoding="utf-8")
-    assert main(["run", str(cfg_path)]) == 1
-    assert capsys.readouterr().err == "error: config root must be a JSON object\n"
+def test_cli_config_root_not_an_object_exit_code(check_cli):
+    expected = "error: config root must be a JSON object\n"
+    check_cli("[1, 2]", ["run"], 1, expected)
 
 
-def test_cli_out_of_memory_is_a_runtime_error(tmp_path, capsys, monkeypatch):
+def test_cli_out_of_memory_is_a_runtime_error(monkeypatch, check_cli):
     import quatkin.cli
 
     def out_of_memory(cfg):
         raise MemoryError
 
     monkeypatch.setattr(quatkin.cli, "run_scenario", out_of_memory)
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(make_config(), encoding="utf-8")
-    assert main(["run", str(cfg_path)]) == 2
-    assert capsys.readouterr().err == "runtime error: out of memory\n"
+    check_cli(make_config(), ["run"], 2, "runtime error: out of memory\n")
 
 
 @pytest.fixture
@@ -1226,27 +1221,21 @@ OUTPUT_FLAGS = [("run", "--out"), ("run", "--summary"), ("sweep", "--summary")]
 
 @pytest.mark.parametrize("verb, flag", OUTPUT_FLAGS)
 def test_cli_rejects_missing_output_directory_before_running(
-    tmp_path, capsys, no_integration, verb, flag
+    tmp_path, no_integration, verb, flag, check_cli
 ):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(make_config(), encoding="utf-8")
-    target = tmp_path / "missing-dir" / "out.file"
-    assert main([verb, str(cfg_path), flag, str(target)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and flag in err and "missing-dir" in err
+    target = str(tmp_path / "missing-dir" / "out.file")
+    expected = f"error: {flag}: directory of {target!r} does not exist\n"
+    check_cli(make_config(), [verb, flag, target], 1, expected)
 
 
 @pytest.mark.parametrize("verb, flag", OUTPUT_FLAGS)
 def test_cli_rejects_a_directory_as_output_before_running(
     tmp_path, capsys, no_integration, verb, flag
 ):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(make_config(), encoding="utf-8")
     target = tmp_path / "a-dir"
     target.mkdir()
-    assert main([verb, str(cfg_path), flag, str(target)]) == 1
-    err = capsys.readouterr().err
-    assert err == f"error: {flag}: {str(target)!r} is a directory\n"
+    assert run_cli(tmp_path, make_config(), flag, str(target), verb=verb)[0] == 1
+    assert capsys.readouterr().err == f"error: {flag}: {str(target)!r} is a directory\n"
 
 
 @pytest.mark.parametrize(
@@ -1255,21 +1244,14 @@ def test_cli_rejects_a_directory_as_output_before_running(
      (["sweep", "--summary", ""], "--summary"), (["run", "--out", "", "--summary", ""], "--out")],
     ids=["run-out", "run-summary", "sweep-summary", "run-both"],
 )
-def test_cli_rejects_an_empty_output_path_before_running(
-    tmp_path, capsys, no_integration, argv, flag
-):
+def test_cli_rejects_an_empty_output_path_before_running(no_integration, argv, flag, check_cli):
     # An unset shell variable gives an empty path, which would otherwise run
     # and write nothing without a word.
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(make_config(), encoding="utf-8")
-    assert main([argv[0], str(cfg_path), *argv[1:]]) == 1
-    assert capsys.readouterr().err == f"error: {flag}: the path is empty\n"
+    check_cli(make_config(), argv, 1, f"error: {flag}: the path is empty\n")
 
 
 @pytest.mark.parametrize("same", ["new-file", "existing-file", "symlink", "hard-link"])
 def test_cli_rejects_out_and_summary_naming_one_file(tmp_path, capsys, no_integration, same):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(make_config(), encoding="utf-8")
     out = summary = tmp_path / "both"
     if same != "new-file":
         out.write_bytes(b"kept")
@@ -1279,7 +1261,7 @@ def test_cli_rejects_out_and_summary_naming_one_file(tmp_path, capsys, no_integr
     if same == "hard-link":
         summary = tmp_path / "link"
         os.link(out, summary)
-    assert main(["run", str(cfg_path), "--out", str(out), "--summary", str(summary)]) == 1
+    assert run_cli(tmp_path, make_config(), "--out", str(out), "--summary", str(summary))[0] == 1
     err = capsys.readouterr().err
     assert err.startswith("error: --out") and "--summary" in err and "same file" in err
     assert out.exists() == (same != "new-file")
@@ -1290,17 +1272,14 @@ def test_cli_rejects_out_and_summary_naming_one_file(tmp_path, capsys, no_integr
 def test_cli_writes_both_outputs_to_devnull(tmp_path):
     # /dev/null is no regular file: both flags may name it, and it is
     # written without the cut that ftruncate refuses there.
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(make_config(profile="coning", q0=CONING_Q0, tf=1.0), encoding="utf-8")
-    assert main(["run", str(cfg_path), "--out", os.devnull, "--summary", os.devnull]) == 0
+    config = make_config(profile="coning", q0=CONING_Q0, tf=1.0)
+    assert run_cli(tmp_path, config, "--out", os.devnull, "--summary", os.devnull)[0] == 0
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("flag", ["--out", "--summary"])
 def test_cli_failed_output_write_is_a_runtime_error(tmp_path, capsys, flag):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(make_config(tf=0.1), encoding="utf-8")
-    assert main(["run", str(cfg_path), flag, "/dev/full"]) == 2
+    assert run_cli(tmp_path, make_config(tf=0.1), flag, "/dev/full")[0] == 2
     assert capsys.readouterr().err.startswith("runtime error: [Errno 28]")
 
 
@@ -1315,44 +1294,40 @@ def test_cli_unreadable_config_is_a_config_error(tmp_path, capsys):
     assert err.startswith("error: config") and str(tmp_path) in err
 
 
-def test_cli_malformed_json_exit_code(tmp_path, capsys):
-    cfg_path = tmp_path / "broken.json"
-    cfg_path.write_text("{not json", encoding="utf-8")
-    assert main(["run", str(cfg_path)]) == 1
-    assert "line" in capsys.readouterr().err
+def test_cli_malformed_json_exit_code(check_cli):
+    expected = (
+        "error: config is not valid JSON at line 1, column 2: "
+        "Expecting property name enclosed in double quotes\n"
+    )
+    check_cli("{not json", ["run"], 1, expected)
 
 
-@pytest.mark.filterwarnings("ignore::quatkin.symplectic.StepSizeWarning")
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_cli_runtime_error_exit_code(tmp_path, capsys):
-    # A finite rate whose step map overflows passes parsing and fails at run time.
+def test_cli_runtime_error_exit_code(tmp_path, check_cli):
+    # A finite rate whose step map overflows passes parsing and fails at run
+    # time; RK4's stage products overflow too: no NaN rows are written.
     cfg = {"profile": {"type": "constant", "omega": [1e200, 0.0, 0.0]}, "tau": 0.1, "tf": 1.0}
-    cfg_path = tmp_path / "huge.json"
-    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
-    assert main(["run", str(cfg_path)]) == 2
-    assert "runtime error" in capsys.readouterr().err
-    # RK4's stage products overflow too: no NaN rows are written.
-    out = tmp_path / "huge.csv"
-    assert main(["run", str(cfg_path), "--method", "RK4", "--out", str(out)]) == 2
-    assert "runtime error: step map is not finite at step 0" in capsys.readouterr().err
-    assert not out.exists()
+    expected = "runtime error: step map is not finite at step 0\n"
+    check_cli(cfg, ["run"], 2, expected)
+    argv = ["run", "--method", "RK4", "--out", str(tmp_path / "huge.csv")]
+    check_cli(cfg, argv, 2, expected)
 
 
-@pytest.mark.parametrize("method, step", [("RK4", 1), ("EUB", 1), ("GL2", 2)])
-def test_cli_non_finite_rate_exit_code(method, step, tmp_path, capsys, monkeypatch):
-    # A profile that is nan from t = 0.5 on fails at run time, naming the step.
+def nan_from_half(monkeypatch):
+    """Register a profile that is nan from t = 0.5 on as 'nan-from-half'."""
     def rate(t):
         return np.where(t[..., None] >= 0.5, np.nan, [1.0, 2.0, 3.0])
 
     monkeypatch.setitem(PROFILE_REGISTRY, "nan-from-half", lambda: FormulaProfile("nan", rate))
-    cfg_path = tmp_path / "nan.json"
-    cfg_path.write_text(make_config(profile="nan-from-half", tau=0.25, method=method))
-    assert main(["run", str(cfg_path)]) == 2
-    assert capsys.readouterr().err.endswith(f"not finite at step {step}\n")
 
 
-@pytest.mark.filterwarnings("ignore::quatkin.symplectic.StepSizeWarning")
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("method, step", [("RK4", 1), ("EUB", 1), ("GL2", 2)])
+def test_cli_non_finite_rate_exit_code(method, step, monkeypatch, check_cli):
+    # A profile that is nan from t = 0.5 on fails at run time, naming the step.
+    nan_from_half(monkeypatch)
+    config = make_config(profile="nan-from-half", tau=0.25, method=method)
+    check_cli(config, ["run"], 2, f"runtime error: rate is not finite at step {step}\n")
+
+
 @pytest.mark.parametrize("tf, code", [(100.0, 2), (10.0, 0)], ids=["diverges", "large-finite"])
 def test_cli_rk4_past_its_stability_bound(tf, code, tmp_path, capsys):
     # tau |w| = 10: every RK4 step multiplies the norm by ~21.5.  Over 1000
@@ -1361,9 +1336,8 @@ def test_cli_rk4_past_its_stability_bound(tf, code, tmp_path, capsys):
     # a strict-JSON summary.
     profile = {"type": "constant", "omega": [100, 0, 0]}
     cfg = {"profile": profile, "method": "RK4", "tau": 0.1, "tf": tf}
-    cfg_path, out, summary = tmp_path / "rk4.json", tmp_path / "rk4.csv", tmp_path / "summary.json"
-    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
-    assert main(["run", str(cfg_path), "--out", str(out), "--summary", str(summary)]) == code
+    out, summary = tmp_path / "rk4.csv", tmp_path / "summary.json"
+    assert run_cli(tmp_path, cfg, "--out", str(out), "--summary", str(summary))[0] == code
     err = capsys.readouterr().err
     if code:
         assert err == "runtime error: state is not finite at step 232\n"
@@ -1384,24 +1358,14 @@ def test_cli_rk4_past_its_stability_bound(tf, code, tmp_path, capsys):
     ids=["overflow", "nan"],
 )
 def test_cli_sga_na_names_the_rate_that_is_not_finite(
-    profile, tau, message, tmp_path, capsys, monkeypatch
+    profile, tau, message, monkeypatch, check_cli
 ):
     # A finite sample whose correction w' = w + (tau^2/48) w2 |w|^2 e2
     # overflows is named as the corrected rate, with no numpy RuntimeWarning;
     # a nan sample (step 2's midpoint is 0.625) is still named as the rate.
-    def rate(t):
-        return np.where(t[..., None] >= 0.5, np.nan, [1.0, 2.0, 3.0])
-
-    monkeypatch.setitem(PROFILE_REGISTRY, "nan-from-half", lambda: FormulaProfile("nan", rate))
+    nan_from_half(monkeypatch)
     cfg = {"profile": profile, "method": "SGA-NA", "tau": tau, "tf": 1}
-    cfg_path = tmp_path / "rate.json"
-    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
-    with warnings.catch_warnings(record=True) as record:
-        warnings.simplefilter("always")
-        code = main(["run", str(cfg_path)])
-    assert code == 2
-    assert capsys.readouterr() == ("", f"runtime error: {message}\n")
-    assert [w for w in record if issubclass(w.category, RuntimeWarning)] == []
+    check_cli(cfg, ["run"], 2, f"runtime error: {message}\n")
 
 
 @pytest.mark.parametrize(
@@ -1415,72 +1379,47 @@ def test_cli_sga_na_names_the_rate_that_is_not_finite(
     ],
     ids=["SGA-A", "SGA-NA", "RK4", "EUB", "GL2"],
 )
-def test_cli_interp_names_what_exact_names_on_a_1e308_rate(method, code, err, tmp_path, capsys):
+def test_cli_interp_names_what_exact_names_on_a_1e308_rate(method, code, err, check_cli):
     # The chord (1 - c) w(t) + c w(t_end) of two finite samples is finite, so
     # at a constant 1e308 rate interp gives exact's outcome, with the one
     # named error (or none) and no numpy RuntimeWarning.
     omega = {"type": "constant", "omega": [1e308] * 3}
-    cfg_path = tmp_path / "rate.json"
-    outcomes = []
     for sampling in ("exact", "interp"):
         cfg = {"profile": omega, "method": method, "sampling": sampling, "tau": 0.5, "tf": 1}
-        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            outcomes.append((main(["run", str(cfg_path)]), capsys.readouterr().err))
-        assert [w for w in record if issubclass(w.category, RuntimeWarning)] == []
-    assert outcomes[1] == outcomes[0] == (code, f"runtime error: {err}\n" if err else "")
+        check_cli(cfg, ["run"], code, f"runtime error: {err}\n" if err else "")
 
 
 @pytest.mark.parametrize("sampling", ["exact", "interp"])
 @pytest.mark.parametrize("method", ["SGA-NA", "RK4", "EUB", "GL2"])
-def test_cli_profile_that_overflows_names_the_rate_with_no_warning(
-    method, sampling, tmp_path, capsys
-):
+def test_cli_profile_that_overflows_names_the_rate_with_no_warning(method, sampling, check_cli):
     # fig1c's e^{-t} overflows at t = -1000: the profile's own arithmetic runs
     # inside the run's one np.errstate, so only the named error comes out.
-    cfg = {"profile": "fig1c", "t0": -1000, "tf": -999, "tau": 0.1}
-    cfg_path = tmp_path / "fig1c.json"
-    cfg_path.write_text(json.dumps(dict(cfg, method=method, sampling=sampling)), encoding="utf-8")
-    with warnings.catch_warnings(record=True) as record:
-        warnings.simplefilter("always")
-        assert main(["run", str(cfg_path)]) == 2
-    assert capsys.readouterr() == ("", "runtime error: rate is not finite at step 0\n")
-    assert [w for w in record if issubclass(w.category, RuntimeWarning)] == []
+    cfg = {"profile": "fig1c", "t0": -1000, "tf": -999, "tau": 0.1, "method": method,
+           "sampling": sampling}
+    expected = "runtime error: rate is not finite at step 0\n"
+    check_cli(cfg, ["run"], 2, expected)
 
 
-def test_cli_constant_oracle_whose_square_overflows_is_a_config_error(tmp_path, capsys):
+def test_cli_constant_oracle_whose_square_overflows_is_a_config_error(tmp_path, check_cli):
     # The oracle's |w|^2 is checked at parse time, before the oracle is built.
     cfg = {"profile": {"type": "constant", "omega": [1e200] * 3}, "method": "EUB",
            "oracle": "constant-analytic", "tau": 0.5, "tf": 1}
-    cfg_path, summary = tmp_path / "oracle.json", tmp_path / "summary.json"
-    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
-    with warnings.catch_warnings(record=True) as record:
-        warnings.simplefilter("always")
-        assert main(["run", str(cfg_path), "--summary", str(summary)]) == 1
     expected = "error: field 'oracle': constant-analytic needs a finite |omega|^2\n"
-    assert capsys.readouterr() == ("", expected)
-    assert [w for w in record if issubclass(w.category, RuntimeWarning)] == []
-    assert not summary.exists()
+    argv = ["run", "--summary", str(tmp_path / "summary.json")]
+    check_cli(cfg, argv, 1, expected)
 
 
-def test_cli_constant_oracle_whose_half_angle_overflows_is_a_config_error(tmp_path, capsys):
+def test_cli_constant_oracle_whose_half_angle_overflows_is_a_config_error(tmp_path, check_cli):
     # |w|^2 = 1e300 is finite, but the half angle |w| (tf - t0) / 2 the oracle
     # takes at tf is not: refused at parse time, before any step runs.
     cfg = {"profile": {"type": "constant", "omega": [1e150, 0, 0]}, "method": "EUB",
            "oracle": "constant-analytic", "tau": 1e158, "tf": 1e159}
-    cfg_path, out, summary = tmp_path / "oracle.json", tmp_path / "s.csv", tmp_path / "s.json"
-    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
-    with warnings.catch_warnings(record=True) as record:
-        warnings.simplefilter("always")
-        assert main(["run", str(cfg_path), "--out", str(out), "--summary", str(summary)]) == 1
     expected = (
         "error: field 'oracle': constant-analytic half angle |omega|(t - t0)/2 is not "
         'finite on [0.0, 1e+159]; "oracle": "none" runs without the oracle\n'
     )
-    assert capsys.readouterr() == ("", expected)
-    assert record == []
-    assert not out.exists() and not summary.exists()
+    argv = ["run", "--out", str(tmp_path / "s.csv"), "--summary", str(tmp_path / "s.json")]
+    check_cli(cfg, argv, 1, expected)
 
 
 # omega0 * t overflows at an end of the horizon: the coning oracle the profile
@@ -1501,57 +1440,49 @@ CONING_PHASE_OVERFLOWS = {
 @pytest.mark.parametrize("method", ["SGA-NA", "RK4", "EUB", "GL2"])
 @pytest.mark.parametrize("case", sorted(CONING_PHASE_OVERFLOWS))
 def test_cli_coning_oracle_whose_phase_overflows_is_a_config_error(
-    case, method, tmp_path, capsys
+    case, method, tmp_path, check_cli
 ):
     # Checked at parse time, before any step runs or any file is written.
     cfg, horizon = CONING_PHASE_OVERFLOWS[case]
-    cfg_path, out, summary = tmp_path / "oracle.json", tmp_path / "s.csv", tmp_path / "s.json"
-    cfg_path.write_text(json.dumps(dict(cfg, method=method)), encoding="utf-8")
-    with warnings.catch_warnings(record=True) as record:
-        warnings.simplefilter("always")
-        assert main(["run", str(cfg_path), "--out", str(out), "--summary", str(summary)]) == 1
     expected = (
         f"error: field 'oracle': coning phase omega0*t is not finite on {horizon}; "
         '"oracle": "none" runs without the oracle\n'
     )
-    assert capsys.readouterr() == ("", expected)
-    assert record == []
-    assert not out.exists() and not summary.exists()
+    argv = ["run", "--out", str(tmp_path / "s.csv"), "--summary", str(tmp_path / "s.json")]
+    check_cli(dict(cfg, method=method), argv, 1, expected)
 
 
-@pytest.mark.filterwarnings("ignore::quatkin.symplectic.StepSizeWarning")
 @pytest.mark.parametrize("method", ["SGA-NA", "GL2"])
 def test_cli_coning_profile_whose_phase_overflows_runs_without_its_oracle(
     method, tmp_path, capsys
 ):
     # Every rate sample these methods take is finite; only the oracle was not.
     cfg, _ = CONING_PHASE_OVERFLOWS["auto-wired"]
-    cfg_path, summary = tmp_path / "none.json", tmp_path / "s.json"
-    cfg_path.write_text(json.dumps(dict(cfg, method=method, oracle="none")), encoding="utf-8")
-    assert main(["run", str(cfg_path), "--summary", str(summary)]) == 0
+    summary = tmp_path / "s.json"
+    cfg = dict(cfg, method=method, oracle="none")
+    assert run_cli(tmp_path, cfg, "--summary", str(summary))[0] == 0
     assert capsys.readouterr().err == ""
-    assert json.loads(summary.read_text(encoding="utf-8"))["runs"][0]["max_component_errors"] is None
+    doc = json.loads(summary.read_text(encoding="utf-8"))
+    assert doc["runs"][0]["max_component_errors"] is None
 
 
-def test_cli_sweep_with_a_repeated_step_is_a_config_error(tmp_path, capsys):
+def test_cli_sweep_with_a_repeated_step_is_a_config_error(tmp_path, check_cli):
     # Both 0.1 runs would key their ladders fig2@tau=0.1: refused before any run.
     cfg = {"profile": "fig2", "tau": 0.1, "tf": 1, "outputs": ["defect-ladder"]}
-    cfg_path, summary = tmp_path / "cfg.json", tmp_path / "sweep.json"
-    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
-    argv = ["sweep", str(cfg_path), "--taus", "0.1", "0.1", "0.05", "--summary", str(summary)]
-    assert main(argv) == 1
-    assert capsys.readouterr() == ("", "error: sweep step sizes must be distinct; 0.1 is repeated\n")
-    assert not summary.exists()
+    argv = ["sweep", "--taus", "0.1", "0.1", "0.05", "--summary", str(tmp_path / "sweep.json")]
+    expected = "error: sweep step sizes must be distinct; 0.1 is repeated\n"
+    check_cli(cfg, argv, 1, expected)
 
 
-@pytest.mark.parametrize("taus", [["0.1", "nan"], ["0"]], ids=["nan", "zero"])
-def test_cli_sweep_step_that_is_not_positive_names_tau(tmp_path, capsys, taus):
-    cfg_path, summary = tmp_path / "cfg.json", tmp_path / "sweep.json"
-    cfg_path.write_text(make_config(), encoding="utf-8")
-    assert main(["sweep", str(cfg_path), "--taus", *taus, "--summary", str(summary)]) == 1
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "error: field 'tau'" in err
-    assert not summary.exists()
+@pytest.mark.parametrize(
+    "taus, reason",
+    [(["0.1", "nan"], "must be finite, got nan"), (["0"], "must be positive, got 0.0")],
+    ids=["nan", "zero"],
+)
+def test_cli_sweep_step_that_is_not_positive_names_tau(tmp_path, taus, reason, check_cli):
+    argv = ["sweep", "--taus", *taus, "--summary", str(tmp_path / "sweep.json")]
+    expected = f"error: field 'tau': step size {reason}\n"
+    check_cli(make_config(), argv, 1, expected)
 
 
 @pytest.mark.parametrize(
@@ -1564,20 +1495,14 @@ def test_cli_sweep_step_that_is_not_positive_names_tau(tmp_path, capsys, taus):
     ids=["SGA-A", "EUB", "EUB-ladder"],
 )
 def test_cli_rate_whose_square_overflows_lets_no_warning_out(
-    method, outputs, code, err, tmp_path, capsys
+    method, outputs, code, err, check_cli
 ):
     # |w|^2 overflows at this finite rate: SGA-A's map is nan and named; EUB's
     # closed form gives p_k = 0, a finite, fully damped step, in the run and
     # on the ladder, whose maps one_step_matrix builds outside any run.
     omega = {"type": "constant", "omega": [1e200] * 3}
     cfg = {"profile": omega, "method": method, "tau": 0.5, "tf": 1, "outputs": outputs}
-    cfg_path = tmp_path / "rate.json"
-    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
-    with warnings.catch_warnings(record=True) as record:
-        warnings.simplefilter("always")
-        assert main(["run", str(cfg_path)]) == code
-    assert capsys.readouterr().err == err
-    assert [w for w in record if issubclass(w.category, RuntimeWarning)] == []
+    check_cli(cfg, ["run"], code, err)
 
 
 @pytest.mark.parametrize(
@@ -1600,11 +1525,7 @@ def test_cli_zero_rate_is_the_identity_at_a_step_whose_square_overflows(
     # each method's result, and neither lets a RuntimeWarning out.
     omega = {"type": "constant", "omega": [rate, 0, 0]}
     cfg = {"profile": omega, "method": method, "tau": 1e200, "tf": 1e200}
-    cfg_path = tmp_path / "rest.json"
-    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        assert main(["run", str(cfg_path)]) == code
+    assert run_cli(tmp_path, cfg)[0] == code
     out, got = capsys.readouterr()
     assert got == err
     assert ("max|norm-1|=0.000e+00" in out) == (rate == 0.0 or method == "GL2")
@@ -1615,19 +1536,13 @@ def test_cli_zero_rate_is_the_identity_at_a_step_whose_square_overflows(
     [(100.0, "state is not finite at step 232"), (20.0, "state norm is not finite at step 116")],
     ids=["state-overflow", "norm-overflow"],
 )
-def test_cli_diverging_rk4_prints_only_the_named_error(tf, message, tmp_path, capsys):
+def test_cli_diverging_rk4_prints_only_the_named_error(tf, message, tmp_path, check_cli):
     # At tf = 20 the states stay finite (~2.4e266) but their norms overflow.
     # Neither run lets a numpy RuntimeWarning out, and neither writes a file.
     profile = {"type": "constant", "omega": [100, 0, 0]}
     cfg = {"profile": profile, "method": "RK4", "tau": 0.1, "tf": tf}
-    cfg_path, out, summary = tmp_path / "rk4.json", tmp_path / "rk4.csv", tmp_path / "summary.json"
-    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        code = main(["run", str(cfg_path), "--out", str(out), "--summary", str(summary)])
-    assert code == 2
-    assert capsys.readouterr() == ("", f"runtime error: {message}\n")
-    assert not out.exists() and not summary.exists()
+    argv = ["run", "--out", str(tmp_path / "rk4.csv"), "--summary", str(tmp_path / "summary.json")]
+    check_cli(cfg, argv, 2, f"runtime error: {message}\n")
 
 
 @pytest.mark.parametrize(
@@ -1671,13 +1586,34 @@ def _python(*args):
     ],
     ids=["fig2-sga", "fig1d"],
 )
-@pytest.mark.parametrize("flags", [[], ["-W", "ignore::UserWarning"]], ids=["default", "ignored"])
-def test_cli_prints_a_step_size_warning_as_one_line(config, warning, flags):
+@pytest.mark.parametrize(
+    "flags, code, prefix",
+    [([], 0, "warning: "), (["-W", "ignore::UserWarning"], 0, None),
+     (["-W", "error::UserWarning"], 2, "runtime error: ")],
+    ids=["default", "ignored", "error"],
+)
+def test_cli_prints_a_step_size_warning_as_one_line(config, warning, flags, code, prefix, tmp_path):
     # The command's warning names no file or line, so it does not move with
-    # an edit of cli.py; a -W filter still applies to it.
-    code, err = _python(*flags, "-m", "quatkin.cli", "run", f"configs/{config}.json")
-    assert code == 0, err
-    assert err == ("" if flags else f"warning: {warning}\n")
+    # an edit of cli.py; a -W filter still applies to it.  Raised as an
+    # error, it is a runtime error: exit 2, one line, no summary written.
+    summary = tmp_path / "summary.json"
+    argv = ["run", f"configs/{config}.json", "--summary", str(summary)]
+    expected = (code, f"{prefix}{warning}\n" if prefix else "")
+    assert _python(*flags, "-m", "quatkin.cli", *argv) == expected
+    assert summary.exists() == (code == 0)
+
+
+def test_cli_step_size_warning_raised_as_an_error_is_a_runtime_error(tmp_path, capsys):
+    summary = tmp_path / "summary.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", StepSizeWarning)
+        code = main(["run", os.path.join(CONFIG_DIR, "fig2-sga.json"), "--summary", str(summary)])
+    assert code == 2
+    assert capsys.readouterr() == ("", (
+        "runtime error: 60 of 60 steps exceed the accuracy guideline tau <= 1/(5|omega|); "
+        "worst tau|omega| = 1.535\n"
+    ))
+    assert not summary.exists()
 
 
 def test_step_size_warning_under_python_c_names_the_string():
@@ -1691,56 +1627,46 @@ def test_step_size_warning_under_python_c_names_the_string():
 
 
 @pytest.mark.parametrize(
-    "overrides, field",
+    "overrides, err",
     [
-        ({"tf": "inf"}, "'tf'"),
-        ({"profile": {"type": "coning", "omega0": "nan", "beta": "pi/80"}}, "'profile.omega0'"),
-        ({"profile": {"type": "coning", "omega0": "2pi", "beta": "pi/0"}}, "'profile.beta'"),
+        ({"tf": "inf"}, "'tf': expected a finite number, got 'inf'"),
         (
-            {
-                "profile": {
-                    "type": "tabulated",
-                    "samples": [[0.0, [1.0, 0.0, 0.0]], [1.0, [1.0, 0.0, 0.0]]],
-                },
-                "tf": 5.0,
-            },
-            "'profile.samples'",
+            {"profile": {"type": "coning", "omega0": "nan", "beta": "pi/80"}},
+            "'profile.omega0': expected a finite number, got 'nan'",
         ),
         (
-            {
-                "profile": {
-                    "type": "tabulated",
-                    "samples": [[0.5, [1.0, 0.0, 0.0]], [9.0, [1.0, 0.0, 0.0]]],
-                },
-                "tf": 5.0,
-            },
-            "'profile.samples'",
+            {"profile": {"type": "coning", "omega0": "2pi", "beta": "pi/0"}},
+            "'profile.beta': zero divisor in 'pi/0'",
+        ),
+        *(
+            (
+                {"tf": 5.0,
+                 "profile": {"type": "tabulated", "samples": [[t, [1.0, 0.0, 0.0]] for t in (a, b)]}},
+                f"'profile.samples': span [{a}, {b}] does not cover the horizon [0.0, 5.0]",
+            )
+            for a, b in [(0.0, 1.0), (0.5, 9.0)]
         ),
     ],
     ids=["tf-inf", "omega0-nan", "beta-pi-over-0", "samples-end-early", "samples-start-late"],
 )
-def test_cli_rejects_out_of_range_config_values(tmp_path, capsys, overrides, field):
-    cfg_path = tmp_path / "bad.json"
-    cfg_path.write_text(make_config(**overrides), encoding="utf-8")
-    assert main(["run", str(cfg_path)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and field in err and err.count("\n") == 1
+def test_cli_rejects_out_of_range_config_values(overrides, err, check_cli):
+    check_cli(make_config(**overrides), ["run"], 1, f"error: field {err}\n")
 
 
 def test_cli_rejects_tau_over_step_budget(tmp_path, capsys):
-    tiny, ok = tmp_path / "tiny-tau.json", tmp_path / "ok.json"
-    tiny.write_text(make_config(tau=1e-300), encoding="utf-8")
-    ok.write_text(make_config(), encoding="utf-8")
     tracemalloc.start()
     try:
-        codes = [main(["run", str(tiny)]), main(["sweep", str(ok), "--taus", "0.1", "1e-300"])]
+        codes = [
+            run_cli(tmp_path, make_config(tau=1e-300))[0],
+            run_cli(tmp_path, make_config(), "--taus", "0.1", "1e-300", verb="sweep")[0],
+        ]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert codes == [1, 1]
     assert peak < 1 << 20  # rejected before any step array exists
-    err = capsys.readouterr().err
-    assert err.count("field 'tau'") == 2 and err.count("1e+300 steps") == 2
+    expected = f"1e-300 gives 1e+300 steps over [0.0, 1.0], more than the budget of {MAX_STEPS}"
+    assert capsys.readouterr().err == f"error: field 'tau': {expected}\n" * 2
 
 
 LADDER_TABLE = {"type": "tabulated", "samples": [[0.0, [1.0, 2.0, 0.5]], [1.0, [2.0, 1.0, 0.0]]]}
@@ -1749,40 +1675,37 @@ LADDER_TABLE = {"type": "tabulated", "samples": [[0.0, [1.0, 2.0, 0.5]], [1.0, [
 @pytest.mark.parametrize(
     "method, sampling", [("RK4", "exact"), ("SGA-NA", "interp")], ids=["RK4", "SGA-NA-interp"]
 )
-def test_cli_rejects_defect_ladder_step_past_table(tmp_path, capsys, method, sampling):
+def test_cli_rejects_defect_ladder_step_past_table(tmp_path, method, sampling, check_cli):
     # One ladder step of tau = 1.5 from t0 = 0 samples the table past its end
     # at t = 1, although the run itself takes one shortened step.
-    fields = dict(profile=LADDER_TABLE, tf=1.0, method=method, sampling=sampling)
-    cfg_path, out = tmp_path / "ladder.json", tmp_path / "out.csv"
-    cfg_path.write_text(make_config(tau=1.5, outputs=["defect-ladder"], **fields))
-    assert main(["run", str(cfg_path), "--out", str(out)]) == 1
-    cfg_path.write_text(make_config(tau=0.1, outputs=["defect-ladder"], **fields))
-    assert main(["sweep", str(cfg_path), "--taus", "0.5", "1.5", "--summary", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.count("error: field 'tau'") == 2
-    assert not out.exists()
-    assert main(["run", str(cfg_path), "--out", str(out)]) == 0
-    assert out.exists()
+    fields = dict(
+        profile=LADDER_TABLE, tf=1.0, method=method, sampling=sampling, outputs=["defect-ladder"]
+    )
+    out, short_step = str(tmp_path / "out.csv"), make_config(tau=0.1, **fields)
+    expected = "error: field 'tau': defect ladder samples t0 + tau = 1.5 > 1.0\n"
+    check_cli(make_config(tau=1.5, **fields), ["run", "--out", out], 1, expected)
+    argv = ["sweep", "--taus", "0.5", "1.5", "--summary", out]
+    check_cli(short_step, argv, 1, expected)
+    assert run_cli(tmp_path, short_step, "--out", out)[0] == 0
+    assert os.path.exists(out)
 
 
-def test_cli_rejects_tau_the_float_times_cannot_resolve(tmp_path, capsys):
+def test_cli_rejects_tau_the_float_times_cannot_resolve(tmp_path, check_cli):
     # Float times near 1e16 lie 2 apart: a 0.1 step would give 21 CSV rows
     # holding 2 distinct times.  The config's step, a --tau and a sweep's
     # step are each refused, after the budget check, before any run.
     horizon = dict(profile="fig2", t0=1e16, tf=1.0000000000000002e16, method="RK4")
-    bad, ok = tmp_path / "bad.json", tmp_path / "ok.json"
-    bad.write_text(make_config(tau=0.1, **horizon), encoding="utf-8")
-    ok.write_text(make_config(tau=2.0, **horizon), encoding="utf-8")
-    out = tmp_path / "out.csv"
-    codes = [
-        main(["run", str(bad), "--out", str(out)]),
-        main(["run", str(ok), "--tau", "0.5", "--out", str(out)]),
-        main(["sweep", str(ok), "--taus", "2.0", "1.0", "--summary", str(out)]),
-    ]
-    assert codes == [1, 1, 1] and not out.exists()
-    err = capsys.readouterr().err
-    assert err.count("\n") == 3 and err.count("error: field 'tau'") == 3
-    assert main(["run", str(ok), "--out", str(out)]) == 0  # one spacing is a step
+    bad, ok = make_config(tau=0.1, **horizon), make_config(tau=2.0, **horizon)
+    out = str(tmp_path / "out.csv")
+    reason = (
+        "is below two float spacings (4) of times on [1e+16, 1.0000000000000002e+16] and off "
+        "their grid, so the times cannot resolve the steps"
+    )
+    for config, argv, tau in [(bad, ["run", "--out", out], 0.1),
+                              (ok, ["run", "--tau", "0.5", "--out", out], 0.5),
+                              (ok, ["sweep", "--taus", "2.0", "1.0", "--summary", out], 1.0)]:
+        check_cli(config, argv, 1, f"error: field 'tau': {tau} {reason}\n")
+    assert run_cli(tmp_path, ok, "--out", out)[0] == 0  # one spacing is a step
     assert len(set(np.loadtxt(out, delimiter=",", skiprows=1)[:, 0])) == 2
 
 
@@ -1816,24 +1739,22 @@ def test_parse_float_spacing_across_a_binade():
         assert np.all(np.diff(times) > 0.0) and times[-1] == cfg.tf
 
 
-def test_cli_rejects_one_spacing_across_a_binade(tmp_path, capsys):
+def test_cli_rejects_one_spacing_across_a_binade(tmp_path, check_cli):
     # The config's step, a --tau and a sweep's step are each refused.
     horizon = dict(profile="fig2", t0=2**53 - 1, tf=2**53 + 8, method="RK4")
-    bad, ok = tmp_path / "bad.json", tmp_path / "ok.json"
-    bad.write_text(make_config(tau=2.0, **horizon), encoding="utf-8")
-    ok.write_text(make_config(tau=4.0, **horizon), encoding="utf-8")
-    out = tmp_path / "out.csv"
-    codes = [
-        main(["run", str(bad), "--out", str(out)]),
-        main(["run", str(ok), "--tau", "2", "--out", str(out)]),
-        main(["sweep", str(ok), "--taus", "4", "2", "--summary", str(out)]),
-    ]
-    assert codes == [1, 1, 1] and not out.exists()
-    err = capsys.readouterr().err
-    assert err.count("\n") == 3 and err.count("error: field 'tau'") == 3
+    bad, ok = make_config(tau=2.0, **horizon), make_config(tau=4.0, **horizon)
+    out = str(tmp_path / "out.csv")
+    expected = (
+        "error: field 'tau': 2.0 is below two float spacings (4) of times on "
+        "[9007199254740991.0, 9007199254741000.0] and off their grid, so the times cannot "
+        "resolve the steps\n"
+    )
+    for config, argv in [(bad, ["run", "--out", out]), (ok, ["run", "--tau", "2", "--out", out]),
+                         (ok, ["sweep", "--taus", "4", "2", "--summary", out])]:
+        check_cli(config, argv, 1, expected)
 
 
-def test_defect_ladder_rungs_keep_the_float_spacing_rule(tmp_path, capsys):
+def test_defect_ladder_rungs_keep_the_float_spacing_rule(tmp_path, check_cli):
     # Near 1e16 the times lie 2 apart.  The run's step of 4 resolves them,
     # but the ladder's rungs 1 and 0.5 end where t0 + rung rounds to t0, so
     # their maps would sample the profile at t0 alone: refused at parse
@@ -1846,12 +1767,12 @@ def test_defect_ladder_rungs_keep_the_float_spacing_rule(tmp_path, capsys):
     base = parse_config(make_config(tau=4, **fields))
     with pytest.raises(ConfigError, match=reason):
         run_sweep(dataclasses.replace(base, outputs=("defect-ladder",)), [4.0])
-    cfg_path, out = tmp_path / "ladder.json", tmp_path / "out.json"
-    cfg_path.write_text(ladder, encoding="utf-8")
-    assert main(["run", str(cfg_path), "--summary", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("error: field 'tau': 1.0 is below")
-    assert not out.exists()
+    expected = (
+        "error: field 'tau': 1.0 is below two float spacings (4) of times on [1e+16, "
+        "1.0000000000000004e+16] and off their grid, so the times cannot resolve the steps\n"
+    )
+    argv = ["run", "--summary", str(tmp_path / "out.json")]
+    check_cli(ladder, argv, 1, expected)
     # Without the ladder the run's own step is enough.
     assert len(run_sweep(base, [4.0])[0].trajectory.times) == 3
 
@@ -1870,20 +1791,15 @@ FAR_HORIZON = dict(profile="fig1a", t0=1e308, tf=1.5e308, tau=1e308)
     ],
     ids=["SGA-A", "SGA-NA", "RK4", "EUB", "GL2"],
 )
-def test_cli_sample_times_past_the_float_range_leak_no_warning(method, err, tmp_path, capsys):
+def test_cli_sample_times_past_the_float_range_leak_no_warning(method, err, check_cli):
     # One step of 1e308 from t0 = 1e308 would end past the float range, but
     # the run ends at tf = 1.5e308: the sample times never form t0 + tau, so
     # only the run's one named error comes out.
-    cfg_path = tmp_path / "far.json"
-    cfg_path.write_text(make_config(method=method, **FAR_HORIZON), encoding="utf-8")
-    with warnings.catch_warnings(record=True) as record:
-        warnings.simplefilter("always")
-        assert main(["run", str(cfg_path)]) == 2
-    assert capsys.readouterr().err == f"runtime error: {err} is not finite at step 0\n"
-    assert [w for w in record if issubclass(w.category, RuntimeWarning)] == []
+    expected = f"runtime error: {err} is not finite at step 0\n"
+    check_cli(make_config(method=method, **FAR_HORIZON), ["run"], 2, expected)
 
 
-def test_defect_ladder_whose_step_end_overflows_names_tau(tmp_path, capsys):
+def test_defect_ladder_whose_step_end_overflows_names_tau(tmp_path, check_cli):
     # The run of FAR_HORIZON ends on tf, but the ladder's step ends at
     # t0 + tau = inf: refused at parse time, by a sweep and by the CLI,
     # naming 'tau' and that end, not a horizon the config never states.
@@ -1894,22 +1810,18 @@ def test_defect_ladder_whose_step_end_overflows_names_tau(tmp_path, capsys):
     base = parse_config(make_config(method="RK4", **FAR_HORIZON))
     with pytest.raises(ConfigError, match=f"^{re.escape(reason)}$"):
         run_sweep(dataclasses.replace(base, outputs=("defect-ladder",)), [1e308])
-    cfg_path, out = tmp_path / "ladder.json", tmp_path / "out.json"
-    cfg_path.write_text(ladder, encoding="utf-8")
     for verb in ("run", "sweep"):
-        assert main([verb, str(cfg_path), "--summary", str(out)]) == 1
-        assert capsys.readouterr().err == f"error: {reason}\n"
-        assert not out.exists()
+        argv = [verb, "--summary", str(tmp_path / "out.json")]
+        check_cli(ladder, argv, 1, f"error: {reason}\n")
 
 
-def test_step_that_is_not_finite_is_named_before_positivity(tmp_path, capsys):
+def test_step_that_is_not_finite_is_named_before_positivity(tmp_path, check_cli):
     for tau in (math.nan, math.inf, -math.inf):
         with pytest.raises(InvalidHorizonError, match=f"^step size must be finite, got {tau}$"):
             integrate(lambda t, tau_k, t_end: np.zeros((len(t), 4)), [1, 0, 0, 0], 0.0, 1.0, tau)
-    cfg_path, summary = tmp_path / "cfg.json", tmp_path / "sweep.json"
-    cfg_path.write_text(make_config(), encoding="utf-8")
-    assert main(["sweep", str(cfg_path), "--taus", "0.1", "nan", "--summary", str(summary)]) == 1
-    assert capsys.readouterr().err == "error: field 'tau': step size must be finite, got nan\n"
+    argv = ["sweep", "--taus", "0.1", "nan", "--summary", str(tmp_path / "sweep.json")]
+    expected = "error: field 'tau': step size must be finite, got nan\n"
+    check_cli(make_config(), argv, 1, expected)
 
 
 def test_schedule_drops_a_final_step_that_does_not_move_the_time(tmp_path):
@@ -1919,9 +1831,9 @@ def test_schedule_drops_a_final_step_that_does_not_move_the_time(tmp_path):
     times, tau_k, t_end = schedule(fields["t0"], fields["tf"], fields["tau"])
     assert len(tau_k) == 27 and np.all(np.diff(times) > 0.0) and times[-1] == fields["tf"]
     assert t_end[-1] == fields["tf"]
-    cfg_path, out = tmp_path / "late.json", tmp_path / "out.csv"
-    cfg_path.write_text(make_config(profile="fig2", method="RK4", **fields), encoding="utf-8")
-    assert main(["run", str(cfg_path), "--out", str(out)]) == 0
+    out = tmp_path / "out.csv"
+    config = make_config(profile="fig2", method="RK4", **fields)
+    assert run_cli(tmp_path, config, "--out", str(out))[0] == 0
     assert np.loadtxt(out, delimiter=",", skiprows=1)[:, 0].tobytes() == times.tobytes()
 
 
