@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -301,6 +302,16 @@ _CONING = {"type": "coning", "omega0": "2pi", "beta": "pi/80"}
             {**_BASE, "oracle": {**_CONING, "beta": [1]}},
             "field 'oracle.beta': expected a number, got list",
         ),
+        (
+            {**_BASE, "profile": {"type": "constant", "omega": "abc"}},
+            "field 'profile.omega': expected a list of 3 numbers",
+        ),
+        (
+            {**_BASE, "profile": {"type": "tabulated", "samples": "ab"}},
+            "field 'profile.samples': need at least two [t, [w1,w2,w3]] pairs",
+        ),
+        ({**_BASE, "q0": "abcd"}, "field 'q0': expected a list of 4 numbers"),
+        ({**_BASE, "outputs": "series"}, "field 'outputs': expected a list of output kinds"),
     ],
     ids=[
         "unknown-config-keys",
@@ -323,11 +334,16 @@ _CONING = {"type": "coning", "omega0": "2pi", "beta": "pi/80"}
         "oracle-omega0-bool",
         "oracle-beta-missing",
         "oracle-beta-list",
+        "omega-a-string-of-3",
+        "samples-a-string-of-2",
+        "q0-a-string-of-4",
+        "outputs-a-string",
     ],
 )
 def test_config_object_messages(config, message):
     # The full text of each message, pinned: unknown and missing keys, every
     # profile kind, the coning oracle, and the coning parameters of both.
+    # A string of the right length is no list: the type check names it.
     # The ids name the cases, so correcting a message renames no test.
     with pytest.raises(ConfigError) as excinfo:
         parse_config(config)
@@ -364,11 +380,25 @@ def test_run_scenario_is_deterministic():
     npt.assert_array_equal(a1.trajectory.states, a2.trajectory.states)
 
 
-def test_run_scenario_benchmark_protocol_repeats():
+def test_run_scenario_benchmark_protocol_repeats(monkeypatch):
     cfg = parse_config(make_config(tf=0.5, outputs=["series", "benchmark"]))
     artifacts = run_scenario(cfg)
     assert artifacts.timing.repeats >= 3
     assert artifacts.timing.wall_clock_s > 0.0
+    # Under a clock by which the k-th timed run takes seconds[k]: a plain run
+    # is timed once; a benchmark runs 3 times at least, and until its runs
+    # sum to 0.2 s (exactly, in the last row), and reports the fastest.
+    for outputs, seconds, repeats in [
+        (["series"], [1.0], 1),
+        (["benchmark"], [1.0] * 3, 3),
+        (["benchmark"], [0.0625] * 3 + [0.2 - 0.1875], 4),
+    ]:
+        clock = iter(x for run in seconds for x in (0.0, run))
+        # A run past seconds reads None and fails the subtraction.
+        monkeypatch.setattr(scenario, "time", types.SimpleNamespace(
+            perf_counter=lambda: next(clock, None)))
+        timing = run_scenario(parse_config(make_config(tf=0.05, outputs=outputs))).timing
+        assert (timing.repeats, timing.wall_clock_s) == (repeats, min(seconds)), seconds
 
 
 @pytest.mark.filterwarnings("ignore::quatkin.symplectic.StepSizeWarning")
@@ -509,19 +539,31 @@ def test_defect_ladder_matches_per_rung_maps(profile, method, sampling):
 
 
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
+SHIPPED_CONFIGS = sorted(os.listdir(CONFIG_DIR))
+
+
+def shipped_config(config):
+    """The text of the shipped config file `config` (a file name)."""
+    with open(os.path.join(CONFIG_DIR, config), encoding="utf-8") as fh:
+        return fh.read()
+
+
+def allowed_methods(config):
+    """Every method the config's profile allows: SGA-A needs a constant rate."""
+    constant = isinstance(parse_config(config).profile, ConstantProfile)
+    return [m for m in scenario.METHODS if constant or m != "SGA-A"]
 
 
 @pytest.mark.filterwarnings("ignore::quatkin.symplectic.StepSizeWarning")
-@pytest.mark.parametrize("config", sorted(os.listdir(CONFIG_DIR)))
+@pytest.mark.parametrize("config", SHIPPED_CONFIGS)
 def test_ladder_maps_are_the_steps_a_run_takes(config):
     # Each rung's map, applied to q0, is bitwise the first state of a
     # two-step run at that rung's step, for every method the profile allows
     # under both samplings: the ladder measures the step the run applies.
-    with open(os.path.join(CONFIG_DIR, config), encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = json.loads(shipped_config(config))
     constant = isinstance(parse_config(raw).profile, ConstantProfile)
     rungs = 0
-    for method in scenario.METHODS if constant else scenario.METHODS[1:]:
+    for method in allowed_methods(raw):
         for sampling in ("exact", "interp"):
             cfg = parse_config({**raw, "method": method, "sampling": sampling})
             taus = np.array([cfg.tau / 2.0**i for i in range(4)])
@@ -532,6 +574,22 @@ def test_ladder_maps_are_the_steps_a_run_takes(config):
                 assert np.dot(g, cfg.q0).tobytes() == states[1].tobytes(), (method, sampling, tau)
                 rungs += 1
     assert rungs == (40 if constant else 32)
+
+
+@pytest.mark.parametrize("config", SHIPPED_CONFIGS)
+def test_shipped_configs_run_every_method_and_sampling(config, tmp_path, monkeypatch):
+    # `quatkin run` (`quatkin sweep` for coning-sweep) on each shipped config,
+    # with --method and --sampling set to every method its profile allows
+    # and both samplings: each exits 0, and run_cli fails the test on any
+    # numpy RuntimeWarning that leaks.  coning-sweep's benchmark output
+    # still repeats each run 3 times, without the 0.2 s floor.
+    monkeypatch.setattr(scenario, "_BENCH_MIN_SECONDS", 0.0)
+    text = shipped_config(config)
+    verb = "sweep" if config == "coning-sweep.json" else "run"
+    for method in allowed_methods(text):
+        for sampling in ("exact", "interp"):
+            argv = ["--method", method, "--sampling", sampling]
+            assert run_cli(tmp_path, text, *argv, verb=verb)[0] == 0, (method, sampling)
 
 
 def test_rebound_integrators_and_midpoint_sampler_are_reached(monkeypatch):
@@ -827,7 +885,7 @@ def test_run_scenario_keeps_only_the_times_and_states(method):
 
 def norm_states(case, n=5000):
     """(n, 4) states whose norms lie above 1, below 1, on both sides, or all
-    exactly at 1."""
+    exactly at 1, or on both sides with the first state's the farthest."""
     rng = np.random.default_rng(17)
     if case == "exact":
         return np.tile([0.6, 0.0, 0.8, 0.0], (n, 1))
@@ -835,11 +893,14 @@ def norm_states(case, n=5000):
     q /= np.linalg.norm(q, axis=1)[:, None]  # |q| within a few ulp of 1, either side
     if case == "mixed":
         return q
+    if case == "first":
+        q[0] *= 1.0 + 1e-3
+        return q
     spread = 10.0 ** rng.uniform(-15, -1, n)
     return q * (1.0 + spread if case == "above" else 1.0 - spread)[:, None]
 
 
-@pytest.mark.parametrize("case", ["above", "below", "mixed", "exact"])
+@pytest.mark.parametrize("case", ["above", "below", "mixed", "exact", "first"])
 def test_max_norm_deviation_bitwise_max_abs_deviation(monkeypatch, case):
     states = norm_states(case)
     traj = Trajectory(times=0.01 * np.arange(len(states)), states=states)
@@ -847,9 +908,11 @@ def test_max_norm_deviation_bitwise_max_abs_deviation(monkeypatch, case):
     dev = run_scenario(parse_config(make_config())).max_norm_deviation
     norms = np.linalg.norm(states, axis=1)
     sides = {"above": (True, False), "below": (False, True), "mixed": (True, True),
-             "exact": (False, False)}[case]
+             "exact": (False, False), "first": (True, True)}[case]
     assert ((norms > 1.0).any(), (norms < 1.0).any()) == sides
     expected = float(np.max(np.abs(norms - 1.0)))
+    if case == "first":
+        assert int(np.argmax(np.abs(norms - 1.0))) == 0
     assert dev == expected and math.copysign(1.0, dev) == math.copysign(1.0, expected)
     if case == "exact":
         assert math.copysign(1.0, dev) == 1.0 and dev == 0.0
@@ -945,9 +1008,10 @@ def test_emit_summary_rejects_non_finite_and_keeps_the_old_file(tmp_path):
     assert path.stat().st_mtime_ns == stat_before.st_mtime_ns
 
 
-def test_emitters_over_a_longer_file_write_what_a_fresh_path_gets(tmp_path):
+def test_emitters_over_a_longer_file_write_what_a_fresh_path_gets(tmp_path, monkeypatch):
     # Files are written over in place, then cut: no byte of the longer file
-    # they replace survives after the new output.
+    # they replace survives after the new output, from the emitters and
+    # through the command.
     long_run = coning_artifacts(oracle=True)
     short_run = run_scenario(parse_config(make_config(tf=0.05)))
     for emit, longer, shorter in [
@@ -960,6 +1024,22 @@ def test_emitters_over_a_longer_file_write_what_a_fresh_path_gets(tmp_path):
         assert over.stat().st_size > fresh.stat().st_size
         emit(shorter, over)
         assert over.read_bytes() == fresh.read_bytes()
+    # The command, on shipped configs: fig1a's CSV over coning-long's, and a
+    # run's summary over a sweep's (one without the 0.2 s benchmark floor).
+    # Summaries carry wall_clock_s, so the summary is parsed, not compared.
+    monkeypatch.setattr(scenario, "_BENCH_MIN_SECONDS", 0.0)
+    over, fresh, summary = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "s.json"
+    for config, verb, flag, path in [
+        ("coning-long", "run", "--out", over),
+        ("fig1a", "run", "--out", over),
+        ("fig1a", "run", "--out", fresh),
+        ("coning-sweep", "sweep", "--summary", summary),
+        ("fig1a", "run", "--summary", summary),
+    ]:
+        text = shipped_config(f"{config}.json")
+        assert run_cli(tmp_path, text, flag, str(path), verb=verb)[0] == 0, config
+    assert over.read_bytes() == fresh.read_bytes()
+    assert len(json.loads(summary.read_text(encoding="utf-8"))["runs"]) == 1
 
 
 def limited_write(limit=None, most=7):
@@ -1039,17 +1119,22 @@ def test_emit_series_stops_where_a_failing_block_stops_it(tmp_path):
 
 
 def test_emitters_create_files_with_the_mode_open_gives(tmp_path):
+    # 0o666 & ~umask, under a umask that clears every bit of others and one
+    # that clears only write bits, so an execute bit would show.
     artifacts = run_scenario(parse_config(make_config(tf=0.05)))
-    old_umask = os.umask(0o027)
-    try:
-        with open(tmp_path / "by-open", "wb"):
-            pass
-        emit_series(artifacts, tmp_path / "series.csv")
-        emit_summary(artifacts, tmp_path / "summary.json")
-    finally:
-        os.umask(old_umask)
-    modes = {p.name: p.stat().st_mode & 0o777 for p in tmp_path.iterdir()}
-    assert modes == {"by-open": 0o640, "series.csv": 0o640, "summary.json": 0o640}
+    for umask, mode in [(0o027, 0o640), (0o022, 0o644)]:
+        folder = tmp_path / oct(umask)
+        folder.mkdir()
+        old_umask = os.umask(umask)
+        try:
+            with open(folder / "by-open", "wb"):
+                pass
+            emit_series(artifacts, folder / "series.csv")
+            emit_summary(artifacts, folder / "summary.json")
+        finally:
+            os.umask(old_umask)
+        modes = {p.name: p.stat().st_mode & 0o777 for p in folder.iterdir()}
+        assert modes == {"by-open": mode, "series.csv": mode, "summary.json": mode}
 
 
 # --- CLI ----------------------------------------------------------------------------
@@ -1089,6 +1174,8 @@ def test_cli_gap_prints_value(capsys):
     out = capsys.readouterr().out.strip()
     assert float(out) < 1.25e-4
     assert float(out) > 0.0
+    assert main(["gap", "0"]) == 0  # the least x accepted
+    assert capsys.readouterr() == ("0\n", "")
 
 
 @pytest.mark.parametrize("x", ["-0.1", "nan", "inf"])
@@ -1109,11 +1196,13 @@ def test_cli_registry_lists_names(capsys):
 
 
 def test_cli_run_with_overrides_and_outputs(tmp_path, capsys):
+    # --out names a file that exists, --summary one not yet made: both written.
     out_csv, out_json = tmp_path / "series.csv", tmp_path / "summary.json"
+    out_csv.write_bytes(b"an older file")
     argv = ["--tau", "0.02", "--out", str(out_csv), "--summary", str(out_json)]
     assert run_cli(tmp_path, make_config(tf=2.0), *argv)[0] == 0
     assert "tau=0.02" in capsys.readouterr().out
-    assert out_csv.exists()
+    assert out_csv.read_bytes().startswith(b"t,e0,e1,e2,e3,norm\n")
     doc = json.loads(out_json.read_text(encoding="utf-8"))
     assert doc["runs"][0]["tau"] == 0.02
     assert doc["runs"][0]["steps"] == 100
@@ -1126,6 +1215,7 @@ def test_cli_sweep(tmp_path):
     assert run_cli(tmp_path, config, *argv, verb="sweep")[0] == 0
     doc = json.loads(out_json.read_text(encoding="utf-8"))
     assert [r["tau"] for r in doc["runs"]] == [0.1, 0.05]
+    assert "estimated_order" in doc  # two runs are a ladder
 
 
 def test_cli_sweep_takes_no_tau(tmp_path, capsys):
@@ -1420,6 +1510,10 @@ def test_cli_constant_oracle_whose_half_angle_overflows_is_a_config_error(tmp_pa
     )
     argv = ["run", "--out", str(tmp_path / "s.csv"), "--summary", str(tmp_path / "s.json")]
     check_cli(cfg, argv, 1, expected)
+    # At the edge: a half angle of 1.79e308 is finite, 1.8e308 is not.
+    assert parse_config({**cfg, "tf": 3.58e158}).oracle is not None
+    with pytest.raises(ConfigError, match="half angle"):
+        parse_config({**cfg, "tf": 3.6e158})
 
 
 # omega0 * t overflows at an end of the horizon: the coning oracle the profile
@@ -1467,11 +1561,14 @@ def test_cli_coning_profile_whose_phase_overflows_runs_without_its_oracle(
 
 
 def test_cli_sweep_with_a_repeated_step_is_a_config_error(tmp_path, check_cli):
-    # Both 0.1 runs would key their ladders fig2@tau=0.1: refused before any run.
+    # Both 0.1 runs would key their ladders fig2@tau=0.1: refused before any
+    # run, as is a nan step of the same sweep.
     cfg = {"profile": "fig2", "tau": 0.1, "tf": 1, "outputs": ["defect-ladder"]}
-    argv = ["sweep", "--taus", "0.1", "0.1", "0.05", "--summary", str(tmp_path / "sweep.json")]
+    summary = ["--summary", str(tmp_path / "sweep.json")]
     expected = "error: sweep step sizes must be distinct; 0.1 is repeated\n"
-    check_cli(cfg, argv, 1, expected)
+    check_cli(cfg, ["sweep", "--taus", "0.1", "0.1", "0.05", *summary], 1, expected)
+    expected = "error: field 'tau': step size must be finite, got nan\n"
+    check_cli(cfg, ["sweep", "--taus", "0.1", "nan", *summary], 1, expected)
 
 
 @pytest.mark.parametrize(
@@ -1638,6 +1735,10 @@ def test_step_size_warning_under_python_c_names_the_string():
             {"profile": {"type": "coning", "omega0": "2pi", "beta": "pi/0"}},
             "'profile.beta': zero divisor in 'pi/0'",
         ),
+        (
+            {"profile": {"type": "coning", "omega0": "2pi", "beta": "pi/0"}, "tau": 0.1, "tf": 1},
+            "'profile.beta': zero divisor in 'pi/0'",
+        ),
         *(
             (
                 {"tf": 5.0,
@@ -1647,13 +1748,15 @@ def test_step_size_warning_under_python_c_names_the_string():
             for a, b in [(0.0, 1.0), (0.5, 9.0)]
         ),
     ],
-    ids=["tf-inf", "omega0-nan", "beta-pi-over-0", "samples-end-early", "samples-start-late"],
+    ids=["tf-inf", "omega0-nan", "beta-pi-over-0", "beta-pi-over-0-tau-0.1", "samples-end-early",
+         "samples-start-late"],
 )
-def test_cli_rejects_out_of_range_config_values(overrides, err, check_cli):
-    check_cli(make_config(**overrides), ["run"], 1, f"error: field {err}\n")
+def test_cli_rejects_out_of_range_config_values(overrides, err, tmp_path, check_cli):
+    argv = ["run", "--summary", str(tmp_path / "summary.json")]
+    check_cli(make_config(**overrides), argv, 1, f"error: field {err}\n")
 
 
-def test_cli_rejects_tau_over_step_budget(tmp_path, capsys):
+def test_cli_rejects_tau_over_step_budget(tmp_path, capsys, check_cli):
     tracemalloc.start()
     try:
         codes = [
@@ -1667,6 +1770,10 @@ def test_cli_rejects_tau_over_step_budget(tmp_path, capsys):
     assert peak < 1 << 20  # rejected before any step array exists
     expected = f"1e-300 gives 1e+300 steps over [0.0, 1.0], more than the budget of {MAX_STEPS}"
     assert capsys.readouterr().err == f"error: field 'tau': {expected}\n" * 2
+    # Ten times the budget, with no summary written.
+    expected = f"1e-08 gives 1e+08 steps over [0.0, 1.0], more than the budget of {MAX_STEPS}"
+    argv = ["run", "--summary", str(tmp_path / "summary.json")]
+    check_cli({"profile": "fig2", "tau": 1e-8, "tf": 1}, argv, 1, f"error: field 'tau': {expected}\n")
 
 
 LADDER_TABLE = {"type": "tabulated", "samples": [[0.0, [1.0, 2.0, 0.5]], [1.0, [2.0, 1.0, 0.0]]]}
@@ -1688,6 +1795,8 @@ def test_cli_rejects_defect_ladder_step_past_table(tmp_path, method, sampling, c
     check_cli(short_step, argv, 1, expected)
     assert run_cli(tmp_path, short_step, "--out", out)[0] == 0
     assert os.path.exists(out)
+    # A ladder step that ends on the table's last time samples inside it.
+    assert run_cli(tmp_path, make_config(tau=1.0, **fields))[0] == 0
 
 
 def test_cli_rejects_tau_the_float_times_cannot_resolve(tmp_path, check_cli):
