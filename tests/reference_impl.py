@@ -7,7 +7,9 @@ np.block (the arithmetic quatkin.baselines must reproduce bitwise), and
 the registry's formula profiles as first written, np.stack of their three
 components (which quatkin.scenario's must reproduce bitwise), and a run's
 whole fixed-step schedule written out step by step (what
-quatkin.trajectory.integrate hands its builders, one block at a time)."""
+quatkin.trajectory.integrate hands its builders, one block at a time), and
+the Hamilton product written out component by component (what
+quatkin.model's sign tables must give)."""
 import math
 
 import numpy as np
@@ -92,6 +94,20 @@ def constant_transition_series(omega, tau, tol: float = 1e-18) -> np.ndarray:
         if frobenius_norm(term) < tol:
             return out
     raise ArithmeticError("matrix exponential series failed to converge")
+
+
+def hamilton_product(p, q):
+    """p (x) q written out component by component; broadcasts over leading axes."""
+    (p0, p1, p2, p3), (q0, q1, q2, q3) = np.moveaxis(p, -1, 0), np.moveaxis(q, -1, 0)
+    return np.stack(
+        [
+            p0 * q0 - p1 * q1 - p2 * q2 - p3 * q3,
+            p0 * q1 + p1 * q0 + p2 * q3 - p3 * q2,
+            p0 * q2 - p1 * q3 + p2 * q0 + p3 * q1,
+            p0 * q3 + p1 * q2 - p2 * q1 + p3 * q0,
+        ],
+        axis=-1,
+    )
 
 
 def schedule(t0, tf, tau):

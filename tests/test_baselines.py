@@ -169,7 +169,6 @@ def test_euler_backward_samples_rate_at_step_end():
     npt.assert_allclose(q1, [1.0 / 1.01, 0.1 / 1.01, 0.0, 0.0], rtol=1e-14)
 
 
-@pytest.mark.filterwarnings("ignore::quatkin.symplectic.StepSizeWarning")
 def test_tabulated_profile_ending_at_tf_runs_every_method():
     # The step-end time t_k + tau_k can round one ulp past tf; with samples
     # ending exactly at tf that sample must still lie inside the table.
@@ -196,7 +195,6 @@ def test_tabulated_profile_ending_at_tf_runs_every_method():
 
 # --- step norm |p_k| -------------------------------------------------------------
 
-@pytest.mark.filterwarnings("ignore::quatkin.symplectic.StepSizeWarning")
 def test_step_norm_ranks_the_methods_on_fig2():
     # Every step map is R(p_k) with R(p_k).T R(p_k) = |p_k|^2 I, so |p_k| is
     # the per-step norm factor: 1 for the Cayley maps and GL2, a strict

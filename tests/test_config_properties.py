@@ -9,7 +9,6 @@ drawn outputs to keep the suite fast.
 
 The library's integrators refuse exactly the horizons the parser refuses.
 """
-import json
 import math
 import sys
 
@@ -17,12 +16,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from quatkin.cli import main
 from quatkin.errors import ConfigError, InvalidHorizonError, QuatkinError
 from quatkin.scenario import parse_config
 from quatkin.symplectic import integrate_autonomous
-
-pytestmark = pytest.mark.filterwarnings("ignore::quatkin.symplectic.StepSizeWarning")
+from harness import run_cli
 
 RATES = st.lists(st.floats(-20.0, 20.0), min_size=3, max_size=3)
 CONSTANT_REGISTRY = ("fig1a",)
@@ -110,43 +107,38 @@ def configs_missing_or_unknown_field(draw):
 
 
 @pytest.fixture(scope="module")
-def config_path(tmp_path_factory):
-    return tmp_path_factory.mktemp("configs") / "config.json"
-
-
-def run_cli(path, doc) -> int:
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    return main(["run", str(path)])
+def config_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("configs")
 
 
 @settings(max_examples=60, deadline=None)
 @given(doc=valid_configs())
-def test_valid_config_parses_and_runs(config_path, doc):
+def test_valid_config_parses_and_runs(config_dir, doc):
     cfg = parse_config(doc)
     assert cfg.tf > cfg.t0 and (cfg.tf - cfg.t0) / cfg.tau <= 1000.0 * (1.0 + 1e-9)
-    assert run_cli(config_path, doc) == 0
+    assert run_cli(config_dir, doc)[0] == 0
 
 
-def check_rejected(path, doc, field):
+def check_rejected(directory, doc, field):
     with pytest.raises(ConfigError) as excinfo:
         parse_config(doc)
     assert f"'{field}" in str(excinfo.value)
-    assert run_cli(path, doc) == 1
+    assert run_cli(directory, doc)[0] == 1
 
 
 @pytest.mark.parametrize("field", sorted(BAD_VALUES))
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
-def test_bad_field_value_is_named(config_path, field, data):
+def test_bad_field_value_is_named(config_dir, field, data):
     doc = data.draw(valid_configs())
     doc[field] = data.draw(st.sampled_from(BAD_VALUES[field]))
-    check_rejected(config_path, doc, field)
+    check_rejected(config_dir, doc, field)
 
 
 @settings(max_examples=30, deadline=None)
 @given(case=configs_missing_or_unknown_field())
-def test_missing_or_unknown_field_is_named(config_path, case):
-    check_rejected(config_path, *case)
+def test_missing_or_unknown_field_is_named(config_dir, case):
+    check_rejected(config_dir, *case)
 
 
 # t0, tf and tau as a config or a library call may give them: any float, the

@@ -1,6 +1,5 @@
 import json
 import math
-import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -27,6 +26,7 @@ from quatkin.model import (
 from quatkin.scenario import one_step_matrix, parse_config, profile_from_name
 from quatkin.symplectic import autonomous_transition, integrate_autonomous
 from quatkin.trajectory import _BLOCK_STEPS, Trajectory
+from harness import traced
 
 E0 = np.array([1.0, 0.0, 0.0, 0.0])
 W_REF = np.array([2.0, 10.0, 3.0])
@@ -70,7 +70,6 @@ def test_norms_are_bitwise_linalg_norm():
     assert traj.norms().tobytes() == expected.tobytes()
 
 
-@pytest.mark.filterwarnings("ignore::quatkin.symplectic.StepSizeWarning")
 def test_orthogonality_defect_values():
     g = autonomous_transition(W_REF, 0.05)
     assert frobenius_norm(g.T @ g - I4) <= 1e-13
@@ -80,14 +79,12 @@ def test_symplecticity_defect_of_j_is_zero():
     assert symplecticity_defect(SYMPLECTIC_J4) == 0.0
 
 
-@pytest.mark.filterwarnings("ignore::quatkin.symplectic.StepSizeWarning")
 def test_symplecticity_defect_halving():
     d1 = symplecticity_defect(autonomous_transition(W_REF, 0.02))
     d2 = symplecticity_defect(autonomous_transition(W_REF, 0.01))
     assert 0.4 <= d2 / d1 <= 0.6
 
 
-@pytest.mark.filterwarnings("ignore::quatkin.symplectic.StepSizeWarning")
 def test_symplecticity_defect_default_structure_is_j4():
     rng = np.random.default_rng(19)
     for _ in range(20):
@@ -122,7 +119,6 @@ def _constant_w_ref_step(method: str, tau: float) -> np.ndarray:
     return one_step_matrix(cfg, tau)
 
 
-@pytest.mark.filterwarnings("ignore::quatkin.symplectic.StepSizeWarning")
 def test_left_structure_defect_separates_symplectic_maps():
     # Negative control for acceptance criterion 4: the 1e-14 bound against
     # the left-multiplication structures holds for the orthogonal maps and
@@ -138,7 +134,6 @@ def test_left_structure_defect_separates_symplectic_maps():
     assert defects["RK4"] >= 1e-4
 
 
-@pytest.mark.filterwarnings("ignore::quatkin.symplectic.StepSizeWarning")
 def test_defects_invariant_under_structure_preserving_conjugation():
     rng = np.random.default_rng(17)
     powers = [I4, SYMPLECTIC_J4, -I4, -SYMPLECTIC_J4]
@@ -199,12 +194,9 @@ def test_component_errors_memory_does_not_grow_with_the_run():
         times = 0.01 * np.arange(blocks * _BLOCK_STEPS)
         traj = Trajectory(times=times, states=oracle(times) + 1e-3)
         component_errors(traj, oracle)  # first-call allocations out of the way
-        tracemalloc.start()
-        try:
+        with traced() as memory:
             report = component_errors(traj, oracle)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        peaks.append(memory.peak)
         npt.assert_allclose(report.max_component_error, 1e-3, rtol=1e-9)
     assert peaks[1] <= peaks[0] + 64 * 1024
 
@@ -236,7 +228,6 @@ def test_component_errors_swap_symmetric():
     )
 
 
-@pytest.mark.filterwarnings("ignore::quatkin.symplectic.StepSizeWarning")
 def test_component_errors_halving_ratio_near_four():
     w = np.array([2.0, 10.0, 3.0])
     oracle = constant_oracle(w, E0)
@@ -263,7 +254,6 @@ def test_convergence_order_validation():
         convergence_order([(0.1, 1.0), (0.05, 0.0)])
 
 
-@pytest.mark.filterwarnings("ignore::quatkin.symplectic.StepSizeWarning")
 def test_convergence_order_on_sga_ladder():
     oracle = constant_oracle(W_REF, E0)
     errors = []
@@ -295,7 +285,6 @@ def test_euler_formula_gap_rejects_non_finite(x):
         euler_formula_gap(x)
 
 
-@pytest.mark.filterwarnings("ignore::quatkin.symplectic.StepSizeWarning")
 def test_cosine_fit_sga_component_at_map_frequency():
     # From E0 the propagated e0 component is exactly cos(k theta) at the map's
     # own angle theta = 2 atan(tau |w| / 4) per step (the true rate |w|/2 up

@@ -1,6 +1,5 @@
 """The vectorised %.17g renderer against CPython's per-value formatting."""
 import dataclasses
-import tracemalloc
 from decimal import Decimal
 from pathlib import Path
 
@@ -11,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from quatkin._g17 import _M_NEXT, _X_MIN, _XI_EST, render_rows
 from quatkin.scenario import parse_config, run_scenario
 from quatkin.trajectory import _BLOCK_STEPS
+from harness import traced
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -237,11 +237,7 @@ def test_render_rows_peak_memory_on_a_coning_block():
     block = coning_long_block()
     assert block.shape == (_BLOCK_STEPS, 10)
     render_rows(block)
-    tracemalloc.start()
-    try:
+    with traced() as memory:
         text = render_rows(block)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert text == reference_rows(block)
-    assert peak <= 3_000_000, peak
+    assert memory.peak <= 3_000_000, memory.peak

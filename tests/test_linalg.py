@@ -12,7 +12,7 @@ from quatkin.model import (
     SYMPLECTIC_J4,
     coefficient_matrix,
 )
-from reference_impl import solve_linear_4
+from reference_impl import hamilton_product, solve_linear_4
 
 # 2x2 rotation generator: J2 @ J2 = -I2, J2.T = -J2
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -47,12 +47,6 @@ UNIT_QUATERNIONS = {
     "j": np.array([0.0, 0.0, 1.0, 0.0]),
     "k": np.array([0.0, 0.0, 0.0, 1.0]),
 }
-
-
-def hamilton_product(p, q):
-    p0, pv = p[0], np.asarray(p[1:])
-    q0, qv = q[0], np.asarray(q[1:])
-    return np.concatenate([[p0 * q0 - pv @ qv], p0 * qv + q0 * pv + np.cross(pv, qv)])
 
 
 @pytest.mark.parametrize("unit", ["i", "j", "k"])

@@ -28,7 +28,7 @@ from quatkin.model import (
     stage_rates,
 )
 from quatkin.scenario import profile_from_name
-from reference_impl import constant_transition_series
+from reference_impl import constant_transition_series, hamilton_product
 
 W0 = 2.0 * math.pi
 BETA = math.pi / 80.0
@@ -101,20 +101,6 @@ def test_coefficient_matrix_is_right_matrix_of_pure_quaternion():
 
 def left_matrix(p):
     return _product_matrix(p, _LEFT_TAKE)
-
-
-def hamilton_product(p, q):
-    """p (x) q written out component by component; broadcasts over leading axes."""
-    (p0, p1, p2, p3), (q0, q1, q2, q3) = np.moveaxis(p, -1, 0), np.moveaxis(q, -1, 0)
-    return np.stack(
-        [
-            p0 * q0 - p1 * q1 - p2 * q2 - p3 * q3,
-            p0 * q1 + p1 * q0 + p2 * q3 - p3 * q2,
-            p0 * q2 - p1 * q3 + p2 * q0 + p3 * q1,
-            p0 * q3 + p1 * q2 - p2 * q1 + p3 * q0,
-        ],
-        axis=-1,
-    )
 
 
 def test_structure_matrices_are_the_product_tables_at_unit_quaternions():

@@ -6,7 +6,6 @@ import os
 import re
 import subprocess
 import sys
-import tracemalloc
 import types
 import warnings
 
@@ -48,6 +47,7 @@ from quatkin.scenario import (
 )
 from quatkin.symplectic import StepSizeWarning, autonomous_transition, integrate_nonautonomous
 from quatkin.trajectory import _BLOCK_STEPS, Trajectory, integrate
+from harness import run_cli, traced
 from reference_impl import FORMULA_PROFILES_STACKED, schedule
 
 CONING_Q0 = [
@@ -401,7 +401,6 @@ def test_run_scenario_benchmark_protocol_repeats(monkeypatch):
         assert (timing.repeats, timing.wall_clock_s) == (repeats, min(seconds)), seconds
 
 
-@pytest.mark.filterwarnings("ignore::quatkin.symplectic.StepSizeWarning")
 def test_run_scenario_defect_ladder_output():
     cfg = parse_config(make_config(tf=1.0, tau=0.1, outputs=["defect-ladder"]))
     artifacts = run_scenario(cfg)
@@ -469,16 +468,13 @@ def test_every_step_is_a_right_multiplication(method, omega, tau, t0, varying):
     cfg = parse_config(
         {"profile": profile, "t0": t0, "tf": t0 + 1.0, "tau": tau, "method": method}
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", StepSizeWarning)
-        g = one_step_matrix(cfg, tau)
+    g = one_step_matrix(cfg, tau)
     for left in (LEFT_I, LEFT_J, LEFT_K):
         assert frobenius_norm(g @ left - left @ g) <= 1e-13
     if method in ("SGA-A", "SGA-NA", "GL2"):
         assert frobenius_norm(g.T @ g - I4) <= 1e-13
 
 
-@pytest.mark.filterwarnings("ignore::quatkin.symplectic.StepSizeWarning")
 def test_defect_ladder_uses_scenario_tau():
     cfg = parse_config(make_config(tau=0.2))
     ladder = defect_ladder(cfg)
@@ -521,7 +517,6 @@ def test_defect_ladder_warns_once_counting_rungs():
     assert [str(w.message)[:20] for w in record] == ["3 of 4 steps exceed "]
 
 
-@pytest.mark.filterwarnings("ignore::quatkin.symplectic.StepSizeWarning")
 @pytest.mark.parametrize(
     "profile, method, sampling",
     [("fig1a", "SGA-A", "exact"), ("fig2", "SGA-NA", "exact"), ("fig2", "SGA-NA", "interp"),
@@ -554,7 +549,6 @@ def allowed_methods(config):
     return [m for m in scenario.METHODS if constant or m != "SGA-A"]
 
 
-@pytest.mark.filterwarnings("ignore::quatkin.symplectic.StepSizeWarning")
 @pytest.mark.parametrize("config", SHIPPED_CONFIGS)
 def test_ladder_maps_are_the_steps_a_run_takes(config):
     # Each rung's map, applied to q0, is bitwise the first state of a
@@ -581,9 +575,11 @@ def test_shipped_configs_run_every_method_and_sampling(config, tmp_path, monkeyp
     # `quatkin run` (`quatkin sweep` for coning-sweep) on each shipped config,
     # with --method and --sampling set to every method its profile allows
     # and both samplings: each exits 0, and run_cli fails the test on any
-    # numpy RuntimeWarning that leaks.  coning-sweep's benchmark output
-    # still repeats each run 3 times, without the 0.2 s floor.
+    # numpy RuntimeWarning that leaks.  coning-sweep's benchmark output runs
+    # each step once, with neither floor: its repeats are bitwise the same
+    # run, and test_run_scenario_benchmark_protocol_repeats pins the floors.
     monkeypatch.setattr(scenario, "_BENCH_MIN_SECONDS", 0.0)
+    monkeypatch.setattr(scenario, "_BENCH_MIN_REPEATS", 1)
     text = shipped_config(config)
     verb = "sweep" if config == "coning-sweep.json" else "run"
     for method in allowed_methods(text):
@@ -626,15 +622,12 @@ def test_rebound_integrators_and_midpoint_sampler_are_reached(monkeypatch):
     for method, want in expected.items():
         calls.clear()
         profile = "fig1a" if method == "SGA-A" else "fig2"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", StepSizeWarning)
-            run_scenario(parse_config(make_config(
-                profile=profile, method=method, tau=0.01, tf=0.02, outputs=["defect-ladder"]
-            )))
+        run_scenario(parse_config(make_config(
+            profile=profile, method=method, tau=0.01, tf=0.02, outputs=["defect-ladder"]
+        )))
         assert calls == want, method
 
 
-@pytest.mark.filterwarnings("ignore::quatkin.symplectic.StepSizeWarning")
 def test_sampling_reaches_every_time_varying_method():
     # interp replaces every interior stage rate by the chord of the step's
     # endpoint samples: RK4's and GL2's trajectories move.  EUB samples only
@@ -819,12 +812,9 @@ def emission_peaks(tmp_path, **oracle):
         artifacts = run_scenario(cfg)
         assert (artifacts.config.oracle is None) == bool(oracle)
         assert artifacts.timing.steps == rows
-        tracemalloc.start()
-        try:
+        with traced() as memory:
             emit_series(artifacts, tmp_path / "series.csv")
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        peaks.append(memory.peak)
     return peaks
 
 
@@ -851,14 +841,10 @@ def test_run_scenario_peak_memory_per_step(method):
     cfg = parse_config(
         make_config(profile="coning", q0=CONING_Q0, tf=steps / 100.0, tau=0.01, method=method)
     )
-    tracemalloc.start()
-    try:
+    with traced() as memory:
         artifacts = run_scenario(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert artifacts.timing.steps == steps and artifacts.error_report is not None
-    assert peak <= 64 * steps, peak / steps
+    assert memory.peak <= 64 * steps, memory.peak / steps
 
 
 @pytest.mark.parametrize("method", ["SGA-NA", "EUB"])
@@ -873,14 +859,10 @@ def test_run_scenario_keeps_only_the_times_and_states(method):
         return run_scenario(parse_config(cfg))
 
     run(2 * _BLOCK_STEPS / 100.0)  # the thread's propagation workspace, at full size
-    tracemalloc.start()
-    try:
+    with traced() as memory:
         artifacts = run(steps / 100.0)
-        kept = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
     assert artifacts.timing.steps == steps and artifacts.error_report is not None
-    assert kept <= 40 * steps + (64 << 10), kept / steps
+    assert memory.current <= 40 * steps + (64 << 10), memory.current / steps
 
 
 def norm_states(case, n=5000):
@@ -1139,21 +1121,6 @@ def test_emitters_create_files_with_the_mode_open_gives(tmp_path):
 
 # --- CLI ----------------------------------------------------------------------------
 
-def run_cli(tmp_path, config, *argv, verb="run"):
-    """Write config (a dict, or JSON text) to tmp_path/cfg.json and run
-    `quatkin <verb> <that file> *argv` in process with every warning recorded.
-    No numpy RuntimeWarning may leak from the command.  Returns the exit code
-    and the category of each warning recorded, in order."""
-    path = tmp_path / "cfg.json"
-    path.write_text(config if isinstance(config, str) else json.dumps(config), encoding="utf-8")
-    with warnings.catch_warnings(record=True) as record:
-        warnings.simplefilter("always")
-        code = main([verb, str(path), *argv])
-    warned = [w.category for w in record]
-    assert not [c for c in warned if issubclass(c, RuntimeWarning)], record
-    return code, warned
-
-
 @pytest.fixture
 def check_cli(tmp_path, capsys):
     """check_cli(config, argv, code, err) checks the whole outcome of
@@ -1244,7 +1211,6 @@ def test_cli_run_and_one_step_sweep_write_the_same_summary(tmp_path, capsys):
     assert lines[0] == lines[1] == "coning: method=SGA-NA tau=0.05 steps=40"
 
 
-@pytest.mark.filterwarnings("ignore::quatkin.symplectic.StepSizeWarning")
 def test_summary_keeps_every_defect_ladder_of_a_sweep(tmp_path):
     # Every run of a sweep has the config's name, so each ladder is keyed by
     # its tau as well; runs with names of their own keep the plain name.
@@ -1757,17 +1723,13 @@ def test_cli_rejects_out_of_range_config_values(overrides, err, tmp_path, check_
 
 
 def test_cli_rejects_tau_over_step_budget(tmp_path, capsys, check_cli):
-    tracemalloc.start()
-    try:
+    with traced() as memory:
         codes = [
             run_cli(tmp_path, make_config(tau=1e-300))[0],
             run_cli(tmp_path, make_config(), "--taus", "0.1", "1e-300", verb="sweep")[0],
         ]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert codes == [1, 1]
-    assert peak < 1 << 20  # rejected before any step array exists
+    assert memory.peak < 1 << 20  # rejected before any step array exists
     expected = f"1e-300 gives 1e+300 steps over [0.0, 1.0], more than the budget of {MAX_STEPS}"
     assert capsys.readouterr().err == f"error: field 'tau': {expected}\n" * 2
     # Ten times the budget, with no summary written.

@@ -1,6 +1,5 @@
 import math
 import threading
-import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -48,6 +47,7 @@ from quatkin.trajectory import (
     integrate,
     propagate,
 )
+from harness import traced
 from reference_impl import schedule, solve_linear_4
 
 W_REF = np.array([2.0, 10.0, 3.0])
@@ -60,7 +60,6 @@ def test_cayley_zero_argument_is_identity():
     npt.assert_array_equal(right_matrix(cayley_steps([0.0, 1.0, 0.0], 0.0)), I4)
 
 
-@pytest.mark.filterwarnings("ignore::quatkin.symplectic.StepSizeWarning")
 def test_cayley_quarter_turn_case():
     # w = e2, tau = 4: tau |w| / 4 = 1, theta = 2 atan 1 = pi/2, so the map
     # is A(e2) = -J and the trig branch agrees with the rational one.
@@ -71,7 +70,6 @@ def test_cayley_quarter_turn_case():
     npt.assert_allclose(g, trig, atol=1e-15)
 
 
-@pytest.mark.filterwarnings("ignore::quatkin.symplectic.StepSizeWarning")
 def test_cayley_orthogonal_and_matches_trig_branch():
     rng = np.random.default_rng(21)
     for _ in range(100):
@@ -119,9 +117,7 @@ def test_autonomous_one_step_gap_bounded_by_gap_function():
     for _ in range(100):
         w = rng.normal(0.0, 4.0, 3)
         tau = rng.uniform(0.0, 0.2 / max(np.linalg.norm(w), 1e-9))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", StepSizeWarning)
-            g = autonomous_transition(w, tau)
+        g = autonomous_transition(w, tau)
         gap = np.max(np.abs(g - analytic_constant_transition(w, tau)))
         assert gap <= euler_formula_gap(float(np.linalg.norm(w)) * tau) * (1 + 1e-9) + 1e-17
 
@@ -131,10 +127,8 @@ def test_autonomous_reversal_transpose_inverse():
     for _ in range(200):
         w = rng.normal(0.0, 4.0, 3)
         tau = rng.uniform(1e-4, 1.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", StepSizeWarning)
-            g = autonomous_transition(w, tau)
-            g_rev = autonomous_transition(w, -tau)
+        g = autonomous_transition(w, tau)
+        g_rev = autonomous_transition(w, -tau)
         assert frobenius_norm(g_rev - g.T) <= 1e-13
         assert frobenius_norm(g.T @ g - I4) <= 1e-13
 
@@ -154,9 +148,7 @@ def test_autonomous_equals_direct_cayley_assembly():
     for _ in range(100):
         w = rng.normal(0.0, 4.0, 3)
         tau = rng.uniform(1e-4, 1.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", StepSizeWarning)
-            g = autonomous_transition(w, tau)
+        g = autonomous_transition(w, tau)
         a = coefficient_matrix(w)
         lhs = I4 - (tau / 4.0) * a
         rhs = I4 + (tau / 4.0) * a
@@ -181,7 +173,6 @@ def test_integrate_autonomous_tracks_analytic_flow():
     npt.assert_allclose(traj.states[:, 0], np.cos(traj.times), atol=1e-4)
 
 
-@pytest.mark.filterwarnings("ignore::quatkin.symplectic.StepSizeWarning")
 def test_integrate_autonomous_step_count_and_partial_step():
     traj = integrate_autonomous(W_REF, E0, 0.0, 1.05, 0.1)
     assert traj.steps == 11
@@ -192,7 +183,6 @@ def test_integrate_autonomous_step_count_and_partial_step():
     assert traj2.steps == 1000
 
 
-@pytest.mark.filterwarnings("ignore::quatkin.symplectic.StepSizeWarning")
 def test_integrate_autonomous_partial_step_stays_on_flow():
     # A mistimed final step would err by ~|w| tau / 2 ~ 5e-2; the closed
     # form itself only accumulates ~1e-3 here.
@@ -203,7 +193,6 @@ def test_integrate_autonomous_partial_step_stays_on_flow():
     assert np.max(np.abs(traj.states - oracle(traj.times))) <= 5e-3
 
 
-@pytest.mark.filterwarnings("ignore::quatkin.symplectic.StepSizeWarning")
 @pytest.mark.parametrize("tf", [1.05, 1.0], ids=["shortened-last-step", "whole-steps"])
 def test_integrate_autonomous_matches_one_map_per_step(tf):
     # Reference: one Cayley map built for every step and applied in turn.
@@ -363,13 +352,9 @@ def test_propagate_on_a_warm_thread_allocates_no_workspace():
     rng = np.random.default_rng(34)
     p, q = unit_steps(rng, 110), rng.normal(size=4)
     propagate(p, q)
-    tracemalloc.start()
-    try:
+    with traced() as memory:
         states = propagate(p, q)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= states.nbytes + 16 * 1024
+    assert memory.peak <= states.nbytes + 16 * 1024
 
 
 @pytest.mark.parametrize("method", ["SGA-A", "SGA-NA", "RK4", "EUB", "GL2"])
@@ -492,12 +477,9 @@ def test_integration_memory_grows_only_by_the_run_arrays(method):
     run(profile, 1.0)  # first-call allocations out of the way
     peaks = []
     for steps in (k, 2 * k):
-        tracemalloc.start()
-        try:
+        with traced() as memory:
             traj = run(profile, steps * 0.01)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        peaks.append(memory.peak)
         assert traj.steps == steps
     assert peaks[1] - peaks[0] <= 100 * k
 
@@ -514,12 +496,9 @@ def test_integration_memory_grows_by_the_times_and_states_alone(method):
     run(profile, 2 * _BLOCK_STEPS * 0.01)
     peaks = []
     for steps in (k, 2 * k):
-        tracemalloc.start()
-        try:
+        with traced() as memory:
             traj = run(profile, steps * 0.01)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        peaks.append(memory.peak)
         assert traj.steps == steps
     assert peaks[1] - peaks[0] <= 44 * k, (peaks[1] - peaks[0]) / k
 
@@ -562,15 +541,11 @@ def test_integrate_checks_q0_before_building_steps():
 
 
 def test_integrate_autonomous_builds_only_distinct_maps():
-    tracemalloc.start()
-    try:
+    with traced() as memory:
         traj = integrate_autonomous(W_REF, E0, 0.0, 1000.005, 0.01)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert traj.steps == 100_001
     # (K, 4, 4) step matrices alone would take 128 bytes a step.
-    assert peak < 100 * traj.steps
+    assert memory.peak < 100 * traj.steps
 
 
 @pytest.mark.parametrize(
@@ -632,15 +607,10 @@ def test_library_runs_refuse_what_parsing_refuses(run, horizon):
         parse_config({"profile": "fig2", "t0": t0, "tf": tf, "tau": tau})
     prefix, _, expected = str(parsed.value).partition("field 'tau': ")
     assert prefix == "" and expected
-    tracemalloc.start()
-    try:
-        with pytest.raises(InvalidHorizonError) as refused:
-            run(horizon)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    with traced() as memory, pytest.raises(InvalidHorizonError) as refused:
+        run(horizon)
     assert str(refused.value) == expected
-    assert peak < 64 << 10
+    assert memory.peak < 64 << 10
 
 
 BEYOND_FLOATS = 10**400
@@ -709,7 +679,6 @@ def test_nonautonomous_coefficients_reference_values():
     assert frobenius_norm(b @ b + gamma_sq * I4) <= 1e-10 * (1.0 + gamma_sq)
 
 
-@pytest.mark.filterwarnings("ignore::quatkin.symplectic.StepSizeWarning")
 def test_nonautonomous_equals_autonomous_when_second_component_zero():
     w = np.array([2.0, 0.0, 3.0])
     for tau in [0.3, 0.01]:
@@ -726,7 +695,6 @@ def test_nonautonomous_small_step_limit():
     assert frobenius_norm((g - I4) / tau - b_matrix(W_REF, tau)) <= 1e-4
 
 
-@pytest.mark.filterwarnings("ignore::quatkin.symplectic.StepSizeWarning")
 def test_nonautonomous_orthogonality_random():
     rng = np.random.default_rng(31)
     for _ in range(200):
@@ -746,7 +714,6 @@ def test_integrate_nonautonomous_constant_profile_matches_autonomous():
     npt.assert_array_equal(t_na.states, t_a.states)
 
 
-@pytest.mark.filterwarnings("ignore::quatkin.symplectic.StepSizeWarning")
 def test_integrate_nonautonomous_steps_match_scalar_transitions():
     # The batch-constructed transitions must be the scalar-op matrices.
     profile = profile_from_name("fig2")
@@ -800,7 +767,6 @@ def test_reduced_2x2_matches_upper_block_of_full_map():
 
 # --- symplecticity-defect behaviour --------------------------------------------------
 
-@pytest.mark.filterwarnings("ignore::quatkin.symplectic.StepSizeWarning")
 def test_defect_first_order_autonomous_ladder():
     # d(tau/2)/d(tau) ~ 1/2 for the constant-rate map.
     taus = [0.1, 0.05, 0.025, 0.0125]
@@ -809,7 +775,6 @@ def test_defect_first_order_autonomous_ladder():
     assert all(0.4 <= r <= 0.6 for r in ratios), ratios
 
 
-@pytest.mark.filterwarnings("ignore::quatkin.symplectic.StepSizeWarning")
 @pytest.mark.xfail(
     strict=True,
     reason="the correction term scales the structure matrix itself, so it "
@@ -823,7 +788,6 @@ def test_defect_second_order_nonautonomous_ladder():
     assert all(0.2 <= r <= 0.3 for r in ratios), ratios
 
 
-@pytest.mark.filterwarnings("ignore::quatkin.symplectic.StepSizeWarning")
 @pytest.mark.xfail(
     strict=True,
     reason="the defect term is (J + q2hat Ahat)(-2 sin^2 I + sin 2th Ahat); "
@@ -837,7 +801,6 @@ def test_defect_vanishes_when_second_component_zero():
         assert symplecticity_defect(nonautonomous_transition(w, tau)) <= 1e-14
 
 
-@pytest.mark.filterwarnings("ignore::quatkin.symplectic.StepSizeWarning")
 def test_transitions_broadcast_over_step_arrays():
     taus = np.array([0.1, 0.05, 0.025, 0.0125])
     npt.assert_array_equal(
@@ -946,7 +909,6 @@ def test_zero_rate_is_the_identity_at_a_step_whose_square_overflows():
         corrected_rate([1e-170, 0.0, 0.0], 1e200)
 
 
-@pytest.mark.filterwarnings("ignore::quatkin.symplectic.StepSizeWarning")
 def test_large_finite_rate_gives_orthogonal_map():
     # Near the top of the range the map is still finite and orthogonal.
     g = nonautonomous_transition(1e45 * np.ones(3) / math.sqrt(3.0), 1.0)
